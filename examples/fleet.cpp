@@ -93,8 +93,7 @@ main(int argc, char **argv)
         cloud.startUnikernel("monitor", net::Ipv4Addr(10, 0, 0, 100));
     http::HttpServer mon_srv(
         monitor.stack, 80,
-        http::withTelemetry(&cloud.metrics(), &cloud.flows(),
-                            &cloud.profiler(), &cloud.hub(),
+        http::withTelemetry(cloud.telemetry(),
                             [](const http::HttpRequest &,
                                http::HttpServer::Responder respond) {
                                 respond(http::HttpResponse::notFound());

@@ -160,7 +160,7 @@ main(int argc, char **argv)
     http::HttpServer web(
         appliance.stack, 80,
         http::withTelemetry(
-            &cloud.metrics(), &cloud.flows(), &cloud.profiler(),
+            cloud.telemetry(),
             [&](const http::HttpRequest &req,
                 http::HttpServer::Responder respond) {
                 if (req.method == "POST" &&

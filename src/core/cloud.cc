@@ -24,57 +24,16 @@ Cloud::Cloud(const Config &cfg)
       netback_(dom0_, bridge_),
       toolstack_(hv_, xen::Toolstack::Mode::Parallel)
 {
-    // Observability first: guests built later resolve their counters
-    // at construction time, so the registry must be attached before
-    // any startGuest()/addDisk() call.
-    engine_.setTracer(&tracer_);
-    engine_.setMetrics(&metrics_);
-    engine_.setChecker(&checker_);
-    engine_.setFlows(&flows_);
-    flows_.attach(&tracer_, &metrics_);
-    flows_.enable();
-    profiler_.attach(&tracer_, &metrics_);
-    engine_.setProfiler(&profiler_);
-    boots_.attach(&tracer_, &metrics_);
-    boots_.enable();
-    engine_.setBoots(&boots_);
-    // Completed flows fan out from one finalize hook: the SLO tracker
-    // scores each against its kind's objective, the hub folds it into
-    // the serving domain's fleet aggregate.
-    flows_.setFinalizeHook([this](const trace::FlowTracker::Flow &f) {
-        slo_.record(f.kind, u64(f.end_ns - f.start_ns), f.failed,
-                    TimePoint(f.end_ns));
-        hub_.onFlowDone(f);
-    });
-    // A burn-rate breach is a watchdog event like a stall: route it
-    // through the same alert path so MIRAGE_FLIGHT leaves a post-mortem.
-    slo_.setAlertHook(
-        [this](const std::string &kind, const std::string &detail) {
-            (void)kind;
-            profiler_.alert("slo_burn", detail);
-        });
-    hub_.attach(&profiler_, &flows_, &boots_, &slo_, &metrics_);
+    telemetry_.flows.enable();
+    telemetry_.boots.enable();
     // The wall profiler rides on the ShardSet (it observes the worker
     // threads); the hub only renders it, so a const borrow suffices.
-    hub_.attachWall(&shards_.wallprof());
-    // dom0 was constructed in the member-init list, before the
-    // profiler attached to the engine — bind it (and any other early
-    // domain) now so its accounting record exists from the start.
-    for (auto &d : hv_.domains())
-        d->bindProfiler(profiler_);
-    // Watchdog alerts (stall, gc_pause, ring_full) are worth a
-    // post-mortem: route them to the flight recorder when it is armed.
-    profiler_.setAlertHook([this](const char *kind,
-                                  const std::string &detail) {
-        warn("profiler alert [%s]: %s", kind, detail.c_str());
-        if (flight_hooked_)
-            dumpFlight();
-    });
+    telemetry_.wall = &shards_.wallprof();
     // Flow ids come from the engine's causal dispatch context when one
     // is active: the id a flow gets is then a pure function of the
     // seed, identical at any shard count (0 falls back to the
     // tracker's sequential counter for flows begun outside dispatch).
-    flows_.setIdSource([] {
+    telemetry_.flows.setIdSource([] {
         sim::Engine *e = sim::Engine::current();
         if (!e)
             return u64(0);
@@ -85,11 +44,9 @@ Cloud::Cloud(const Config &cfg)
         tok = (tok ^ (tok >> 32)) & 0xffffffffu;
         return tok ? tok : u64(1);
     });
-    // Every shard engine shares shard 0's observability attachments;
-    // each non-primary shard then gets its own backend domain +
-    // netback so guest datapaths stay intra-shard (only bridge frames,
+    // Each non-primary shard gets its own backend domain + netback so
+    // guest datapaths stay intra-shard (only bridge frames,
     // cross-domain event channels and toolstack boots cross shards).
-    shards_.syncAttachments();
     netback_by_shard_.push_back(&netback_);
     for (unsigned i = 1; i < shards_.count(); i++) {
         xen::Domain &bd = hv_.createDomain(
@@ -100,38 +57,20 @@ Cloud::Cloud(const Config &cfg)
             std::make_unique<xen::Netback>(bd, bridge_));
         netback_by_shard_.push_back(shard_netbacks_.back().get());
     }
-    checker_.attachMetrics(metrics_);
+    checker_.attachMetrics(telemetry_.metrics);
+    // A violation is worth a post-mortem, like a panic or an alert.
+    checker_.setViolationHook([this] { telemetry_.dumpFlight(); });
     if (const char *env = std::getenv("MIRAGE_CHECK");
         env && env[0] && std::strcmp(env, "0") != 0) {
         if (std::strcmp(env, "fatal") == 0)
             checker_.setMode(check::Checker::Mode::Fatal);
         checker_.enable();
     }
-    // MIRAGE_FLIGHT=<n>: always-on flight recorder keeping the last n
-    // trace events, auto-dumped on the first panic, CHECK failure or
-    // checker violation (MIRAGE_FLIGHT_PATH overrides the output file).
-    if (const char *env = std::getenv("MIRAGE_FLIGHT");
-        env && env[0] && std::strcmp(env, "0") != 0) {
-        std::size_t n = std::size_t(std::strtoull(env, nullptr, 10));
-        tracer_.setFlightCapacity(n ? n : 4096);
-        tracer_.enable();
-        const char *path = std::getenv("MIRAGE_FLIGHT_PATH");
-        flight_path_ = path && path[0] ? path : "flight.json";
-        setPanicHook([this] { dumpFlight(); });
-        checker_.setViolationHook([this] { dumpFlight(); });
-        flight_hooked_ = true;
-    }
     dom0_.setState(xen::DomainState::Running);
 }
 
 Cloud::~Cloud()
 {
-    // The hooks capture `this`; clear them before members go away so a
-    // late panic cannot call into a destructed Cloud.
-    if (flight_hooked_) {
-        setPanicHook({});
-        checker_.setViolationHook({});
-    }
     // Guests destruct before the hypervisor (member order), but each
     // domain's grant table holds views of guest-allocated pages whose
     // deleters live in the guest. Shutting the domains down here runs
@@ -139,22 +78,6 @@ Cloud::~Cloud()
     // everything is still alive.
     for (auto &g : guests_)
         g->dom.shutdown(0);
-}
-
-void
-Cloud::dumpFlight()
-{
-    if (flight_dumped_)
-        return;
-    flight_dumped_ = true;
-    if (auto st = tracer_.writeChromeJson(flight_path_); !st.ok()) {
-        warn("flight: %s", st.error().message.c_str());
-        return;
-    }
-    warn("flight: dumped %zu events (%llu dropped) to %s",
-         tracer_.eventCount(),
-         (unsigned long long)tracer_.droppedEvents(),
-         flight_path_.c_str());
 }
 
 void
@@ -166,18 +89,18 @@ Cloud::enableStallWatchdog(Duration threshold)
     // flow is live, so an idle cloud schedules nothing. The hook fires
     // from whichever shard begins the flow — the exchange keeps the
     // arm one-shot, and the check itself is posted to shard 0.
-    flows_.setActivityHook([this] {
+    telemetry_.flows.setActivityHook([this] {
         if (stall_enabled_ && !stall_armed_.exchange(true))
             armStallCheck();
     });
-    if (flows_.liveCount() > 0 && !stall_armed_.exchange(true))
+    if (flows().liveCount() > 0 && !stall_armed_.exchange(true))
         armStallCheck();
 }
 
 void
 Cloud::armStallCheck()
 {
-    stall_last_completed_.store(flows_.completed(),
+    stall_last_completed_.store(flows().completed(),
                                 std::memory_order_relaxed);
     sim::Engine *e = sim::Engine::current();
     stall_progress_at_ns_.store((e ? *e : engine_).now().ns(),
@@ -190,12 +113,12 @@ void
 Cloud::stallCheck()
 {
     // Runs on shard 0.
-    if (!stall_enabled_ || flows_.liveCount() == 0) {
+    if (!stall_enabled_ || flows().liveCount() == 0) {
         // Nothing in flight: stand down until the next flow begins.
         stall_armed_.store(false);
         return;
     }
-    u64 completed = flows_.completed();
+    u64 completed = flows().completed();
     i64 progress_ns = stall_progress_at_ns_.load(std::memory_order_relaxed);
     if (completed != stall_last_completed_.load(std::memory_order_relaxed)) {
         stall_last_completed_.store(completed, std::memory_order_relaxed);
@@ -203,12 +126,12 @@ Cloud::stallCheck()
                                     std::memory_order_relaxed);
     } else if (engine_.now().ns() - progress_ns >=
                stall_threshold_.ns()) {
-        profiler_.alert(
+        profiler().alert(
             "stall",
             strprintf("no flow completed for %lld ms (%zu live)",
                       (long long)(engine_.now().ns() - progress_ns) /
                           1'000'000,
-                      flows_.liveCount()));
+                      flows().liveCount()));
         // One-shot: stay quiet until new work re-arms us, so a wedged
         // run produces one dump instead of one per check interval.
         stall_armed_.store(false);

@@ -30,13 +30,7 @@
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 #include "sim/shard.h"
-#include "trace/boot.h"
-#include "trace/flow.h"
-#include "trace/hub.h"
-#include "trace/metrics.h"
-#include "trace/profile.h"
-#include "trace/slo.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::core {
 
@@ -93,16 +87,18 @@ class Cloud
     ~Cloud();
 
     sim::Engine &engine() { return engine_; }
-    trace::TraceRecorder &tracer() { return tracer_; }
-    trace::MetricsRegistry &metrics() { return metrics_; }
+
+    /** The observability bundle every shard engine carries. */
+    trace::Telemetry &telemetry() { return telemetry_; }
+    trace::TraceRecorder &tracer() { return telemetry_.tracer; }
+    trace::MetricsRegistry &metrics() { return telemetry_.metrics; }
 
     /**
-     * Request-flow tracker, attached to the engine and enabled by
-     * default (its histograms cost nothing until a flow begins, and
-     * flows only begin in instrumented servers). Disable with
-     * `flows().enable(false)` for microbenches.
+     * Request-flow tracker, enabled by default (its histograms cost
+     * nothing until a flow begins, and flows only begin in instrumented
+     * servers). Disable with `flows().enable(false)` for microbenches.
      */
-    trace::FlowTracker &flows() { return flows_; }
+    trace::FlowTracker &flows() { return telemetry_.flows; }
 
     /**
      * The invariant checker, attached to the engine at construction but
@@ -114,36 +110,36 @@ class Cloud
     check::Checker &checker() { return checker_; }
 
     /**
-     * The CPU/heap profiler, attached to the engine at construction.
-     * Per-domain accounting (run/steal, GC pauses, ring HWMs — the
-     * `GET /top` snapshot) is always on; call `profiler().enable()` to
-     * also record scope-tree attribution for flamegraph export.
+     * The CPU/heap profiler. Per-domain accounting (run/steal, GC
+     * pauses, ring HWMs — the `GET /top` snapshot) is always on; call
+     * `profiler().enable()` to also record scope-tree attribution for
+     * flamegraph export.
      */
-    trace::Profiler &profiler() { return profiler_; }
+    trace::Profiler &profiler() { return telemetry_.profiler; }
 
     /**
-     * The boot-phase tracker, attached to the engine and enabled by
-     * default: every toolstack boot decomposes into named phase spans
-     * and `boot.<phase>_ns` histograms, and the serving stack closes
-     * the loop with the first-request phase.
+     * The boot-phase tracker, enabled by default: every toolstack boot
+     * decomposes into named phase spans and `boot.<phase>_ns`
+     * histograms, and the serving stack closes the loop with the
+     * first-request phase.
      */
-    trace::BootTracker &boots() { return boots_; }
+    trace::BootTracker &boots() { return telemetry_.boots; }
 
     /**
      * The SLO tracker. Declare targets with
      * `slo().setTarget("http", {...})`; every completed flow is scored
-     * automatically, and burn-rate alerts route through the profiler's
-     * alert hook (so MIRAGE_FLIGHT auto-dumps a post-mortem).
+     * automatically, and burn-rate alerts are profiler alerts (so
+     * MIRAGE_FLIGHT auto-dumps a post-mortem).
      */
-    trace::SloTracker &slo() { return slo_; }
+    trace::SloTracker &slo() { return telemetry_.slo; }
 
     /**
      * The dom0 telemetry hub: per-domain and fleet-wide rollups
      * (request counts, histogram-merged latency quantiles, CPU, boot
-     * phases, SLO state). Serve it with the 5-argument withTelemetry()
-     * overload to expose `GET /fleet`.
+     * phases, SLO state). Serve `telemetry()` with withTelemetry() to
+     * expose `GET /fleet`.
      */
-    trace::TelemetryHub &hub() { return hub_; }
+    trace::TelemetryHub &hub() { return telemetry_.hub; }
 
     /**
      * Arm the stall watchdog: if no request flow completes for
@@ -239,7 +235,6 @@ class Cloud
     }
 
   private:
-    void dumpFlight();
     void armStallCheck();
     void stallCheck();
     net::NetworkStack::Config netConfigFor(xen::GuestKind kind,
@@ -247,18 +242,11 @@ class Cloud
                                            double cpu_factor) const;
     xen::MacBytes nextMac();
 
-    sim::Engine engine_;
-    trace::TraceRecorder tracer_;
-    trace::MetricsRegistry metrics_;
-    trace::FlowTracker flows_;
-    trace::Profiler profiler_;
-    trace::BootTracker boots_;
-    trace::SloTracker slo_;
-    trace::TelemetryHub hub_;
+    // Observability precedes engine_ so every domain, dom0 included,
+    // finds the bundle and the checker on its engine when it is built.
+    trace::Telemetry telemetry_;
     check::Checker checker_{check::Checker::Mode::Count};
-    std::string flight_path_;
-    bool flight_hooked_ = false;
-    bool flight_dumped_ = false;
+    sim::Engine engine_{&telemetry_, &checker_};
     Config cfg_;
     // shards_ precedes hv_ so the worker threads are joined and the
     // owned shard engines outlive the domains that reference them.

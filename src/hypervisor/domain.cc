@@ -21,16 +21,11 @@ Domain::Domain(Hypervisor &hv, DomId id, std::string name, GuestKind kind,
         vcpus_.push_back(std::make_unique<sim::Cpu>(
             engine_, strprintf("%s/vcpu%u", name_.c_str(), i)));
     }
-    if (auto *p = engine_.profiler())
-        bindProfiler(*p);
-}
-
-void
-Domain::bindProfiler(trace::Profiler &profiler)
-{
-    stats_ = &profiler.domain(name_);
-    for (auto &cpu : vcpus_)
-        cpu->setStats(stats_);
+    if (auto *p = engine_.profiler()) {
+        stats_ = &p->domain(name_);
+        for (auto &cpu : vcpus_)
+            cpu->setStats(stats_);
+    }
 }
 
 void

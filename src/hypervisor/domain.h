@@ -118,15 +118,8 @@ class Domain
     bool blocked() const { return poll_active_; }
 
     // ---- Per-domain accounting ---------------------------------------
-    /**
-     * Point this domain (and its vcpus) at @p profiler's DomainStats
-     * record for it. Called from the ctor when the engine already has
-     * a profiler, and again by the composition root for domains built
-     * before the profiler attached.
-     */
-    void bindProfiler(trace::Profiler &profiler);
-
-    /** The bound accounting record, or null. */
+    /** The profiler's DomainStats record for this domain (bound at
+     *  construction when the engine carries telemetry), or null. */
     trace::DomainStats *stats() const { return stats_; }
 
   private:

@@ -2,83 +2,33 @@
 
 #include <utility>
 
-#include "trace/flow.h"
-#include "trace/hub.h"
-#include "trace/metrics.h"
-#include "trace/profile.h"
+#include "trace/telemetry.h"
 
 namespace mirage::http {
 
 HttpServer::Handler
-withTelemetry(trace::MetricsRegistry *metrics,
-              trace::FlowTracker *flows, HttpServer::Handler app)
+withTelemetry(trace::Telemetry &t, HttpServer::Handler app)
 {
-    return withTelemetry(metrics, flows, nullptr, std::move(app));
-}
-
-HttpServer::Handler
-withTelemetry(trace::MetricsRegistry *metrics, trace::FlowTracker *flows,
-              trace::Profiler *profiler, HttpServer::Handler app)
-{
-    return withTelemetry(metrics, flows, profiler, nullptr,
-                         std::move(app));
-}
-
-HttpServer::Handler
-withTelemetry(trace::MetricsRegistry *metrics, trace::FlowTracker *flows,
-              trace::Profiler *profiler, trace::TelemetryHub *hub,
-              HttpServer::Handler app)
-{
-    return [metrics, flows, profiler, hub, app = std::move(app)](
-               const HttpRequest &req, HttpServer::Responder respond) {
-        if (req.method == "GET" && req.path == "/metrics") {
-            if (!metrics) {
-                respond(HttpResponse::text(503, "no metrics registry\n"));
-                return;
-            }
-            HttpResponse rsp;
-            rsp.headers["Content-Type"] =
-                "text/plain; version=0.0.4; charset=utf-8";
-            rsp.body = metrics->toPrometheus();
-            if (hub)
-                rsp.body += hub->toPrometheus();
-            respond(std::move(rsp));
+    return [&t, app = std::move(app)](const HttpRequest &req,
+                                      HttpServer::Responder respond) {
+        bool get = req.method == "GET";
+        HttpResponse rsp;
+        const char *type = "application/json";
+        if (get && req.path == "/metrics") {
+            type = "text/plain; version=0.0.4; charset=utf-8";
+            rsp.body = t.metrics.toPrometheus() + t.hub.toPrometheus();
+        } else if (get && req.path == "/fleet") {
+            rsp.body = t.hub.fleetJson();
+        } else if (get && req.path == "/flows") {
+            rsp.body = t.flows.recentJson();
+        } else if (get && req.path == "/top") {
+            rsp.body = t.profiler.topJson();
+        } else {
+            app(req, std::move(respond));
             return;
         }
-        if (req.method == "GET" && req.path == "/fleet") {
-            if (!hub) {
-                respond(HttpResponse::text(503, "no telemetry hub\n"));
-                return;
-            }
-            HttpResponse rsp;
-            rsp.headers["Content-Type"] = "application/json";
-            rsp.body = hub->fleetJson();
-            respond(std::move(rsp));
-            return;
-        }
-        if (req.method == "GET" && req.path == "/flows") {
-            if (!flows) {
-                respond(HttpResponse::text(503, "no flow tracker\n"));
-                return;
-            }
-            HttpResponse rsp;
-            rsp.headers["Content-Type"] = "application/json";
-            rsp.body = flows->recentJson();
-            respond(std::move(rsp));
-            return;
-        }
-        if (req.method == "GET" && req.path == "/top") {
-            if (!profiler) {
-                respond(HttpResponse::text(503, "no profiler\n"));
-                return;
-            }
-            HttpResponse rsp;
-            rsp.headers["Content-Type"] = "application/json";
-            rsp.body = profiler->topJson();
-            respond(std::move(rsp));
-            return;
-        }
-        app(req, std::move(respond));
+        rsp.headers["Content-Type"] = type;
+        respond(std::move(rsp));
     };
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * Self-served telemetry: wrap an application handler so the appliance
- * itself answers GET /metrics (Prometheus text exposition) and
- * GET /flows (recent completed request flows, JSON) — observability as
- * a library, in the unikernel spirit: no sidecar process, the
- * appliance links its own monitoring endpoint.
+ * itself answers its monitoring endpoints from a trace::Telemetry
+ * bundle — observability as a library, in the unikernel spirit: no
+ * sidecar process, the appliance links its own monitoring endpoint.
  */
 
 #ifndef MIRAGE_PROTOCOLS_HTTP_TELEMETRY_H
@@ -13,47 +12,28 @@
 #include "protocols/http/server.h"
 
 namespace mirage::trace {
-class MetricsRegistry;
-class FlowTracker;
-class Profiler;
-class TelemetryHub;
+struct Telemetry;
 } // namespace mirage::trace
 
 namespace mirage::http {
 
 /**
- * Wrap @p app so GET /metrics serves @p metrics in Prometheus text
- * exposition format (version 0.0.4) and GET /flows serves @p flows's
- * recent completed flows as JSON. Every other request is delegated to
- * @p app unchanged. Either source may be null — its endpoint then
- * answers 503.
+ * Wrap @p app so the appliance serves @p t:
+ *
+ *   GET /metrics  Prometheus text exposition (0.0.4): the registry,
+ *                 then the hub's per-domain `fleet_*` series
+ *   GET /flows    recent completed request flows, JSON
+ *   GET /top      the profiler's xentop-style per-domain snapshot
+ *                 (run/steal/blocked time, notify rates, ring
+ *                 high-water marks, GC pause quantiles), JSON
+ *   GET /fleet    the hub's fleet rollup (per-domain request counts and
+ *                 latency quantiles, the histogram-merged fleet-wide
+ *                 distribution, boot-phase breakdown, SLO burn state)
+ *
+ * Every other request is delegated to @p app unchanged. @p t must
+ * outlive the handler.
  */
-HttpServer::Handler withTelemetry(trace::MetricsRegistry *metrics,
-                                  trace::FlowTracker *flows,
-                                  HttpServer::Handler app);
-
-/**
- * As above, and GET /top additionally serves @p profiler's xentop-style
- * per-domain snapshot (run/steal/blocked time, notify rates, ring
- * high-water marks, GC pause quantiles) as JSON.
- */
-HttpServer::Handler withTelemetry(trace::MetricsRegistry *metrics,
-                                  trace::FlowTracker *flows,
-                                  trace::Profiler *profiler,
-                                  HttpServer::Handler app);
-
-/**
- * As above, and GET /fleet additionally serves @p hub's fleet rollup
- * (per-domain request counts and latency quantiles, the
- * histogram-merged fleet-wide distribution, boot-phase breakdown and
- * SLO burn-rate state) as JSON; /metrics also appends the hub's
- * per-domain `fleet_*` series with `domain` labels. This is the dom0
- * monitor-appliance wrapper.
- */
-HttpServer::Handler withTelemetry(trace::MetricsRegistry *metrics,
-                                  trace::FlowTracker *flows,
-                                  trace::Profiler *profiler,
-                                  trace::TelemetryHub *hub,
+HttpServer::Handler withTelemetry(trace::Telemetry &t,
                                   HttpServer::Handler app);
 
 } // namespace mirage::http

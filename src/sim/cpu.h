@@ -33,8 +33,8 @@ class Cpu
     /**
      * Charge @p cost of CPU work and run @p done when it completes.
      * Work is serialised FIFO behind whatever this CPU is already doing.
-     * @p what / @p cat label the span on this CPU's trace track when a
-     * recorder is attached and enabled.
+     * @p what / @p cat label the span on this CPU's trace track when the
+     * engine's telemetry bundle has its recorder enabled.
      */
     void submit(Duration cost, std::function<void()> done,
                 const char *what = "cpu.work",

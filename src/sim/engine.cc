@@ -3,10 +3,6 @@
 #include "sim/shard.h"
 
 #include "base/logging.h"
-#include "trace/flow.h"
-#include "trace/metrics.h"
-#include "trace/profile.h"
-#include "trace/trace.h"
 
 namespace mirage::sim {
 
@@ -69,8 +65,8 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
 EventId
 Engine::at(TimePoint t, std::function<void()> fn)
 {
-    u64 flow = flows_ ? flows_->current() : 0;
-    u32 pscope = profiler_ ? profiler_->current() : 0;
+    u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
+    u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
     // Root-context scheduling (setup code, no event dispatching) on a
     // sharded engine draws its key from the *primary* shard's root
     // counter: setup runs in program order on one thread, so the key
@@ -105,13 +101,18 @@ Engine::cancel(EventId id)
     cancelled_count_++;
 }
 
-void
-Engine::setMetrics(trace::MetricsRegistry *metrics)
+Engine::Engine(trace::Telemetry *telemetry, check::Checker *checker)
+    : checker_(checker)
 {
-    metrics_ = metrics;
-    c_dispatched_ = metrics ? &metrics->counter("sim.events_run") : nullptr;
-    c_cancelled_ =
-        metrics ? &metrics->counter("sim.events_cancelled") : nullptr;
+    setTelemetry(telemetry);
+}
+
+void
+Engine::setTelemetry(trace::Telemetry *t)
+{
+    telemetry_ = t;
+    c_dispatched_ = t ? &t->metrics.counter("sim.events_run") : nullptr;
+    c_cancelled_ = t ? &t->metrics.counter("sim.events_cancelled") : nullptr;
 }
 
 bool
@@ -139,10 +140,10 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
         events_run_++;
         checksum_ += mixKey(u64(item.when.ns()), item.hash);
         trace::bump(c_dispatched_);
-        if (tracer_ && tracer_->enabled())
-            tracer_->instant(trace::Cat::Engine, "dispatch", now_, 0,
-                             strprintf("\"id\":%llu",
-                                       (unsigned long long)item.id));
+        if (telemetry_ && telemetry_->tracer.enabled())
+            telemetry_->tracer.instant(
+                trace::Cat::Engine, "dispatch", now_, 0,
+                strprintf("\"id\":%llu", (unsigned long long)item.id));
         {
             // Restore the scheduling context's flow and profiler scope
             // for the duration of the callback; anything it schedules
@@ -150,8 +151,8 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
             // children order deterministically under (when, strand,
             // idx) whatever thread runs this. Both scopes are
             // null-safe.
-            trace::FlowScope scope(flows_, item.flow);
-            trace::ProfRestore pscope(profiler_, item.pscope);
+            trace::FlowScope scope(flows(), item.flow);
+            trace::ProfRestore pscope(profiler(), item.pscope);
             Engine *prev_engine = current_;
             u64 prev_hash = cur_hash_;
             u64 prev_child = next_child_;

@@ -14,10 +14,11 @@
  * thread scheduled the event. A run is a pure function of its seed,
  * bit-identical at any shard count (see sim/shard.h).
  *
- * The engine is also the attachment point for the observability layer:
- * an optional trace::TraceRecorder and trace::MetricsRegistry hang off
- * it, and every subsystem with engine access shares them. Both default
- * to null, so uninstrumented runs pay one pointer test per hook.
+ * The engine also carries the observability layer: one optional
+ * trace::Telemetry bundle (tracer, metrics, flows, profiler, boots, SLO,
+ * hub) and one optional check::Checker, which every subsystem with
+ * engine access shares. Both default to null, so uninstrumented runs
+ * pay one pointer test per hook.
  */
 
 #ifndef MIRAGE_SIM_ENGINE_H
@@ -30,15 +31,7 @@
 
 #include "base/time.h"
 #include "base/types.h"
-
-namespace mirage::trace {
-class TraceRecorder;
-class MetricsRegistry;
-class Counter;
-class FlowTracker;
-class Profiler;
-class BootTracker;
-} // namespace mirage::trace
+#include "trace/telemetry.h"
 
 namespace mirage::check {
 class Checker;
@@ -86,7 +79,8 @@ class Engine
     /** Sentinel "no pending event" time (nextEventTime()). */
     static constexpr TimePoint kNever{INT64_MAX};
 
-    Engine() = default;
+    explicit Engine(trace::Telemetry *telemetry = nullptr,
+                    check::Checker *checker = nullptr);
 
     /** Current virtual time. */
     TimePoint now() const { return now_; }
@@ -193,43 +187,39 @@ class Engine
     void setShards(ShardSet *s) { shards_ = s; }
 
     // ---- Observability ----------------------------------------------
-    /** Attach (or detach with nullptr) a trace recorder. Not owned. */
-    void setTracer(trace::TraceRecorder *tracer) { tracer_ = tracer; }
-    trace::TraceRecorder *tracer() const { return tracer_; }
-
-    /** Attach (or detach with nullptr) a metrics registry. Not owned. */
-    void setMetrics(trace::MetricsRegistry *metrics);
-    trace::MetricsRegistry *metrics() const { return metrics_; }
+    /**
+     * Attach (or detach with nullptr) the observability bundle. Not
+     * owned. With a bundle, the ambient flow id and profiler scope are
+     * captured at schedule time and restored around dispatch, so flows
+     * and attribution follow their callbacks through timers, promises
+     * and event-channel hops without per-call plumbing.
+     */
+    void setTelemetry(trace::Telemetry *telemetry);
+    trace::Telemetry *telemetry() const { return telemetry_; }
+    trace::TraceRecorder *tracer() const
+    {
+        return telemetry_ ? &telemetry_->tracer : nullptr;
+    }
+    trace::MetricsRegistry *metrics() const
+    {
+        return telemetry_ ? &telemetry_->metrics : nullptr;
+    }
+    trace::FlowTracker *flows() const
+    {
+        return telemetry_ ? &telemetry_->flows : nullptr;
+    }
+    trace::Profiler *profiler() const
+    {
+        return telemetry_ ? &telemetry_->profiler : nullptr;
+    }
+    trace::BootTracker *boots() const
+    {
+        return telemetry_ ? &telemetry_->boots : nullptr;
+    }
 
     /** Attach (or detach with nullptr) an invariant checker. Not owned. */
     void setChecker(check::Checker *checker) { checker_ = checker; }
     check::Checker *checker() const { return checker_; }
-
-    /**
-     * Attach (or detach with nullptr) a request-flow tracker. Not
-     * owned. When attached, the ambient flow id is captured at
-     * schedule time and restored around dispatch, so flows follow
-     * their own callbacks through timers, promises and event-channel
-     * hops without per-call plumbing.
-     */
-    void setFlows(trace::FlowTracker *flows) { flows_ = flows; }
-    trace::FlowTracker *flows() const { return flows_; }
-
-    /**
-     * Attach (or detach with nullptr) a CPU profiler. Not owned. Like
-     * flows, the ambient profiler scope is captured at schedule time
-     * and restored around dispatch, so attribution follows callbacks.
-     */
-    void setProfiler(trace::Profiler *profiler) { profiler_ = profiler; }
-    trace::Profiler *profiler() const { return profiler_; }
-
-    /**
-     * Attach (or detach with nullptr) a boot-phase tracker. Not owned.
-     * Bring-up code (toolstack, PVBoot, driver connects) reports phase
-     * spans and structural op counts against the ambient boot id.
-     */
-    void setBoots(trace::BootTracker *boots) { boots_ = boots; }
-    trace::BootTracker *boots() const { return boots_; }
 
   private:
     struct Item
@@ -298,12 +288,9 @@ class Engine
     std::size_t live_ = 0;            //!< scheduled, not dispatched
     std::size_t cancelled_count_ = 0; //!< subset of live_
     ShardSet *shards_ = nullptr;
-    trace::TraceRecorder *tracer_ = nullptr;
-    trace::MetricsRegistry *metrics_ = nullptr;
+    trace::Telemetry *telemetry_ = nullptr;
     check::Checker *checker_ = nullptr;
-    trace::FlowTracker *flows_ = nullptr;
-    trace::Profiler *profiler_ = nullptr;
-    trace::BootTracker *boots_ = nullptr;
+    // Resolved from the bundle's registry by setTelemetry().
     trace::Counter *c_dispatched_ = nullptr;
     trace::Counter *c_cancelled_ = nullptr;
 

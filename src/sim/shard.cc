@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "trace/flow.h"
-#include "trace/profile.h"
 
 namespace mirage::sim {
 
@@ -17,7 +15,8 @@ ShardSet::ShardSet(Engine &primary, unsigned shards, Duration lookahead)
         fatal("ShardSet: lookahead must be positive");
     engines_.push_back(&primary);
     for (unsigned i = 1; i < shards; i++) {
-        owned_.push_back(std::make_unique<Engine>());
+        owned_.push_back(std::make_unique<Engine>(primary.telemetry(),
+                                                  primary.checker()));
         engines_.push_back(owned_.back().get());
     }
     for (Engine *e : engines_)
@@ -38,20 +37,6 @@ ShardSet::~ShardSet()
     }
     for (Engine *e : engines_)
         e->setShards(nullptr);
-}
-
-void
-ShardSet::syncAttachments()
-{
-    Engine &p = *engines_[0];
-    for (auto &e : owned_) {
-        e->setTracer(p.tracer());
-        e->setMetrics(p.metrics());
-        e->setChecker(p.checker());
-        e->setFlows(p.flows());
-        e->setProfiler(p.profiler());
-        e->setBoots(p.boots());
-    }
 }
 
 CrossHandle
@@ -82,10 +67,9 @@ ShardSet::postAt(Engine &target, TimePoint when, std::function<void()> fn)
     m.target = &target;
     m.when = when;
     m.key = key_src.nextKey();
-    trace::FlowTracker *fl = engines_[0]->flows();
-    trace::Profiler *pr = engines_[0]->profiler();
-    m.flow = fl ? fl->current() : 0;
-    m.pscope = pr ? pr->current() : 0;
+    trace::Telemetry *t = engines_[0]->telemetry();
+    m.flow = t ? t->flows.current() : 0;
+    m.pscope = t ? t->profiler.current() : 0;
     m.posted_vt = src ? src->now().ns() : engines_[0]->now().ns();
     m.fn = std::move(fn);
     h.hash = m.key.hash;

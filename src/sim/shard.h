@@ -72,8 +72,9 @@ class ShardSet
   public:
     /**
      * @p primary becomes shard 0 (it keeps running on the caller's
-     * thread); @p shards - 1 additional engines are created and driven
-     * by worker threads. @p lookahead must be <= the smallest latency
+     * thread); @p shards - 1 additional engines are created, sharing
+     * the primary's telemetry bundle and checker, and driven by worker
+     * threads. @p lookahead must be <= the smallest latency
      * any cross-shard interaction models (the event-channel upcall,
      * 1 us, is the binding constraint in the cost model).
      */
@@ -102,13 +103,6 @@ class ShardSet
      * key sequence at every shard count.
      */
     CrossKey rootKey() { return engines_[0]->nextKey(); }
-
-    /**
-     * Copy shard 0's observability attachments (tracer, metrics,
-     * checker, flows, profiler, boots) to every other shard. Call
-     * after wiring the primary engine.
-     */
-    void syncAttachments();
 
     /**
      * Mailbox send: run @p fn on @p target at absolute time @p when.

@@ -397,8 +397,44 @@ BTree::rebuildPath(const std::vector<PathElem> &path,
 }
 
 void
-BTree::set(const std::string &key, const std::string &value,
-           std::function<void(Status)> done)
+BTree::mutate(Mutation op, Done done)
+{
+    queued_.emplace_back(std::move(op), std::move(done));
+    if (!mutating_)
+        runNextMutation();
+}
+
+void
+BTree::runNextMutation()
+{
+    auto [op, done] = std::move(queued_.front());
+    queued_.pop_front();
+    mutating_ = true;
+    op([this, done = std::move(done)](Status st) {
+        mutating_ = false;
+        done(st);
+        // @p done may already have started the next one.
+        if (!mutating_ && !queued_.empty())
+            runNextMutation();
+    });
+}
+
+void
+BTree::set(const std::string &key, const std::string &value, Done done)
+{
+    mutate([this, key, value](Done d) { setNow(key, value, std::move(d)); },
+           std::move(done));
+}
+
+void
+BTree::remove(const std::string &key, Done done)
+{
+    mutate([this, key](Done d) { removeNow(key, std::move(d)); },
+           std::move(done));
+}
+
+void
+BTree::setNow(const std::string &key, const std::string &value, Done done)
 {
     if (!mounted_) {
         done(stateError("BTree: not mounted"));
@@ -468,7 +504,7 @@ BTree::set(const std::string &key, const std::string &value,
 }
 
 void
-BTree::remove(const std::string &key, std::function<void(Status)> done)
+BTree::removeNow(const std::string &key, Done done)
 {
     if (!mounted_ || root_offset_ == 0) {
         done(notFoundError("BTree: empty tree"));

@@ -12,6 +12,7 @@
 #ifndef MIRAGE_STORAGE_BTREE_H
 #define MIRAGE_STORAGE_BTREE_H
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,6 +38,12 @@ class BTree
     void format(std::function<void(Status)> done);
     void mount(std::function<void(Status)> done);
 
+    /**
+     * Insert or replace @p key. Mutations (set, remove) may be called
+     * while earlier ones are still committing: they queue and run one
+     * at a time, in call order, each from the root the previous one
+     * committed.
+     */
     void set(const std::string &key, const std::string &value,
              std::function<void(Status)> done);
 
@@ -79,6 +86,21 @@ class BTree
 
     static constexpr u64 logStartSector = 1;
 
+    using Done = std::function<void(Status)>;
+    using Mutation = std::function<void(Done)>;
+
+    /**
+     * Run @p op once every earlier mutation has committed. A mutation
+     * appends at log_end_ and rebuilds from root_offset_, and both
+     * advance only when its commit completes, so two in flight would
+     * overwrite each other's nodes.
+     */
+    void mutate(Mutation op, Done done);
+    void runNextMutation();
+    void setNow(const std::string &key, const std::string &value,
+                Done done);
+    void removeNow(const std::string &key, Done done);
+
     void loadNode(u64 offset,
                   std::function<void(Result<NodePtr>)> done);
     static Cstruct serialise(const Node &node);
@@ -117,6 +139,8 @@ class BTree
     u64 cache_hits_ = 0;
     u64 cache_misses_ = 0;
     std::map<u64, NodePtr> cache_;
+    bool mutating_ = false; //!< a set/remove is running, not yet committed
+    std::deque<std::pair<Mutation, Done>> queued_;
 };
 
 } // namespace mirage::storage

@@ -1,8 +1,7 @@
 #include "trace/boot.h"
 
 #include "base/logging.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 
@@ -20,31 +19,10 @@ BootTracker::findMutable(BootId id)
     return nullptr;
 }
 
-const BootTracker::Record *
-BootTracker::find(BootId id) const
-{
-    BootTracker *self = const_cast<BootTracker *>(this);
-    std::lock_guard<std::mutex> lk(mu_);
-    return self->findMutable(id);
-}
-
-const BootTracker::Record *
-BootTracker::findOpen(const std::string &domain) const
-{
-    BootTracker *self = const_cast<BootTracker *>(this);
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = open_by_domain_.find(domain);
-    if (it == open_by_domain_.end())
-        return nullptr;
-    return self->findMutable(it->second);
-}
-
 u32
 BootTracker::bootTrack(const std::string &domain)
 {
-    if (tracer_ && tracer_->enabled())
-        return tracer_->track(domain + "/boot");
-    return 0;
+    return t_.tracer.enabled() ? t_.tracer.track(domain + "/boot") : 0;
 }
 
 BootId
@@ -55,7 +33,7 @@ BootTracker::begin(const std::string &domain, TimePoint ts)
     BootId id;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        while (records_.size() >= capacity_) {
+        while (records_.size() >= recordCapacity) {
             open_by_domain_.erase(records_.front().domain);
             records_.pop_front();
         }
@@ -70,10 +48,9 @@ BootTracker::begin(const std::string &domain, TimePoint ts)
         open_by_domain_[domain] = id;
         started_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (tracer_)
-        tracer_->asyncBegin(Cat::Boot, "boot", id, ts, bootTrack(domain),
-                            strprintf("\"domain\":\"%s\"",
-                                      jsonEscape(domain).c_str()));
+    t_.tracer.asyncBegin(Cat::Boot, "boot", id, ts, bootTrack(domain),
+                         strprintf("\"domain\":\"%s\"",
+                                   jsonEscape(domain).c_str()));
     current_tls_ = id;
     return id;
 }
@@ -95,16 +72,12 @@ BootTracker::phase(BootId id, const char *name, TimePoint start,
         p.ops = ops;
         r->phases.push_back(std::move(p));
         domain = r->domain;
-        phase_hist_[name].record(u64(end.ns() - start.ns()));
     }
-    if (tracer_) {
-        u32 tid = bootTrack(domain);
-        tracer_->asyncBegin(Cat::Boot, name, id, start, tid);
-        tracer_->asyncEnd(Cat::Boot, name, id, end, tid);
-    }
-    if (metrics_)
-        metrics_->histogram(std::string("boot.") + name + "_ns")
-            .record(u64(end.ns() - start.ns()));
+    u32 tid = bootTrack(domain);
+    t_.tracer.asyncBegin(Cat::Boot, name, id, start, tid);
+    t_.tracer.asyncEnd(Cat::Boot, name, id, end, tid);
+    t_.metrics.histogram(std::string("boot.") + name + "_ns")
+        .record(u64(end.ns() - start.ns()));
 }
 
 void
@@ -140,14 +113,10 @@ BootTracker::ready(BootId id, TimePoint ts)
         domain = r->domain;
         total = u64(r->ready_ns - r->submit_ns);
         completed_.fetch_add(1, std::memory_order_relaxed);
-        total_hist_.record(total);
     }
-    if (tracer_)
-        tracer_->asyncEnd(Cat::Boot, "boot", id, ts, bootTrack(domain));
-    if (metrics_) {
-        metrics_->counter("boot.completed").inc();
-        metrics_->histogram("boot.total_ns").record(total);
-    }
+    t_.tracer.asyncEnd(Cat::Boot, "boot", id, ts, bootTrack(domain));
+    t_.metrics.counter("boot.completed").inc();
+    t_.metrics.histogram("boot.total_ns").record(total);
 }
 
 void
@@ -174,17 +143,34 @@ BootTracker::firstRequest(const std::string &domain, TimePoint ts)
         id = r->id;
         ready_ns = r->ready_ns;
         submit_ns = r->submit_ns;
-        first_request_hist_.record(u64(ts.ns() - submit_ns));
     }
-    if (tracer_) {
-        u32 tid = bootTrack(domain);
-        tracer_->asyncBegin(Cat::Boot, "first_request", id,
-                            TimePoint(ready_ns), tid);
-        tracer_->asyncEnd(Cat::Boot, "first_request", id, ts, tid);
+    u32 tid = bootTrack(domain);
+    t_.tracer.asyncBegin(Cat::Boot, "first_request", id,
+                         TimePoint(ready_ns), tid);
+    t_.tracer.asyncEnd(Cat::Boot, "first_request", id, ts, tid);
+    t_.metrics.histogram("boot.first_request_ns")
+        .record(u64(ts.ns() - submit_ns));
+}
+
+std::map<std::string, HdrHistogram>
+BootTracker::phaseHistogramsSnapshot() const
+{
+    std::map<std::string, HdrHistogram> out;
+    for (auto &[name, h] : t_.metrics.histogramsWithPrefix("boot.")) {
+        // Every boot histogram is `<name>_ns`; two of them are whole-boot
+        // spans, not phases.
+        if (name != "total_ns" && name != "first_request_ns")
+            out.emplace(name.substr(0, name.size() - 3), std::move(h));
     }
-    if (metrics_)
-        metrics_->histogram("boot.first_request_ns")
-            .record(u64(ts.ns() - submit_ns));
+    return out;
+}
+
+const HdrHistogram &
+BootTracker::registered(const char *name) const
+{
+    static const HdrHistogram empty;
+    const HdrHistogram *h = t_.metrics.findHistogram(name);
+    return h ? *h : empty;
 }
 
 std::string
@@ -198,20 +184,18 @@ BootTracker::json() const
         out += strprintf(
             "%s\n{\"domain\":\"%s\",\"submit_ns\":%lld,"
             "\"total_ns\":%lld,\"first_request_ns\":%lld,\"phases\":{",
-            first ? "" : ",", jsonEscape(r.domain).c_str(),
+            jsonSep(first), jsonEscape(r.domain).c_str(),
             (long long)r.submit_ns, (long long)r.totalNs(),
             (long long)(r.first_request_ns >= 0
                             ? r.first_request_ns - r.submit_ns
                             : -1));
-        first = false;
         bool first_phase = true;
         for (const Phase &p : r.phases) {
             out += strprintf("%s\"%s\":{\"dur_ns\":%lld,\"ops\":%llu}",
-                             first_phase ? "" : ",",
+                             jsonSep(first_phase),
                              jsonEscape(p.name).c_str(),
                              (long long)p.dur_ns,
                              (unsigned long long)p.ops);
-            first_phase = false;
         }
         out += "}}";
     }

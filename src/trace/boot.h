@@ -19,8 +19,9 @@
  * (Linux-model guests report coarser phases: kernel_boot, services,
  * app_start.) Each phase lands as a nested trace span under the boot's
  * async id — Perfetto shows every boot as one bar decomposed into
- * phases — and as a `boot.<phase>_ns` histogram, so a fleet's cold-boot
- * p99 splits by phase. Structural code that runs in zero virtual time
+ * phases — and as a `boot.<phase>_ns` histogram in the bundle's
+ * registry (the one store the rollup accessors read), so a fleet's
+ * cold-boot p99 splits by phase. Structural code that runs in zero virtual time
  * (the PVBoot constructor, driver connects) annotates the *current*
  * boot with operation counts instead, via the ambient id.
  *
@@ -43,11 +44,11 @@
 #include "base/time.h"
 #include "base/types.h"
 #include "trace/hdr.h"
+#include "trace/scope.h"
 
 namespace mirage::trace {
 
-class TraceRecorder;
-class MetricsRegistry;
+struct Telemetry;
 
 /** Identifies one tracked boot; 0 means "no boot". */
 using BootId = u64;
@@ -80,15 +81,10 @@ class BootTracker
         }
     };
 
+    explicit BootTracker(Telemetry &t) : t_(t) {}
+
     void enable(bool on = true) { enabled_ = on; }
     bool enabled() const { return enabled_; }
-
-    /** Sinks for phase spans and `boot.<phase>_ns` histograms. */
-    void attach(TraceRecorder *tracer, MetricsRegistry *metrics)
-    {
-        tracer_ = tracer;
-        metrics_ = metrics;
-    }
 
     // ---- Boot lifecycle ---------------------------------------------
     /**
@@ -138,36 +134,21 @@ class BootTracker
         return completed_.load(std::memory_order_relaxed);
     }
 
-    /** Boot-record history retained before eviction (default 256). */
-    void setCapacity(std::size_t n)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        capacity_ = n;
-    }
-
-    const Record *find(BootId id) const;
-    /** The open (ready but first-request pending) boot of @p domain. */
-    const Record *findOpen(const std::string &domain) const;
-
     /** Completed + in-flight boots, oldest first (bounded history). */
     const std::deque<Record> &records() const { return records_; }
 
-    /** Merged per-phase histograms (fleet rollup source). */
-    const std::map<std::string, HdrHistogram> &phaseHistograms() const
+    /** Copy of the per-phase `boot.<phase>_ns` histograms, keyed by
+     *  phase (the hub renders while other shards bring domains up). */
+    std::map<std::string, HdrHistogram> phaseHistogramsSnapshot() const;
+    /** `boot.total_ns` and `boot.first_request_ns` (empty until the
+     *  first boot or first request lands). */
+    const HdrHistogram &totalHistogram() const
     {
-        return phase_hist_;
+        return registered("boot.total_ns");
     }
-    /** Copy of the per-phase histograms, safe against concurrent
-     *  boots (the hub renders while other shards bring domains up). */
-    std::map<std::string, HdrHistogram> phaseHistogramsSnapshot() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return phase_hist_;
-    }
-    const HdrHistogram &totalHistogram() const { return total_hist_; }
     const HdrHistogram &firstRequestHistogram() const
     {
-        return first_request_hist_;
+        return registered("boot.first_request_ns");
     }
 
     /**
@@ -179,50 +160,26 @@ class BootTracker
 
   private:
     Record *findMutable(BootId id);
+    const HdrHistogram &registered(const char *name) const;
     u32 bootTrack(const std::string &domain);
 
+    Telemetry &t_;
     bool enabled_ = false;
-    TraceRecorder *tracer_ = nullptr;
-    MetricsRegistry *metrics_ = nullptr;
     BootId next_id_ = 1;
     std::atomic<u64> started_{0};
     std::atomic<u64> completed_{0};
-    // Guards records_/open_by_domain_/phase_hist_/next_id_; toolstack
-    // boots land on every shard.
+    // Guards records_/open_by_domain_/next_id_; toolstack boots land on
+    // every shard.
     mutable std::mutex mu_;
     std::deque<Record> records_;
-    std::size_t capacity_ = 256;
+    static constexpr std::size_t recordCapacity = 256;
     std::map<std::string, BootId> open_by_domain_;
-    std::map<std::string, HdrHistogram> phase_hist_;
-    HdrHistogram total_hist_;
-    HdrHistogram first_request_hist_;
 
     static thread_local BootId current_tls_;
 };
 
-/** RAII save/restore of the ambient boot id (mirrors FlowScope). */
-class BootScope
-{
-  public:
-    BootScope(BootTracker *t, BootId id) : t_(t)
-    {
-        if (t_) {
-            saved_ = t_->current();
-            t_->setCurrent(id);
-        }
-    }
-    ~BootScope()
-    {
-        if (t_)
-            t_->setCurrent(saved_);
-    }
-    BootScope(const BootScope &) = delete;
-    BootScope &operator=(const BootScope &) = delete;
-
-  private:
-    BootTracker *t_;
-    BootId saved_ = 0;
-};
+/** RAII save/restore of the ambient boot id (trace/scope.h). */
+using BootScope = AmbientScope<BootTracker>;
 
 } // namespace mirage::trace
 

@@ -1,8 +1,7 @@
 #include "trace/flow.h"
 
 #include "base/logging.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 
@@ -18,6 +17,26 @@ FlowTracker::find(FlowId id)
     return it == live_.end() ? nullptr : &it->second;
 }
 
+FlowTracker::Stage *
+FlowTracker::stageOf(Flow &f, const char *name)
+{
+    for (Stage &s : f.stages)
+        if (s.name == name)
+            return &s;
+    return nullptr;
+}
+
+FlowTracker::Flow
+FlowTracker::take(FlowId id)
+{
+    // Callers hold mu_.
+    auto it = live_.find(id);
+    Flow f = std::move(it->second);
+    live_.erase(it);
+    live_count_.fetch_sub(1, std::memory_order_relaxed);
+    return f;
+}
+
 FlowId
 FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
                    std::string detail, std::string domain)
@@ -30,7 +49,7 @@ FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
     std::string detail_copy;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (live_.size() >= live_capacity_) {
+        if (live_.size() >= liveCapacity) {
             // A stuck flow (lost ACK, dead peer) must not pin memory
             // forever; evict the map's first victim and count it.
             live_.erase(live_.begin());
@@ -49,12 +68,11 @@ FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
         live_count_.fetch_add(1, std::memory_order_relaxed);
         started_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (tracer_)
-        tracer_->asyncBegin(Cat::Flow, kind, id, ts, tid,
-                            detail_copy.empty()
-                                ? std::string()
-                                : strprintf("\"detail\":\"%s\"",
-                                            jsonEscape(detail_copy).c_str()));
+    t_.tracer.asyncBegin(Cat::Flow, kind, id, ts, tid,
+                         detail_copy.empty()
+                             ? std::string()
+                             : strprintf("\"detail\":\"%s\"",
+                                         jsonEscape(detail_copy).c_str()));
     current_tls_ = id;
     // Hooks run outside the lock: the stall watchdog re-arms off this
     // and reads completed()/liveCount() in the process.
@@ -72,43 +90,27 @@ FlowTracker::stageBegin(FlowId id, const char *stage, TimePoint ts,
         Flow *f = find(id);
         if (!f)
             return;
-        Stage *s = nullptr;
-        for (Stage &cand : f->stages) {
-            if (cand.name == stage) {
-                s = &cand;
-                break;
-            }
-        }
-        if (!s) {
-            f->stages.push_back(Stage{stage, 0, 0, 0, 0});
-            s = &f->stages.back();
-        }
+        Stage *s = stageOf(*f, stage);
+        if (!s)
+            s = &f->stages.emplace_back(Stage{stage, 0, 0, 0, 0});
         s->count++;
         if (s->open++ == 0)
             s->open_start = ts.ns();
         f->open_total++;
     }
-    if (tracer_)
-        tracer_->asyncBegin(Cat::Flow, stage, id, ts, tid);
+    t_.tracer.asyncBegin(Cat::Flow, stage, id, ts, tid);
 }
 
 void
 FlowTracker::stageEnd(FlowId id, const char *stage, TimePoint ts, u32 tid)
 {
-    bool closed = false;
-    Flow done;
+    std::optional<Flow> done;
     {
         std::lock_guard<std::mutex> lk(mu_);
         Flow *f = find(id);
         if (!f)
             return;
-        Stage *s = nullptr;
-        for (Stage &cand : f->stages) {
-            if (cand.name == stage) {
-                s = &cand;
-                break;
-            }
-        }
+        Stage *s = stageOf(*f, stage);
         if (!s || s->open == 0)
             return; // unmatched end: stage never opened (stamp lost)
         if (--s->open == 0)
@@ -116,16 +118,12 @@ FlowTracker::stageEnd(FlowId id, const char *stage, TimePoint ts, u32 tid)
         f->open_total--;
         if (f->end_requested && f->open_total == 0) {
             f->end_ns = ts.ns();
-            done = std::move(*f);
-            live_.erase(id);
-            live_count_.fetch_sub(1, std::memory_order_relaxed);
-            closed = true;
+            done = take(id);
         }
     }
-    if (tracer_)
-        tracer_->asyncEnd(Cat::Flow, stage, id, ts, tid);
-    if (closed)
-        finalize(done, tid);
+    t_.tracer.asyncEnd(Cat::Flow, stage, id, ts, tid);
+    if (done)
+        finalize(*done, tid);
 }
 
 void
@@ -139,8 +137,7 @@ FlowTracker::markFailed(FlowId id)
 void
 FlowTracker::end(FlowId id, TimePoint ts, u32 tid)
 {
-    bool closed = false;
-    Flow done;
+    std::optional<Flow> done;
     {
         std::lock_guard<std::mutex> lk(mu_);
         Flow *f = find(id);
@@ -148,39 +145,32 @@ FlowTracker::end(FlowId id, TimePoint ts, u32 tid)
             return;
         f->end_requested = true;
         f->end_ns = ts.ns();
-        if (f->open_total == 0) {
-            done = std::move(*f);
-            live_.erase(id);
-            live_count_.fetch_sub(1, std::memory_order_relaxed);
-            closed = true;
-        }
+        if (f->open_total == 0)
+            done = take(id);
     }
-    if (closed)
-        finalize(done, tid);
+    if (done)
+        finalize(*done, tid);
 }
 
 void
 FlowTracker::finalize(Flow &f, u32 tid)
 {
     // Runs WITHOUT mu_ held; @p f has already been removed from live_.
-    // Tracer/metrics are internally thread-safe, and the finalize hook
-    // (SLO tracker, telemetry hub) may take its own locks.
+    // Every sibling is internally thread-safe, and the SLO tracker and
+    // hub take their own locks.
     f.done = true;
     completed_.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_)
-        tracer_->asyncEnd(Cat::Flow, f.kind, f.id, TimePoint(f.end_ns),
-                          tid);
-    if (metrics_) {
-        std::string prefix = strprintf("flow.%s.", f.kind);
-        metrics_->counter(prefix + "completed").inc();
-        metrics_->histogram(prefix + "total_ns")
-            .record(u64(f.end_ns - f.start_ns));
-        for (const Stage &s : f.stages)
-            metrics_->histogram(prefix + "stage." + s.name + "_ns")
-                .record(s.total_ns);
-    }
-    if (finalize_hook_)
-        finalize_hook_(f);
+    t_.tracer.asyncEnd(Cat::Flow, f.kind, f.id, TimePoint(f.end_ns), tid);
+    std::string prefix = strprintf("flow.%s.", f.kind);
+    t_.metrics.counter(prefix + "completed").inc();
+    t_.metrics.histogram(prefix + "total_ns")
+        .record(u64(f.end_ns - f.start_ns));
+    for (const Stage &s : f.stages)
+        t_.metrics.histogram(prefix + "stage." + s.name + "_ns")
+            .record(s.total_ns);
+    t_.slo.record(f.kind, u64(f.end_ns - f.start_ns), f.failed,
+                  TimePoint(f.end_ns));
+    t_.hub.onFlowDone(f);
     if (current_tls_ == f.id)
         current_tls_ = 0;
     std::lock_guard<std::mutex> lk(mu_);
@@ -210,19 +200,17 @@ FlowTracker::recentJson() const
         out += strprintf("%s\n{\"id\":%llu,\"kind\":\"%s\","
                          "\"detail\":\"%s\",\"start_ns\":%lld,"
                          "\"total_ns\":%lld,\"stages\":{",
-                         first ? "" : ",",
+                         jsonSep(first),
                          (unsigned long long)f.id,
                          jsonEscape(f.kind).c_str(),
                          jsonEscape(f.detail).c_str(),
                          (long long)f.start_ns,
                          (long long)(f.end_ns - f.start_ns));
-        first = false;
         bool first_stage = true;
         for (const Stage &s : f.stages) {
-            out += strprintf("%s\"%s\":%llu", first_stage ? "" : ",",
+            out += strprintf("%s\"%s\":%llu", jsonSep(first_stage),
                              jsonEscape(s.name).c_str(),
                              (unsigned long long)s.total_ns);
-            first_stage = false;
         }
         out += "}}";
     }

@@ -22,11 +22,14 @@
  * When a flow finishes, the critical-path analyzer folds its stage
  * intervals into per-stage durations (overlapping opens of the same
  * stage are merged by union, so two interleaved disk ops don't double
- * count) and feeds histograms:
+ * count) and feeds the registry of its trace::Telemetry bundle:
  *
  *   flow.<kind>.total_ns            end-to-end latency
  *   flow.<kind>.stage.<stage>_ns    time attributed to each stage
  *   flow.<kind>.completed           counter
+ *
+ * It then scores the flow against its SLO target and folds it into
+ * the hub's per-domain aggregate.
  *
  * end() is deferred-final: if stages are still open (e.g. tcp_tx ends
  * only when the final ACK lands), the flow finalises when the last one
@@ -41,17 +44,18 @@
 #include <functional>
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "base/time.h"
 #include "base/types.h"
+#include "trace/scope.h"
 
 namespace mirage::trace {
 
-class TraceRecorder;
-class MetricsRegistry;
+struct Telemetry;
 
 /** Identifies one tracked request; 0 means "no flow". */
 using FlowId = u64;
@@ -83,15 +87,10 @@ class FlowTracker
         std::vector<Stage> stages;
     };
 
+    explicit FlowTracker(Telemetry &t) : t_(t) {}
+
     void enable(bool on = true) { enabled_ = on; }
     bool enabled() const { return enabled_; }
-
-    /** Sinks for async events and per-stage histograms (optional). */
-    void attach(TraceRecorder *tracer, MetricsRegistry *metrics)
-    {
-        tracer_ = tracer;
-        metrics_ = metrics;
-    }
 
     // ---- Flow lifecycle ---------------------------------------------
     /**
@@ -155,13 +154,6 @@ class FlowTracker
         return live_count_.load(std::memory_order_relaxed);
     }
 
-    /** Live-flow cap before the tracker starts evicting (default 1024). */
-    void setLiveCapacity(std::size_t n)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        live_capacity_ = n;
-    }
-
     /** Completed-flow history retained for recentJson(). */
     void setRecentCapacity(std::size_t n);
     const std::deque<Flow> &recent() const { return recent_; }
@@ -179,23 +171,15 @@ class FlowTracker
         activity_hook_ = std::move(hook);
     }
 
-    /**
-     * Runs on every flow finalize, before the flow is archived into
-     * recent(). The SLO tracker and the telemetry hub consume completed
-     * flows through this (latency, serving domain, failure flag).
-     */
-    void setFinalizeHook(std::function<void(const Flow &)> hook)
-    {
-        finalize_hook_ = std::move(hook);
-    }
-
   private:
     Flow *find(FlowId id);
+    static Stage *stageOf(Flow &f, const char *name);
+    /** Remove live flow @p id for finalize(). */
+    Flow take(FlowId id);
     void finalize(Flow &f, u32 tid);
 
+    Telemetry &t_;
     bool enabled_ = false;
-    TraceRecorder *tracer_ = nullptr;
-    MetricsRegistry *metrics_ = nullptr;
     std::function<FlowId()> id_source_;
     FlowId next_id_ = 1;
     std::atomic<u64> started_{0};
@@ -207,41 +191,16 @@ class FlowTracker
     // stall watchdog's hooks can read them from any shard.
     mutable std::mutex mu_;
     std::unordered_map<FlowId, Flow> live_;
-    std::size_t live_capacity_ = 1024;
+    static constexpr std::size_t liveCapacity = 1024;
     std::deque<Flow> recent_;
     std::size_t recent_capacity_ = 128;
     std::function<void()> activity_hook_;
-    std::function<void(const Flow &)> finalize_hook_;
 
     static thread_local FlowId current_tls_;
 };
 
-/**
- * RAII save/restore of the ambient flow around a scope; null-tracker
- * safe so call sites don't branch.
- */
-class FlowScope
-{
-  public:
-    FlowScope(FlowTracker *t, FlowId id) : t_(t)
-    {
-        if (t_) {
-            saved_ = t_->current();
-            t_->setCurrent(id);
-        }
-    }
-    ~FlowScope()
-    {
-        if (t_)
-            t_->setCurrent(saved_);
-    }
-    FlowScope(const FlowScope &) = delete;
-    FlowScope &operator=(const FlowScope &) = delete;
-
-  private:
-    FlowTracker *t_;
-    FlowId saved_ = 0;
-};
+/** RAII save/restore of the ambient flow id (trace/scope.h). */
+using FlowScope = AmbientScope<FlowTracker>;
 
 } // namespace mirage::trace
 

@@ -50,16 +50,10 @@ class HdrHistogram
 
     // Buckets are relaxed atomics so per-shard workers can record into
     // shared histograms without locks; totals are exact once the
-    // shards quiesce. Copies snapshot the source (readers that want a
-    // consistent view copy at a barrier).
-    HdrHistogram(const HdrHistogram &o) { copyFrom(o); }
-    HdrHistogram &
-    operator=(const HdrHistogram &o)
-    {
-        if (this != &o)
-            copyFrom(o);
-        return *this;
-    }
+    // shards quiesce. A copy is a merge into an empty histogram: it
+    // snapshots the source (readers that want a consistent view copy at
+    // a barrier).
+    HdrHistogram(const HdrHistogram &o) { merge(o); }
 
     void
     record(u64 v)
@@ -144,6 +138,23 @@ class HdrHistogram
             (unsigned long long)max());
     }
 
+    /** JSON object: count, mean_ns, p50_ns, p99_ns, (p999_ns,)
+     *  max_ns. */
+    std::string
+    json(bool p999 = false) const
+    {
+        std::string out = strprintf(
+            "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
+            "\"p99_ns\":%llu,",
+            (unsigned long long)count(), mean(),
+            (unsigned long long)quantile(0.50),
+            (unsigned long long)quantile(0.99));
+        if (p999)
+            out += strprintf("\"p999_ns\":%llu,",
+                             (unsigned long long)quantile(0.999));
+        return out + strprintf("\"max_ns\":%llu}", (unsigned long long)max());
+    }
+
     static std::size_t
     bucketIndex(u64 v)
     {
@@ -194,22 +205,6 @@ class HdrHistogram
         while (v > cur && !slot.compare_exchange_weak(
                               cur, v, std::memory_order_relaxed)) {
         }
-    }
-
-    void
-    copyFrom(const HdrHistogram &o)
-    {
-        for (std::size_t i = 0; i < bucketCount; i++)
-            buckets_[i].store(o.buckets_[i].load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-        count_.store(o.count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        sum_.store(o.sum_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-        min_.store(o.min_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-        max_.store(o.max_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
     }
 
     std::array<std::atomic<u64>, bucketCount> buckets_{};

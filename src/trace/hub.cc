@@ -1,10 +1,7 @@
 #include "trace/hub.h"
 
 #include "base/logging.h"
-#include "trace/boot.h"
-#include "trace/profile.h"
-#include "trace/slo.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 #include "trace/wallprof.h"
 
 namespace mirage::trace {
@@ -22,52 +19,28 @@ TelemetryHub::onFlowDone(const FlowTracker::Flow &f)
     agg.latency.record(u64(f.end_ns - f.start_ns));
 }
 
-HdrHistogram
-TelemetryHub::fleetLatency() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    HdrHistogram merged;
-    for (const auto &[name, agg] : domains_)
-        merged.merge(agg.latency);
-    return merged;
-}
-
-u64
-TelemetryHub::fleetRequests() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    u64 n = 0;
-    for (const auto &[name, agg] : domains_)
-        n += agg.requests;
-    return n;
-}
-
-u64
-TelemetryHub::fleetErrors() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    u64 n = 0;
-    for (const auto &[name, agg] : domains_)
-        n += agg.errors;
-    return n;
-}
-
 namespace {
 
-std::string
-latencyJson(const HdrHistogram &h)
+TelemetryHub::DomainAgg
+sumOf(const std::map<std::string, TelemetryHub::DomainAgg> &domains)
 {
-    return strprintf(
-        "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
-        "\"p99_ns\":%llu,\"p999_ns\":%llu,\"max_ns\":%llu}",
-        (unsigned long long)h.count(), h.mean(),
-        (unsigned long long)h.quantile(0.50),
-        (unsigned long long)h.quantile(0.99),
-        (unsigned long long)h.quantile(0.999),
-        (unsigned long long)h.max());
+    TelemetryHub::DomainAgg total;
+    for (const auto &[name, agg] : domains) {
+        total.requests += agg.requests;
+        total.errors += agg.errors;
+        total.latency.merge(agg.latency);
+    }
+    return total;
 }
 
 } // namespace
+
+TelemetryHub::DomainAgg
+TelemetryHub::fleet() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return sumOf(domains_);
+}
 
 std::string
 TelemetryHub::fleetJson() const
@@ -79,13 +52,7 @@ TelemetryHub::fleetJson() const
         std::lock_guard<std::mutex> lk(mu_);
         domains = domains_;
     }
-    u64 requests = 0, errors = 0;
-    HdrHistogram fleet_latency;
-    for (const auto &[name, agg] : domains) {
-        requests += agg.requests;
-        errors += agg.errors;
-        fleet_latency.merge(agg.latency);
-    }
+    DomainAgg total = sumOf(domains);
     std::string out = "{\n\"domains\":[";
     bool first = true;
     u64 run_sum = 0, steal_sum = 0, blocked_sum = 0;
@@ -94,14 +61,11 @@ TelemetryHub::fleetJson() const
         out += strprintf(
             "%s\n{\"name\":\"%s\",\"requests\":%llu,\"errors\":%llu,"
             "\"latency\":%s",
-            first ? "" : ",", jsonEscape(name).c_str(),
+            jsonSep(first), jsonEscape(name).c_str(),
             (unsigned long long)agg.requests,
             (unsigned long long)agg.errors,
-            latencyJson(agg.latency).c_str());
-        first = false;
-        const DomainStats *ds =
-            profiler_ ? profiler_->findDomain(name) : nullptr;
-        if (ds) {
+            agg.latency.json(true).c_str());
+        if (const DomainStats *ds = t_.profiler.findDomain(name)) {
             run_sum += ds->run_ns;
             steal_sum += ds->steal_ns;
             blocked_sum += ds->blocked_ns;
@@ -128,51 +92,41 @@ TelemetryHub::fleetJson() const
         "\"cpu\":{\"run_ns_sum\":%llu,\"run_ns_max\":%llu,"
         "\"steal_ns_sum\":%llu,\"steal_ns_max\":%llu,"
         "\"blocked_ns_sum\":%llu}",
-        domains.size(), (unsigned long long)requests,
-        (unsigned long long)errors,
-        latencyJson(fleet_latency).c_str(),
+        domains.size(), (unsigned long long)total.requests,
+        (unsigned long long)total.errors, total.latency.json(true).c_str(),
         (unsigned long long)run_sum, (unsigned long long)run_max,
         (unsigned long long)steal_sum, (unsigned long long)steal_max,
         (unsigned long long)blocked_sum);
-    if (profiler_) {
-        out += strprintf(",\"alerts\":%llu,\"alert_log\":[",
-                         (unsigned long long)profiler_->alerts());
-        bool fa = true;
-        for (const std::string &a : profiler_->alertLog()) {
-            out += strprintf("%s\"%s\"", fa ? "" : ",",
-                             jsonEscape(a).c_str());
-            fa = false;
-        }
-        out += "]";
+    out += strprintf(",\"alerts\":%llu,\"alert_log\":[",
+                     (unsigned long long)t_.profiler.alerts());
+    bool fa = true;
+    for (const std::string &a : t_.profiler.alertLog()) {
+        out += strprintf("%s\"%s\"", jsonSep(fa), jsonEscape(a).c_str());
     }
-    out += "}";
-    if (boots_) {
-        out += strprintf(
-            ",\n\"boot\":{\"started\":%llu,\"completed\":%llu,"
-            "\"total\":%s,\"first_request\":%s,\"phases\":{",
-            (unsigned long long)boots_->started(),
-            (unsigned long long)boots_->completedBoots(),
-            latencyJson(boots_->totalHistogram()).c_str(),
-            latencyJson(boots_->firstRequestHistogram()).c_str());
-        bool fp = true;
-        for (const auto &[phase, h] : boots_->phaseHistogramsSnapshot()) {
-            out += strprintf("%s\"%s\":%s", fp ? "" : ",",
-                             jsonEscape(phase).c_str(),
-                             latencyJson(h).c_str());
-            fp = false;
-        }
-        out += "},\"recent\":" + boots_->json() + "}";
+    out += "]}";
+    const BootTracker &boots = t_.boots;
+    out += strprintf(
+        ",\n\"boot\":{\"started\":%llu,\"completed\":%llu,"
+        "\"total\":%s,\"first_request\":%s,\"phases\":{",
+        (unsigned long long)boots.started(),
+        (unsigned long long)boots.completedBoots(),
+        boots.totalHistogram().json(true).c_str(),
+        boots.firstRequestHistogram().json(true).c_str());
+    bool fp = true;
+    for (const auto &[phase, h] : boots.phaseHistogramsSnapshot()) {
+        out += strprintf("%s\"%s\":%s", jsonSep(fp),
+                         jsonEscape(phase).c_str(), h.json(true).c_str());
     }
-    if (slo_)
-        out += ",\n\"slo\":" + slo_->json();
+    out += "},\"recent\":" + boots.json() + "}";
+    out += ",\n\"slo\":" + t_.slo.json();
     // Only render the shard section once the profiler has seen a
     // sharded run; a 1-shard cloud bypasses the ShardSet entirely and
     // an all-zero section would just read as a broken profiler. Never
     // render it mid-run: /fleet is also served to in-sim HTTP clients,
     // and wall-clock bytes in the body would change packetisation and
     // so virtual timing — breaking bit-identical replay.
-    if (wall_ && wall_->windows() > 0 && !wall_->inRun())
-        out += ",\n\"shards\":" + wall_->statsJson();
+    if (t_.wall && t_.wall->windows() > 0 && !t_.wall->inRun())
+        out += ",\n\"shards\":" + t_.wall->statsJson();
     out += "\n}\n";
     return out;
 }
@@ -215,36 +169,14 @@ TelemetryHub::toPrometheus() const
                          promLabel(name).c_str(),
                          (unsigned long long)agg.errors);
     out += "# TYPE fleet_request_latency_ns histogram\n";
-    for (const auto &[name, agg] : domains_) {
-        std::string label = promLabel(name);
-        const HdrHistogram &h = agg.latency;
-        u64 cumulative = 0;
-        for (std::size_t i = 0; i < HdrHistogram::bucketCount; i++) {
-            u64 in_bucket = h.bucketCountAt(i);
-            if (in_bucket == 0)
-                continue;
-            cumulative += in_bucket;
-            out += strprintf(
-                "fleet_request_latency_ns_bucket"
-                "{domain=\"%s\",le=\"%llu\"} %llu\n",
-                label.c_str(),
-                (unsigned long long)HdrHistogram::bucketUpperBound(i),
-                (unsigned long long)cumulative);
-        }
-        out += strprintf("fleet_request_latency_ns_bucket"
-                         "{domain=\"%s\",le=\"+Inf\"} %llu\n",
-                         label.c_str(), (unsigned long long)h.count());
-        out += strprintf("fleet_request_latency_ns_sum{domain=\"%s\"}"
-                         " %llu\n",
-                         label.c_str(), (unsigned long long)h.sum());
-        out += strprintf("fleet_request_latency_ns_count{domain=\"%s\"}"
-                         " %llu\n",
-                         label.c_str(), (unsigned long long)h.count());
-    }
+    for (const auto &[name, agg] : domains_)
+        appendPromHistogram(out, "fleet_request_latency_ns",
+                            "domain=\"" + promLabel(name) + "\"",
+                            agg.latency);
     // Same in-run gate as fleetJson: /metrics is fetched by in-sim
     // clients, and wall-dependent bytes must never reach them.
-    if (wall_ && wall_->windows() > 0 && !wall_->inRun())
-        out += wall_->toPrometheus();
+    if (t_.wall && t_.wall->windows() > 0 && !t_.wall->inRun())
+        out += t_.wall->toPrometheus();
     return out;
 }
 

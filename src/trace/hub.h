@@ -6,10 +6,10 @@
  * (`/metrics`, `/flows`, `/top`); what the operator is missing is the
  * *fleet* view: one place that answers "what is the p99 across all
  * sixty domains, and which one is burning its error budget?". The hub
- * is that place. It subscribes to flow finalisation (via
- * FlowTracker::setFinalizeHook), folds each completed request into a
- * per-domain aggregate — request/error counts plus an HdrHistogram of
- * end-to-end latency — and computes fleet rollups on demand:
+ * is that place. Every flow finalize in its trace::Telemetry bundle
+ * folds the completed request into a per-domain aggregate —
+ * request/error counts plus an HdrHistogram of end-to-end latency —
+ * and the hub computes fleet rollups on demand:
  *
  *   - request/error sums across domains,
  *   - a *histogram-merged* fleet latency distribution, whose quantiles
@@ -24,9 +24,8 @@
  * (`fleet_requests_total{domain="web3"}`) so a real scraper could
  * slice the fleet the same way.
  *
- * The hub holds only borrowed pointers: the composition root
- * (core::Cloud) owns every source and wires the hub after them, in the
- * same attach() pattern the tracer/profiler use.
+ * The sources are the hub's siblings in the bundle, plus the bundle's
+ * borrowed wall profiler when the cloud shards.
  */
 
 #ifndef MIRAGE_TRACE_HUB_H
@@ -43,11 +42,7 @@
 
 namespace mirage::trace {
 
-class Profiler;
-class BootTracker;
-class SloTracker;
-class MetricsRegistry;
-class WallProfiler;
+struct Telemetry;
 
 class TelemetryHub
 {
@@ -60,33 +55,12 @@ class TelemetryHub
         HdrHistogram latency; //!< end-to-end ns, mergeable
     };
 
-    /**
-     * Borrow the fleet's telemetry sources; any may be null and its
-     * section is simply omitted from the rollup.
-     */
-    void attach(Profiler *profiler, FlowTracker *flows,
-                BootTracker *boots, SloTracker *slo,
-                MetricsRegistry *metrics)
-    {
-        profiler_ = profiler;
-        flows_ = flows;
-        boots_ = boots;
-        slo_ = slo;
-        metrics_ = metrics;
-    }
+    explicit TelemetryHub(Telemetry &t) : t_(t) {}
 
     /**
-     * Borrow the sharded engine's wall profiler. Separate from
-     * attach() because the profiler lives on the other side of the
-     * dependency graph (sim::ShardSet, not a trace source) and only
-     * exists when the cloud actually shards. Null detaches.
-     */
-    void attachWall(const WallProfiler *wall) { wall_ = wall; }
-
-    /**
-     * Fold one completed flow into its serving domain's aggregate.
-     * Wired as (part of) FlowTracker's finalize hook by the composition
-     * root. Untagged flows land under "(untagged)".
+     * Fold one completed flow into its serving domain's aggregate
+     * (FlowTracker's finalize calls this). Untagged flows land under
+     * "(untagged)".
      */
     void onFlowDone(const FlowTracker::Flow &f);
 
@@ -96,23 +70,23 @@ class TelemetryHub
     }
 
     /**
-     * The fleet-wide latency distribution: exact merge of every
-     * domain's histogram, so quantile(q) equals the pooled-population
-     * quantile.
+     * Every domain folded into one aggregate: summed counts and the
+     * exact merge of every latency histogram, so quantile(q) equals
+     * the pooled-population quantile.
      */
-    HdrHistogram fleetLatency() const;
-
-    u64 fleetRequests() const;
-    u64 fleetErrors() const;
+    DomainAgg fleet() const;
+    HdrHistogram fleetLatency() const { return fleet().latency; }
+    u64 fleetRequests() const { return fleet().requests; }
+    u64 fleetErrors() const { return fleet().errors; }
 
     /**
      * The `GET /fleet` document: `domains` (per-domain requests,
      * errors, latency quantiles, CPU and GC from DomainStats), `fleet`
      * (sums, maxes and the histogram-merged latency), `boot`
      * (per-phase cold-boot quantiles + recent boot records), `slo`
-     * (burn-rate state per target), and — when a wall profiler is
-     * attached and has observed windows — `shards` (per-worker wall
-     * phase accounting, parallel efficiency, imbalance, lag).
+     * (burn-rate state per target), and — when the bundle borrows a
+     * wall profiler that has observed windows — `shards` (per-worker
+     * wall phase accounting, parallel efficiency, imbalance, lag).
      */
     std::string fleetJson() const;
 
@@ -124,12 +98,7 @@ class TelemetryHub
     std::string toPrometheus() const;
 
   private:
-    Profiler *profiler_ = nullptr;
-    FlowTracker *flows_ = nullptr;
-    BootTracker *boots_ = nullptr;
-    SloTracker *slo_ = nullptr;
-    MetricsRegistry *metrics_ = nullptr;
-    const WallProfiler *wall_ = nullptr;
+    Telemetry &t_;
     // Guards domains_; flows finalize on every shard while /fleet
     // renders from the monitor's shard.
     mutable std::mutex mu_;

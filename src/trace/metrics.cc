@@ -42,6 +42,17 @@ MetricsRegistry::findHistogram(const std::string &name) const
     return it == histograms_.end() ? nullptr : it->second.get();
 }
 
+std::map<std::string, Histogram>
+MetricsRegistry::histogramsWithPrefix(const std::string &prefix) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    std::map<std::string, Histogram> out;
+    for (auto it = histograms_.lower_bound(prefix);
+         it != histograms_.end() && it->first.rfind(prefix, 0) == 0; ++it)
+        out.emplace(it->first.substr(prefix.size()), *it->second);
+    return out;
+}
+
 std::string
 MetricsRegistry::dump() const
 {
@@ -75,6 +86,31 @@ promName(const std::string &name)
 
 } // namespace
 
+void
+appendPromHistogram(std::string &out, const std::string &name,
+                    const std::string &labels, const Histogram &h)
+{
+    std::string open = labels.empty() ? "{" : "{" + labels + ",";
+    std::string tail = labels.empty() ? "" : "{" + labels + "}";
+    u64 cumulative = 0;
+    for (std::size_t i = 0; i < Histogram::bucketCount; i++) {
+        u64 in_bucket = h.bucketCountAt(i);
+        if (in_bucket == 0)
+            continue;
+        cumulative += in_bucket;
+        out += strprintf(
+            "%s_bucket%sle=\"%llu\"} %llu\n", name.c_str(), open.c_str(),
+            (unsigned long long)Histogram::bucketUpperBound(i),
+            (unsigned long long)cumulative);
+    }
+    out += strprintf("%s_bucket%sle=\"+Inf\"} %llu\n", name.c_str(),
+                     open.c_str(), (unsigned long long)h.count());
+    out += strprintf("%s_sum%s %llu\n", name.c_str(), tail.c_str(),
+                     (unsigned long long)h.sum());
+    out += strprintf("%s_count%s %llu\n", name.c_str(), tail.c_str(),
+                     (unsigned long long)h.count());
+}
+
 std::string
 MetricsRegistry::toPrometheus() const
 {
@@ -88,23 +124,7 @@ MetricsRegistry::toPrometheus() const
     for (const auto &[name, h] : histograms_) {
         std::string p = promName(name);
         out += strprintf("# TYPE %s histogram\n", p.c_str());
-        u64 cumulative = 0;
-        for (std::size_t i = 0; i < Histogram::bucketCount; i++) {
-            u64 in_bucket = h->bucketCountAt(i);
-            if (in_bucket == 0)
-                continue;
-            cumulative += in_bucket;
-            out += strprintf("%s_bucket{le=\"%llu\"} %llu\n", p.c_str(),
-                             (unsigned long long)
-                                 Histogram::bucketUpperBound(i),
-                             (unsigned long long)cumulative);
-        }
-        out += strprintf("%s_bucket{le=\"+Inf\"} %llu\n", p.c_str(),
-                         (unsigned long long)h->count());
-        out += strprintf("%s_sum %llu\n", p.c_str(),
-                         (unsigned long long)h->sum());
-        out += strprintf("%s_count %llu\n", p.c_str(),
-                         (unsigned long long)h->count());
+        appendPromHistogram(out, p, "", *h);
     }
     return out;
 }

@@ -6,9 +6,9 @@
  * appliance, not per-subsystem bookkeeping).
  *
  * Subsystems keep their existing `stats_` structs for cheap direct
- * reads; when a registry is attached to the engine they additionally
- * mirror into named counters so one dump() correlates GC, TCP, ring
- * and block activity across layers.
+ * reads; when the engine carries a trace::Telemetry bundle they
+ * additionally mirror into its registry's named counters, so one
+ * dump() correlates GC, TCP, ring and block activity across layers.
  *
  * Naming convention: `<subsystem>.<metric>`, lower_snake_case, with
  * byte counts suffixed `_bytes` and durations suffixed `_ns`
@@ -71,6 +71,16 @@ observe(Histogram *h, u64 v)
         h->record(v);
 }
 
+/**
+ * Append @p h to @p out as Prometheus series `<name>_bucket`
+ * (cumulative, only buckets that change the count, then `le="+Inf"`),
+ * `<name>_sum` and `<name>_count`. @p labels is a label list without
+ * braces (`domain="web3"`), or empty. The `# TYPE` line is the
+ * caller's.
+ */
+void appendPromHistogram(std::string &out, const std::string &name,
+                         const std::string &labels, const Histogram &h);
+
 class MetricsRegistry
 {
   public:
@@ -81,6 +91,11 @@ class MetricsRegistry
     /** Lookup without creating; nullptr when absent. */
     const Counter *findCounter(const std::string &name) const;
     const Histogram *findHistogram(const std::string &name) const;
+
+    /** Copies of the histograms named `<prefix>...`, keyed by the rest
+     *  of the name. */
+    std::map<std::string, Histogram>
+    histogramsWithPrefix(const std::string &prefix) const;
 
     std::size_t counterCount() const
     {

@@ -1,10 +1,9 @@
 #include "trace/profile.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "base/logging.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 
@@ -38,11 +37,9 @@ DomainStats::noteRing(const std::string &ring, u32 occupancy,
 
 // ---- Profiler: scope tree --------------------------------------------------
 
-void
-Profiler::attach(TraceRecorder *tracer, MetricsRegistry *metrics)
+Profiler::Profiler(Telemetry &t)
+    : t_(t), c_alerts_(t.metrics.counter("profile.alerts"))
 {
-    tracer_ = tracer;
-    c_alerts_ = metrics ? &metrics->counter("profile.alerts") : nullptr;
 }
 
 u32
@@ -86,7 +83,7 @@ Profiler::charge(const char *leaf, u64 ns, i64 now_ns)
     for (u32 at = node; at != 0; at = nodes_[at].parent)
         nodes_[at].total_ns += ns;
     nodes_[0].total_ns += ns;
-    if (tracer_ && tracer_->enabled() && now_ns >= next_sample_ns_)
+    if (t_.tracer.enabled() && now_ns >= next_sample_ns_)
         emitCounterSample(now_ns);
 }
 
@@ -107,8 +104,8 @@ Profiler::emitCounterSample(i64 now_ns)
         args += strprintf("\"%s\":%llu", jsonEscape(n.label).c_str(),
                           (unsigned long long)delta);
     }
-    tracer_->counter(Cat::Cpu, "prof.cpu_ns", TimePoint(now_ns),
-                     std::move(args));
+    t_.tracer.counter(Cat::Cpu, "prof.cpu_ns", TimePoint(now_ns),
+                      std::move(args));
 }
 
 u64
@@ -224,17 +221,7 @@ Profiler::folded() const
 Status
 Profiler::writeFolded(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return Status(Error(Error::Kind::Io,
-                            "cannot open profile file " + path));
-    std::string text = folded();
-    std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    if (n != text.size())
-        return Status(Error(Error::Kind::Io,
-                            "short write to profile file " + path));
-    return Status::success();
+    return writeFile(path, folded());
 }
 
 // ---- Per-domain accounting -------------------------------------------------
@@ -261,21 +248,6 @@ Profiler::findDomain(const std::string &name) const
     return it == domains_.end() ? nullptr : it->second.get();
 }
 
-namespace {
-
-std::string
-histJson(const Histogram &h)
-{
-    return strprintf("{\"count\":%llu,\"mean_ns\":%.0f,"
-                     "\"p50_ns\":%llu,\"p99_ns\":%llu,\"max_ns\":%llu}",
-                     (unsigned long long)h.count(), h.mean(),
-                     (unsigned long long)h.quantile(0.5),
-                     (unsigned long long)h.quantile(0.99),
-                     (unsigned long long)h.max());
-}
-
-} // namespace
-
 std::string
 Profiler::topJson() const
 {
@@ -283,9 +255,7 @@ Profiler::topJson() const
     std::string out = "{\"domains\":[";
     bool first_dom = true;
     for (const auto &[name, d] : domains_) {
-        if (!first_dom)
-            out += ",";
-        first_dom = false;
+        out += jsonSep(first_dom);
         out += strprintf(
             "{\"name\":\"%s\","
             "\"cpu\":{\"run_ns\":%llu,\"steal_ns\":%llu,"
@@ -302,9 +272,7 @@ Profiler::topJson() const
             std::lock_guard<std::mutex> rlk(d->rings_mu_);
             bool first_ring = true;
             for (const auto &[rname, ring] : d->rings) {
-                if (!first_ring)
-                    out += ",";
-                first_ring = false;
+                out += jsonSep(first_ring);
                 out += strprintf("\"%s\":{\"hwm\":%u,\"capacity\":%u}",
                                  jsonEscape(rname).c_str(), ring.hwm,
                                  ring.capacity);
@@ -319,8 +287,8 @@ Profiler::topJson() const
             (unsigned long long)d->gc_major,
             (unsigned long long)d->gc_promoted_bytes,
             (unsigned long long)d->gc_live_after_major_bytes,
-            histJson(d->gc_minor_pause_ns).c_str(),
-            histJson(d->gc_major_pause_ns).c_str());
+            d->gc_minor_pause_ns.json().c_str(),
+            d->gc_major_pause_ns.json().c_str());
     }
     out += strprintf("],\"charged_ns\":%llu,"
                      "\"attributed_fraction\":%.4f,\"alerts\":%llu}",
@@ -369,17 +337,17 @@ void
 Profiler::alert(const char *kind, const std::string &detail)
 {
     alerts_.fetch_add(1, std::memory_order_relaxed);
-    bump(c_alerts_);
+    c_alerts_.inc();
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (alert_log_.size() >= alertLogCapacity)
             alert_log_.erase(alert_log_.begin());
         alert_log_.push_back(std::string(kind) + ": " + detail);
     }
-    // The hook (flight-recorder dump) takes the tracer's lock; keep it
-    // outside ours.
-    if (alert_hook_)
-        alert_hook_(kind, detail);
+    // The flight-recorder dump takes the tracer's lock; keep it outside
+    // ours.
+    warn("profiler alert [%s]: %s", kind, detail.c_str());
+    t_.dumpFlight();
 }
 
 void

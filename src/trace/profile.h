@@ -28,9 +28,9 @@
  * appliance's self-served `GET /top` endpoint.
  *
  * *Watchdogs.* Threshold alerts — long GC pause, ring at capacity,
- * request-flow stall — funnel through alert(), which counts, logs and
- * fires a hook the composition root points at the flight-recorder
- * auto-dump path, so a stalled appliance leaves a post-mortem behind.
+ * request-flow stall, SLO burn — funnel through alert(), which counts,
+ * logs, warns and dumps the bundle's flight recorder, so a stalled
+ * appliance leaves a post-mortem behind.
  *
  * The profiler has no simulator dependencies; sim/hypervisor/runtime
  * call *into* it, keeping the trace library at the bottom of the
@@ -41,7 +41,6 @@
 #define MIRAGE_TRACE_PROFILE_H
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 // mirage-lint: allow(wall-clock-in-sim)
@@ -53,11 +52,12 @@
 #include "base/time.h"
 #include "base/types.h"
 #include "trace/metrics.h"
+#include "trace/scope.h"
 
 namespace mirage::trace {
 
-class TraceRecorder;
 class Profiler;
+struct Telemetry;
 
 /**
  * A u64 cell with relaxed-atomic access, drop-in for the plain counters
@@ -69,12 +69,6 @@ class RelaxedU64
 {
   public:
     RelaxedU64(u64 v = 0) : v_(v) {}
-    RelaxedU64(const RelaxedU64 &o) : v_(o.load()) {}
-    RelaxedU64 &operator=(const RelaxedU64 &o)
-    {
-        store(o.load());
-        return *this;
-    }
     RelaxedU64 &operator=(u64 v)
     {
         store(v);
@@ -106,9 +100,10 @@ class RelaxedU64
  * Per-domain resource accounting — one record per domain, owned by the
  * Profiler, written directly by sim::Cpu (run/steal), xen::Domain
  * (blocked time), the event-channel hub (notify rates), the backends
- * (ring occupancy) and rt::GcHeap (collection numbers). Always on once
- * a Profiler is attached to the engine: every field is a handful of
- * adds per event, cheap enough to leave running under benches.
+ * (ring occupancy) and rt::GcHeap (collection numbers). Always on
+ * while the engine carries a trace::Telemetry bundle: every field is a
+ * handful of adds per event, cheap enough to leave running under
+ * benches.
  */
 struct DomainStats
 {
@@ -167,13 +162,12 @@ class Profiler
      */
     using ScopeId = u32;
 
+    explicit Profiler(Telemetry &t);
+
     /** Attribution is recorded only while enabled (accounting in
      *  DomainStats is always on). */
     void enable(bool on = true) { enabled_ = on; }
     bool enabled() const { return enabled_; }
-
-    /** Sinks for the counter track and the alert counter (optional). */
-    void attach(TraceRecorder *tracer, MetricsRegistry *metrics);
 
     // ---- Ambient scope stack ----------------------------------------
     // Thread-local, like FlowTracker's ambient flow: each shard worker
@@ -192,7 +186,7 @@ class Profiler
     /**
      * Attribute @p ns of charged virtual CPU time to
      * `<current scope>;<leaf>`. @p now_ns paces the Chrome counter
-     * track when a tracer is attached.
+     * track while the tracer is enabled.
      */
     void charge(const char *leaf, u64 ns, i64 now_ns);
 
@@ -246,17 +240,8 @@ class Profiler
     std::string topText() const;
 
     // ---- Watchdogs / alerts -----------------------------------------
-    /**
-     * @p hook runs on every alert (after counting/logging). The
-     * composition root points this at the flight-recorder dump.
-     */
-    void setAlertHook(
-        std::function<void(const char *, const std::string &)> hook)
-    {
-        alert_hook_ = std::move(hook);
-    }
-
-    /** Raise alert @p kind (e.g. "stall", "gc_pause", "ring_full"). */
+    /** Raise alert @p kind (e.g. "stall", "gc_pause", "ring_full"):
+     *  count, log, warn and dump the flight recorder. */
     void alert(const char *kind, const std::string &detail);
 
     u64 alerts() const { return alerts_.load(std::memory_order_relaxed); }
@@ -272,7 +257,6 @@ class Profiler
     {
         gc_pause_alert_ns_ = u64(d.ns());
     }
-    u64 gcPauseAlertNs() const { return gc_pause_alert_ns_; }
 
     /** rt::GcHeap reports every pause here; raises `gc_pause` when the
      *  threshold is set and crossed. */
@@ -298,9 +282,9 @@ class Profiler
     u64 unattributedNsLocked() const;
     double attributedFractionLocked() const;
 
+    Telemetry &t_;
     bool enabled_ = false;
-    TraceRecorder *tracer_ = nullptr;
-    Counter *c_alerts_ = nullptr;
+    Counter &c_alerts_;
     // Guards the scope tree, domain map and alert log; charges arrive
     // from every shard worker. totalNs()/alerts() stay lock-free.
     mutable std::mutex mu_;
@@ -309,7 +293,6 @@ class Profiler
     i64 sample_interval_ns_ = 100'000;
     i64 next_sample_ns_ = 0;
     std::map<std::string, std::unique_ptr<DomainStats>> domains_;
-    std::function<void(const char *, const std::string &)> alert_hook_;
     std::atomic<u64> alerts_{0};
     std::vector<std::string> alert_log_;
     u64 gc_pause_alert_ns_ = 0;
@@ -346,32 +329,8 @@ class ProfScope
     Profiler::ScopeId saved_ = 0;
 };
 
-/**
- * RAII restore of an absolute scope snapshot (sim::Engine around event
- * dispatch, mirroring FlowScope for flow ids).
- */
-class ProfRestore
-{
-  public:
-    ProfRestore(Profiler *p, Profiler::ScopeId scope) : p_(p)
-    {
-        if (p_) {
-            saved_ = p_->current();
-            p_->setCurrent(scope);
-        }
-    }
-    ~ProfRestore()
-    {
-        if (p_)
-            p_->setCurrent(saved_);
-    }
-    ProfRestore(const ProfRestore &) = delete;
-    ProfRestore &operator=(const ProfRestore &) = delete;
-
-  private:
-    Profiler *p_;
-    Profiler::ScopeId saved_ = 0;
-};
+/** RAII restore of an absolute scope snapshot (trace/scope.h). */
+using ProfRestore = AmbientScope<Profiler>;
 
 } // namespace mirage::trace
 

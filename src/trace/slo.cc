@@ -1,7 +1,7 @@
 #include "trace/slo.h"
 
 #include "base/logging.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 
@@ -89,7 +89,7 @@ SloTracker::check(const std::string &kind, State &s, TimePoint ts,
             (long long)(s.target.slowWindow.ns() / 1'000'000),
             s.target.burnThreshold, s.target.objective,
             (unsigned long long)(s.target.latencyTargetNs / 1000));
-        fired.emplace_back(kind, std::move(detail));
+        fired.push_back(std::move(detail));
     } else if (!firing && s.alerting &&
                s.fast_burn < s.target.burnThreshold) {
         // Fast-window recovery re-arms the alert; the slow window may
@@ -121,9 +121,8 @@ SloTracker::record(const std::string &kind, u64 latency_ns, bool failed,
         }
         check(kind, s, ts, fired);
     }
-    if (alert_hook_)
-        for (auto &[k, detail] : fired)
-            alert_hook_(k, detail);
+    for (const std::string &detail : fired)
+        t_.profiler.alert("slo_burn", detail);
 }
 
 void
@@ -137,9 +136,8 @@ SloTracker::evaluate(TimePoint ts)
             check(kind, s, ts, fired);
         }
     }
-    if (alert_hook_)
-        for (auto &[k, detail] : fired)
-            alert_hook_(k, detail);
+    for (const std::string &detail : fired)
+        t_.profiler.alert("slo_burn", detail);
 }
 
 std::string
@@ -154,13 +152,12 @@ SloTracker::json() const
             "\"latency_target_ns\":%llu,\"good\":%llu,\"bad\":%llu,"
             "\"fast_burn\":%.2f,\"slow_burn\":%.2f,"
             "\"alerting\":%s,\"alerts\":%llu}",
-            first ? "" : ",", jsonEscape(kind).c_str(),
+            jsonSep(first), jsonEscape(kind).c_str(),
             s.target.objective,
             (unsigned long long)s.target.latencyTargetNs,
             (unsigned long long)s.good, (unsigned long long)s.bad,
             s.fast_burn, s.slow_burn, s.alerting ? "true" : "false",
             (unsigned long long)s.alerts);
-        first = false;
     }
     out += "]";
     return out;

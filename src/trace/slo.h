@@ -17,9 +17,10 @@
  * *fast* window catches a breach quickly, the *slow* window confirms it
  * is sustained, and the alert fires only when BOTH exceed the
  * threshold — short blips don't page, real breaches page within one
- * fast window. The alert is one-shot: it re-arms when the fast window's
- * burn drops back below threshold, so a sustained breach produces one
- * alert (and one flight-recorder dump), not one per request.
+ * fast window. A page is a `slo_burn` profiler alert (and so a
+ * flight-recorder dump). The alert is one-shot: it re-arms when the
+ * fast window's burn drops back below threshold, so a sustained breach
+ * produces one alert, not one per request.
  *
  * Windowed counts are kept as fixed-width time slices (fast_window/8),
  * so evaluation is O(slices), allocation-free on the steady state, and
@@ -31,18 +32,18 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <map>
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "base/time.h"
 #include "base/types.h"
 
 namespace mirage::trace {
+
+struct Telemetry;
 
 struct SloTarget
 {
@@ -76,14 +77,10 @@ class SloTracker
         std::deque<Slice> slices;
     };
 
+    explicit SloTracker(Telemetry &t) : t_(t) {}
+
     /** Declare (or replace) the objective for flow kind @p kind. */
     void setTarget(const std::string &kind, SloTarget target);
-
-    bool hasTarget(const std::string &kind) const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return states_.count(kind) != 0;
-    }
 
     /**
      * Score one completed request of @p kind: latency @p latency_ns,
@@ -100,18 +97,6 @@ class SloTracker
      */
     void evaluate(TimePoint ts);
 
-    /**
-     * @p hook fires on every burn-rate alert with the kind and a
-     * human-readable detail line. The composition root routes it into
-     * the watchdog alert path (flight-recorder auto-dump).
-     */
-    void setAlertHook(
-        std::function<void(const std::string &, const std::string &)>
-            hook)
-    {
-        alert_hook_ = std::move(hook);
-    }
-
     u64 alerts() const { return alerts_.load(std::memory_order_relaxed); }
     const State *find(const std::string &kind) const;
 
@@ -123,19 +108,19 @@ class SloTracker
     std::string json() const;
 
   private:
-    using PendingAlerts = std::vector<std::pair<std::string, std::string>>;
+    using PendingAlerts = std::vector<std::string>; //!< detail lines
 
     void advance(State &s, TimePoint ts);
     void check(const std::string &kind, State &s, TimePoint ts,
                PendingAlerts &fired);
     static i64 sliceWidthNs(const State &s);
 
-    // Guards states_; flows finalize on every shard. The alert hook
-    // fires outside the lock (it reaches the profiler's watchdog path).
+    Telemetry &t_;
+    // Guards states_; flows finalize on every shard. Alerts are raised
+    // outside the lock (the profiler's alert path dumps the flight
+    // recorder).
     mutable std::mutex mu_;
     std::map<std::string, State> states_;
-    std::function<void(const std::string &, const std::string &)>
-        alert_hook_;
     std::atomic<u64> alerts_{0};
 };
 

@@ -62,6 +62,19 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+Status
+writeFile(const std::string &path, const std::string &body)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return Status(Error(Error::Kind::Io, "cannot open " + path));
+    std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
+    std::fclose(f);
+    if (n != body.size())
+        return Status(Error(Error::Kind::Io, "short write to " + path));
+    return Status::success();
+}
+
 u32
 TraceRecorder::track(const std::string &name)
 {
@@ -78,6 +91,8 @@ TraceRecorder::track(const std::string &name)
 void
 TraceRecorder::push(Event &&e)
 {
+    if (!enabled_)
+        return;
     std::lock_guard<std::mutex> lk(mu_);
     if (flight_cap_ == 0) {
         events_.push_back(std::move(e));
@@ -91,61 +106,6 @@ TraceRecorder::push(Event &&e)
     events_[head_] = std::move(e);
     head_ = (head_ + 1) % flight_cap_;
     dropped_++;
-}
-
-void
-TraceRecorder::span(Cat cat, const char *name, TimePoint start,
-                    Duration dur, u32 tid, std::string args)
-{
-    if (!enabled_)
-        return;
-    push(Event{name, cat, 'X', tid, start.ns(), dur.ns(), 0,
-               std::move(args)});
-}
-
-void
-TraceRecorder::instant(Cat cat, const char *name, TimePoint ts, u32 tid,
-                       std::string args)
-{
-    if (!enabled_)
-        return;
-    push(Event{name, cat, 'i', tid, ts.ns(), 0, 0, std::move(args)});
-}
-
-void
-TraceRecorder::asyncBegin(Cat cat, const char *name, u64 id, TimePoint ts,
-                          u32 tid, std::string args)
-{
-    if (!enabled_)
-        return;
-    push(Event{name, cat, 'b', tid, ts.ns(), 0, id, std::move(args)});
-}
-
-void
-TraceRecorder::asyncEnd(Cat cat, const char *name, u64 id, TimePoint ts,
-                        u32 tid, std::string args)
-{
-    if (!enabled_)
-        return;
-    push(Event{name, cat, 'e', tid, ts.ns(), 0, id, std::move(args)});
-}
-
-void
-TraceRecorder::asyncInstant(Cat cat, const char *name, u64 id,
-                            TimePoint ts, u32 tid, std::string args)
-{
-    if (!enabled_)
-        return;
-    push(Event{name, cat, 'n', tid, ts.ns(), 0, id, std::move(args)});
-}
-
-void
-TraceRecorder::counter(Cat cat, const char *name, TimePoint ts,
-                       std::string args, u32 tid)
-{
-    if (!enabled_)
-        return;
-    push(Event{name, cat, 'C', tid, ts.ns(), 0, 0, std::move(args)});
 }
 
 void
@@ -260,17 +220,7 @@ TraceRecorder::toChromeJson() const
 Status
 TraceRecorder::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return Status(Error(Error::Kind::Io,
-                            "cannot open trace file " + path));
-    std::string json = toChromeJson();
-    std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (n != json.size())
-        return Status(Error(Error::Kind::Io,
-                            "short write to trace file " + path));
-    return Status::success();
+    return writeFile(path, toChromeJson());
 }
 
 } // namespace mirage::trace

@@ -4,10 +4,10 @@
  * exportable as Chrome `trace_event` JSON (loadable in chrome://tracing
  * or Perfetto).
  *
- * The recorder attaches to sim::Engine; instrumented subsystems reach
- * it through `engine.tracer()` and record only when `enabled()` — a
- * disabled recorder costs one pointer load and a predictable branch,
- * so benches run untraced at full speed.
+ * The recorder lives in the engine's trace::Telemetry bundle;
+ * instrumented subsystems reach it through `engine.tracer()` and record
+ * only when `enabled()` — a disabled recorder costs one pointer load
+ * and a predictable branch, so benches run untraced at full speed.
  *
  * Tracks (Chrome "threads") model the simulation's parallel timelines:
  * track 0 is the event loop, and every Cpu / domain / driver interns
@@ -63,6 +63,18 @@ const char *catName(Cat cat);
 /** Escape @p s for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &s);
 
+/** JSON list separator: "" before the first element, "," after. */
+inline const char *
+jsonSep(bool &first)
+{
+    const char *sep = first ? "" : ",";
+    first = false;
+    return sep;
+}
+
+/** Write @p body to the file at @p path, replacing it. */
+Status writeFile(const std::string &path, const std::string &body);
+
 class TraceRecorder
 {
   public:
@@ -91,22 +103,37 @@ class TraceRecorder
 
     /** Record a complete span [start, start+dur). No-op when disabled. */
     void span(Cat cat, const char *name, TimePoint start, Duration dur,
-              u32 tid = 0, std::string args = {});
+              u32 tid = 0, std::string args = {})
+    {
+        push({name, cat, 'X', tid, start.ns(), dur.ns(), 0, std::move(args)});
+    }
 
     /** Record a zero-duration instant. No-op when disabled. */
     void instant(Cat cat, const char *name, TimePoint ts, u32 tid = 0,
-                 std::string args = {});
+                 std::string args = {})
+    {
+        push({name, cat, 'i', tid, ts.ns(), 0, 0, std::move(args)});
+    }
 
     // ---- Nestable async events (one logical flow across tracks) -----
     /** Open an async span of flow @p id on @p tid. */
     void asyncBegin(Cat cat, const char *name, u64 id, TimePoint ts,
-                    u32 tid = 0, std::string args = {});
+                    u32 tid = 0, std::string args = {})
+    {
+        push({name, cat, 'b', tid, ts.ns(), 0, id, std::move(args)});
+    }
     /** Close the matching async span (same cat/name/id). */
     void asyncEnd(Cat cat, const char *name, u64 id, TimePoint ts,
-                  u32 tid = 0, std::string args = {});
+                  u32 tid = 0, std::string args = {})
+    {
+        push({name, cat, 'e', tid, ts.ns(), 0, id, std::move(args)});
+    }
     /** A point event attributed to flow @p id. */
     void asyncInstant(Cat cat, const char *name, u64 id, TimePoint ts,
-                      u32 tid = 0, std::string args = {});
+                      u32 tid = 0, std::string args = {})
+    {
+        push({name, cat, 'n', tid, ts.ns(), 0, id, std::move(args)});
+    }
 
     /**
      * A counter sample ('C'): @p args carries the series values, e.g.
@@ -114,7 +141,10 @@ class TraceRecorder
      * series on one counter track named @p name.
      */
     void counter(Cat cat, const char *name, TimePoint ts,
-                 std::string args, u32 tid = 0);
+                 std::string args, u32 tid = 0)
+    {
+        push({name, cat, 'C', tid, ts.ns(), 0, 0, std::move(args)});
+    }
 
     // ---- Flight-recorder mode ---------------------------------------
     /**
@@ -158,7 +188,7 @@ class TraceRecorder
     Status writeChromeJson(const std::string &path) const;
 
   private:
-    void push(Event &&e);
+    void push(Event &&e); //!< no-op while disabled
     std::vector<Event> eventsLocked() const;
 
     bool enabled_ = false;

@@ -9,6 +9,8 @@
 #include <cstdio>
 
 #include "base/logging.h"
+#include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace mirage::trace {
 
@@ -354,34 +356,8 @@ WallProfiler::toChromeJson() const
 Status
 WallProfiler::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return Status(Error(Error::Kind::Io,
-                            "cannot open wall trace file " + path));
-    std::string json = toChromeJson();
-    std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (n != json.size())
-        return Status(Error(Error::Kind::Io,
-                            "short write to wall trace file " + path));
-    return Status::success();
+    return writeFile(path, toChromeJson());
 }
-
-namespace {
-
-std::string
-histJson(const HdrHistogram &h)
-{
-    return strprintf(
-        "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
-        "\"p99_ns\":%llu,\"max_ns\":%llu}",
-        (unsigned long long)h.count(), h.mean(),
-        (unsigned long long)h.quantile(0.50),
-        (unsigned long long)h.quantile(0.99),
-        (unsigned long long)h.max());
-}
-
-} // namespace
 
 std::string
 WallProfiler::statsJson() const
@@ -411,8 +387,8 @@ WallProfiler::statsJson() const
             (unsigned long long)s.events,
             (unsigned long long)s.windows);
     }
-    out += "],\"delivery_lag_virtual\":" + histJson(lag_virt_);
-    out += ",\"mailbox_lag_wall\":" + histJson(lag_wall_);
+    out += "],\"delivery_lag_virtual\":" + lag_virt_.json();
+    out += ",\"mailbox_lag_wall\":" + lag_wall_.json();
     out += "}";
     return out;
 }
@@ -471,23 +447,7 @@ WallProfiler::toPrometheus() const
     };
     for (const auto &hs : hists) {
         out += strprintf("# TYPE %s histogram\n", hs.name);
-        u64 cumulative = 0;
-        for (std::size_t i = 0; i < HdrHistogram::bucketCount; i++) {
-            u64 in_bucket = hs.h->bucketCountAt(i);
-            if (in_bucket == 0)
-                continue;
-            cumulative += in_bucket;
-            out += strprintf(
-                "%s_bucket{le=\"%llu\"} %llu\n", hs.name,
-                (unsigned long long)HdrHistogram::bucketUpperBound(i),
-                (unsigned long long)cumulative);
-        }
-        out += strprintf("%s_bucket{le=\"+Inf\"} %llu\n", hs.name,
-                         (unsigned long long)hs.h->count());
-        out += strprintf("%s_sum %llu\n", hs.name,
-                         (unsigned long long)hs.h->sum());
-        out += strprintf("%s_count %llu\n", hs.name,
-                         (unsigned long long)hs.h->count());
+        appendPromHistogram(out, hs.name, "", *hs.h);
     }
     return out;
 }

@@ -191,7 +191,6 @@ class WallProfiler
      *  shard); 1.0 = perfectly balanced, K = one shard did it all. */
     double imbalanceRatio() const;
 
-    const HdrHistogram &imbalanceHist() const { return imbalance_; }
     const HdrHistogram &deliveryLagVirtual() const { return lag_virt_; }
     const HdrHistogram &mailboxLagWall() const { return lag_wall_; }
 

@@ -403,9 +403,10 @@ TEST_F(DatapathTest, OversizedTxChainAbortsAndReleasesEveryLease)
 
 TEST_F(DatapathTest, FlowRidesEveryDerivedTsoSegment)
 {
-    trace::FlowTracker fl;
+    trace::Telemetry telemetry;
+    trace::FlowTracker &fl = telemetry.flows;
     fl.enable();
-    engine.setFlows(&fl);
+    engine.setTelemetry(&telemetry);
     xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
     xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
     pvboot::PVBoot boot_a(da), boot_b(db);
@@ -465,7 +466,7 @@ TEST_F(DatapathTest, FlowRidesEveryDerivedTsoSegment)
                     EXPECT_EQ(s.count, 1u);
                 }
     EXPECT_TRUE(found) << "flow never crossed the netback_tx stage";
-    engine.setFlows(nullptr);
+    engine.setTelemetry(nullptr);
 }
 
 // ---- Checker-audited teardown -----------------------------------------------

@@ -17,10 +17,8 @@
 #include "protocols/http/client.h"
 #include "protocols/http/server.h"
 #include "protocols/http/telemetry.h"
-#include "trace/boot.h"
 #include "trace/hdr.h"
-#include "trace/hub.h"
-#include "trace/slo.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 namespace {
@@ -84,7 +82,8 @@ TEST(HdrHistogramTest, BucketBoundsAndRelativeError)
 
 TEST(SloTrackerTest, BurnRateFiresLatchesRearmsAndRefires)
 {
-    SloTracker slo;
+    Telemetry t;
+    SloTracker &slo = t.slo;
     SloTarget target;
     target.latencyTargetNs = 1000000; // 1 ms
     target.objective = 0.99;
@@ -92,11 +91,7 @@ TEST(SloTrackerTest, BurnRateFiresLatchesRearmsAndRefires)
     target.slowWindow = Duration::millis(50);
     target.burnThreshold = 8.0;
     slo.setTarget("http", target);
-
-    std::vector<std::string> fired;
-    slo.setAlertHook([&](const std::string &kind, const std::string &) {
-        fired.push_back(kind);
-    });
+    const Profiler &profiler = t.profiler;
 
     auto at = [](i64 ms) { return TimePoint(ms * 1000000); };
 
@@ -104,14 +99,18 @@ TEST(SloTrackerTest, BurnRateFiresLatchesRearmsAndRefires)
     for (i64 ms = 0; ms < 60; ms++)
         slo.record("http", 500000, false, at(ms));
     EXPECT_EQ(slo.alerts(), 0u);
+    EXPECT_EQ(profiler.alerts(), 0u);
 
     // Sustained breach: every request blows the latency target. Both
-    // windows saturate, the alert fires exactly once (latched).
+    // windows saturate, the alert fires exactly once (latched), as one
+    // `slo_burn` profiler alert naming the kind.
     for (i64 ms = 60; ms < 120; ms++)
         slo.record("http", 20000000, false, at(ms));
     EXPECT_EQ(slo.alerts(), 1u);
-    ASSERT_EQ(fired.size(), 1u);
-    EXPECT_EQ(fired[0], "http");
+    EXPECT_EQ(profiler.alerts(), 1u);
+    ASSERT_EQ(profiler.alertLog().size(), 1u);
+    EXPECT_EQ(profiler.alertLog()[0].rfind("slo_burn: http: ", 0), 0u)
+        << profiler.alertLog()[0];
     const SloTracker::State *st = slo.find("http");
     ASSERT_NE(st, nullptr);
     EXPECT_TRUE(st->alerting);
@@ -130,9 +129,11 @@ TEST(SloTrackerTest, BurnRateFiresLatchesRearmsAndRefires)
     for (i64 ms = 180; ms < 240; ms++)
         slo.record("http", 20000000, false, at(ms));
     EXPECT_EQ(slo.alerts(), 2u);
+    EXPECT_EQ(profiler.alerts(), 2u);
 
     // Failed requests burn the budget even when fast.
-    SloTracker avail;
+    Telemetry t_avail;
+    SloTracker &avail = t_avail.slo;
     SloTarget a = target;
     a.latencyTargetNs = 0; // latency never scores bad
     avail.setTarget("http", a);
@@ -149,7 +150,8 @@ TEST(SloTrackerTest, EvaluateRearmsWithoutTraffic)
 {
     // A breached-then-silent service must still re-arm: time passing
     // empties the windows even when no request arrives.
-    SloTracker slo;
+    Telemetry t;
+    SloTracker &slo = t.slo;
     SloTarget target;
     target.latencyTargetNs = 1000000;
     target.objective = 0.99;
@@ -168,10 +170,10 @@ TEST(SloTrackerTest, EvaluateRearmsWithoutTraffic)
 
 TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
 {
-    sim::Engine engine;
-    BootTracker boots;
+    Telemetry t;
+    BootTracker &boots = t.boots;
     boots.enable();
-    engine.setBoots(&boots);
+    sim::Engine engine(&t);
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);
     ts.boot({"uk", xen::GuestKind::Unikernel, 128, 1, nullptr},
@@ -207,10 +209,15 @@ TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
     EXPECT_GE(sum * 100, r.totalNs() * 95);
     EXPECT_LE(sum, r.totalNs());
 
-    // Histograms fed once per phase and once for the total.
+    // Histograms fed once per phase and once for the total, in the
+    // registry the rollup accessors read.
     EXPECT_EQ(boots.totalHistogram().count(), 1u);
-    ASSERT_EQ(boots.phaseHistograms().count("build"), 1u);
-    EXPECT_EQ(boots.phaseHistograms().at("build").count(), 1u);
+    EXPECT_EQ(t.metrics.findHistogram("boot.total_ns")->count(), 1u);
+    auto phases = boots.phaseHistogramsSnapshot();
+    ASSERT_EQ(phases.count("build"), 1u);
+    EXPECT_EQ(phases.at("build").count(), 1u);
+    EXPECT_EQ(phases.count("total"), 0u)
+        << "whole-boot spans are not phases";
 
     std::string j = boots.json();
     EXPECT_NE(j.find("\"domain\":\"uk\""), std::string::npos) << j;
@@ -219,10 +226,10 @@ TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
 
 TEST(BootTrackerTest, LinuxModelBootsReportCoarsePhases)
 {
-    sim::Engine engine;
-    BootTracker boots;
+    Telemetry t;
+    BootTracker &boots = t.boots;
     boots.enable();
-    engine.setBoots(&boots);
+    sim::Engine engine(&t);
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);
     ts.boot({"deb", xen::GuestKind::LinuxDebianApache, 256, 1, nullptr},
@@ -242,7 +249,8 @@ TEST(BootTrackerTest, LinuxModelBootsReportCoarsePhases)
 
 TEST(TelemetryHubTest, PerDomainAggregationAndExactFleetQuantiles)
 {
-    TelemetryHub hub;
+    Telemetry t;
+    TelemetryHub &hub = t.hub;
     HdrHistogram pooled;
     u64 state = 7;
     auto feed = [&](const std::string &domain, int n, bool failed) {
@@ -281,7 +289,7 @@ TEST(TelemetryHubTest, PerDomainAggregationAndExactFleetQuantiles)
     hub.onFlowDone(anon);
     EXPECT_EQ(hub.domains().count("(untagged)"), 1u);
 
-    // fleetJson works with no attached sources (sections omitted).
+    // fleetJson renders with every sibling still empty.
     std::string j = hub.fleetJson();
     EXPECT_NE(j.find("\"domains\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"fleet\""), std::string::npos) << j;
@@ -315,8 +323,7 @@ TEST(FleetEndpointTest, FleetDocumentServedInSim)
         cloud.startUnikernel("monitor", net::Ipv4Addr(10, 0, 0, 100));
     http::HttpServer mon_srv(
         monitor.stack, 80,
-        http::withTelemetry(&cloud.metrics(), &cloud.flows(),
-                            &cloud.profiler(), &cloud.hub(),
+        http::withTelemetry(cloud.telemetry(),
                             [](const http::HttpRequest &,
                                http::HttpServer::Responder respond) {
                                 respond(http::HttpResponse::notFound());

@@ -19,15 +19,15 @@
 #include "runtime/gc_heap.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
-#include "trace/profile.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 namespace {
 
 TEST(ProfScopeTest, PushDescendsAndScopeRestores)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
     EXPECT_EQ(p.current(), 0u);
     {
@@ -58,7 +58,8 @@ TEST(ProfScopeTest, DisabledAndNullProfilersAreNoOps)
     {
         ProfScope s(nullptr, "app"); // must not crash
     }
-    Profiler p; // not enabled
+    Telemetry t;
+    Profiler &p = t.profiler; // not enabled
     {
         ProfScope s(&p, "app");
         EXPECT_EQ(p.current(), 0u);
@@ -68,7 +69,8 @@ TEST(ProfScopeTest, DisabledAndNullProfilersAreNoOps)
 
 TEST(ProfilerChargeTest, AggregatesSelfTotalAndSamples)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
     {
         ProfScope app(&p, "app");
@@ -89,7 +91,8 @@ TEST(ProfilerChargeTest, AggregatesSelfTotalAndSamples)
 
 TEST(ProfilerChargeTest, AttributionSeparatesGenericRootBucket)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
     p.charge("cpu.work", 100, 0); // root-level generic: unattributed
     {
@@ -100,14 +103,16 @@ TEST(ProfilerChargeTest, AttributionSeparatesGenericRootBucket)
     EXPECT_EQ(p.unattributedNs(), 100u);
     EXPECT_DOUBLE_EQ(p.attributedFraction(), 0.75);
 
-    Profiler empty;
+    Telemetry te;
+    Profiler &empty = te.profiler;
     EXPECT_DOUBLE_EQ(empty.attributedFraction(), 1.0)
         << "nothing charged counts as fully attributed";
 }
 
 TEST(ProfilerFoldedTest, FoldedLinesAndWriteFolded)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
     {
         ProfScope app(&p, "app");
@@ -134,10 +139,10 @@ TEST(ProfilerFoldedTest, FoldedLinesAndWriteFolded)
 
 TEST(ProfilerEngineTest, DispatchRestoresScheduledScope)
 {
-    sim::Engine engine;
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
-    engine.setProfiler(&p);
+    sim::Engine engine(&t);
 
     // Schedule work while inside a scope; the charge must land under
     // that scope even though the scope has long exited by dispatch
@@ -160,10 +165,10 @@ TEST(ProfilerEngineTest, DispatchRestoresScheduledScope)
 
 TEST(ProfilerCpuTest, SubmitChargesRunStealAndScope)
 {
-    sim::Engine engine;
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
-    engine.setProfiler(&p);
+    sim::Engine engine(&t);
     sim::Cpu cpu(engine, "vcpu0");
     DomainStats &d = p.domain("guest");
     cpu.setStats(&d);
@@ -185,7 +190,8 @@ TEST(ProfilerCpuTest, SubmitChargesRunStealAndScope)
 
 TEST(DomainStatsTest, NoteRingTracksHwmAndAlertsOnce)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     DomainStats &d = p.domain("guest");
     d.noteRing("netback.tx", 3, 32);
     d.noteRing("netback.tx", 7, 32);
@@ -203,7 +209,8 @@ TEST(DomainStatsTest, NoteRingTracksHwmAndAlertsOnce)
 
 TEST(DomainStatsTest, PostedBufferRingsDoNotAlertOnFull)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     DomainStats &d = p.domain("guest");
     // An rx ring full of posted buffers is the healthy state.
     d.noteRing("netback.rx", 32, 32, false);
@@ -211,25 +218,22 @@ TEST(DomainStatsTest, PostedBufferRingsDoNotAlertOnFull)
     EXPECT_EQ(p.alerts(), 0u);
 }
 
-TEST(ProfilerAlertTest, AlertCountsLogsAndFiresHook)
+TEST(ProfilerAlertTest, AlertCountsAndLogsKindAndDetail)
 {
-    Profiler p;
-    std::string seen_kind, seen_detail;
-    p.setAlertHook([&](const char *kind, const std::string &detail) {
-        seen_kind = kind;
-        seen_detail = detail;
-    });
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.alert("stall", "no progress for 500 ms");
     EXPECT_EQ(p.alerts(), 1u);
-    EXPECT_EQ(seen_kind, "stall");
-    EXPECT_EQ(seen_detail, "no progress for 500 ms");
+    EXPECT_EQ(t.metrics.findCounter("profile.alerts")->value(), 1u);
+    // The log line carries both the kind and the detail.
     ASSERT_EQ(p.alertLog().size(), 1u);
     EXPECT_EQ(p.alertLog()[0], "stall: no progress for 500 ms");
 }
 
 TEST(ProfilerGcTest, PauseAlertRespectsThreshold)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.checkGcPause(1'000'000, "minor", "guest");
     EXPECT_EQ(p.alerts(), 0u) << "threshold 0 disables the watchdog";
 
@@ -244,7 +248,8 @@ TEST(ProfilerGcTest, PauseAlertRespectsThreshold)
 
 TEST(ProfilerTopTest, TopJsonHasPerDomainSections)
 {
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     DomainStats &d = p.domain("guest");
     d.run_ns = 1000;
     d.steal_ns = 200;
@@ -274,18 +279,17 @@ TEST(ProfilerTopTest, TopJsonHasPerDomainSections)
 
 TEST(ProfilerCounterTrackTest, ChargesEmitCounterEvents)
 {
-    TraceRecorder tracer;
-    tracer.enable();
-    Profiler p;
+    Telemetry t;
+    t.tracer.enable();
+    Profiler &p = t.profiler;
     p.enable();
-    p.attach(&tracer, nullptr);
     p.setSampleInterval(Duration::micros(1));
     {
         ProfScope app(&p, "app");
         p.charge("work", 100, 0);
         p.charge("work", 100, 2'000); // past the sample interval
     }
-    std::string json = tracer.toChromeJson();
+    std::string json = t.tracer.toChromeJson();
     EXPECT_NE(json.find("prof.cpu_ns"), std::string::npos) << json;
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"app\""), std::string::npos)
@@ -294,10 +298,10 @@ TEST(ProfilerCounterTrackTest, ChargesEmitCounterEvents)
 
 TEST(GcHeapProfileTest, PauseHistogramsAndAttributionMatch)
 {
-    sim::Engine engine;
-    Profiler p;
+    Telemetry t;
+    Profiler &p = t.profiler;
     p.enable();
-    engine.setProfiler(&p);
+    sim::Engine engine(&t);
     sim::Cpu cpu(engine, "guest");
     DomainStats &d = p.domain("guest");
     cpu.setStats(&d);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
 #include "base/rand.h"
 #include "storage/btree.h"
@@ -79,6 +80,48 @@ class SwallowDevice : public BlockDevice
     BlockDevice &inner_;
     u64 remaining_ = ~0ULL;
     u64 swallowed_ = 0;
+};
+
+/** Forwards every request to an inner device but holds each write's
+ *  completion until release(), so several writes are in flight at once,
+ *  as on a ring-backed disk. */
+class HoldDevice : public BlockDevice
+{
+  public:
+    explicit HoldDevice(BlockDevice &inner) : inner_(inner) {}
+
+    u64 sizeSectors() const override { return inner_.sizeSectors(); }
+
+    void
+    read(u64 sector, u32 count, Cstruct buf, BlockCallback done) override
+    {
+        inner_.read(sector, count, buf, std::move(done));
+    }
+
+    void
+    write(u64 sector, u32 count, Cstruct buf, BlockCallback done) override
+    {
+        inner_.write(sector, count, buf,
+                     [this, done = std::move(done)](Status st) {
+                         held_.push_back([done, st] { done(st); });
+                     });
+    }
+
+    /** Complete held writes, oldest first, until none is left (a
+     *  completion may start more writes). */
+    void
+    release()
+    {
+        while (!held_.empty()) {
+            auto next = std::move(held_.front());
+            held_.pop_front();
+            next();
+        }
+    }
+
+  private:
+    BlockDevice &inner_;
+    std::deque<std::function<void()>> held_;
 };
 
 // ---- Block layer ----------------------------------------------------------------
@@ -493,6 +536,43 @@ TEST_F(BTreeTest, MountRecoversCommittedState)
     Result<std::string> r = notFoundError("x");
     tree2.get("k33", [&](auto res) { r = res; });
     EXPECT_EQ(r.value(), "v33");
+}
+
+TEST(BTreeConcurrency, SetsInFlightTogetherAllLand)
+{
+    // Every set is called before any write completes; each must still
+    // land, both in the live tree and after a remount.
+    MemDevice mem(1u << 16);
+    HoldDevice dev(mem);
+    BTree tree(dev);
+    bool formatted = false;
+    tree.format([&](Status st) { formatted = st.ok(); });
+    dev.release();
+    ASSERT_TRUE(formatted);
+
+    constexpr int n = 24; // enough to split leaves and grow a level
+    int acked = 0;
+    for (int i = 0; i < n; i++)
+        tree.set(strprintf("k%02d", i), strprintf("v%d", i),
+                 [&](Status st) {
+                     EXPECT_TRUE(st.ok());
+                     acked++;
+                 });
+    dev.release();
+    ASSERT_EQ(acked, n);
+    EXPECT_EQ(tree.entryCount(), u64(n));
+
+    BTree remounted(mem);
+    ASSERT_TRUE(must([&](auto cb) { remounted.mount(cb); }).ok());
+    EXPECT_EQ(remounted.entryCount(), u64(n));
+    for (BTree *t : {&tree, &remounted}) {
+        for (int i = 0; i < n; i++) {
+            Result<std::string> r = notFoundError("never ran");
+            t->get(strprintf("k%02d", i), [&](auto res) { r = res; });
+            ASSERT_TRUE(r.ok()) << "acknowledged key k" << i << " lost";
+            EXPECT_EQ(r.value(), strprintf("v%d", i));
+        }
+    }
 }
 
 TEST_F(BTreeTest, RejectsOversizedItems)

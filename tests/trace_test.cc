@@ -16,9 +16,7 @@
 #include "check/check.h"
 #include "core/cloud.h"
 #include "sim/engine.h"
-#include "trace/flow.h"
-#include "trace/metrics.h"
-#include "trace/trace.h"
+#include "trace/telemetry.h"
 
 namespace mirage::trace {
 namespace {
@@ -206,12 +204,11 @@ TEST(TraceRecorderTest, WriteChromeJsonRoundTrips)
 
 TEST(TraceRecorderTest, EngineMirrorsCountersAndRecordsDispatch)
 {
-    sim::Engine e;
-    MetricsRegistry reg;
-    TraceRecorder tr;
+    Telemetry t;
+    MetricsRegistry &reg = t.metrics;
+    TraceRecorder &tr = t.tracer;
     tr.enable();
-    e.setMetrics(&reg);
-    e.setTracer(&tr);
+    sim::Engine e(&t);
 
     int fired = 0;
     for (int i = 0; i < 5; i++)
@@ -340,12 +337,11 @@ TEST(MetricsRegistryTest, PrometheusExpositionFormat)
 
 TEST(FlowTrackerTest, StagesMergeAndFinalizeIsDeferred)
 {
-    TraceRecorder tr;
-    tr.enable();
-    MetricsRegistry reg;
-    FlowTracker fl;
+    Telemetry t;
+    t.tracer.enable();
+    MetricsRegistry &reg = t.metrics;
+    FlowTracker &fl = t.flows;
     fl.enable();
-    fl.attach(&tr, &reg);
 
     FlowId id = fl.begin("http", TimePoint(100), 0, "GET /x");
     ASSERT_NE(id, 0u);
@@ -383,7 +379,8 @@ TEST(FlowTrackerTest, StagesMergeAndFinalizeIsDeferred)
 
 TEST(FlowTrackerTest, NestedStageOpensAreUnionMerged)
 {
-    FlowTracker fl;
+    Telemetry t;
+    FlowTracker &fl = t.flows;
     fl.enable();
     FlowId id = fl.begin("http", TimePoint(0));
     fl.stageBegin(id, "netif_tx", TimePoint(0));
@@ -401,10 +398,10 @@ TEST(FlowTrackerTest, NestedStageOpensAreUnionMerged)
 
 TEST(FlowTrackerTest, EngineCarriesAmbientFlowAcrossEvents)
 {
-    sim::Engine e;
-    FlowTracker fl;
+    Telemetry t;
+    FlowTracker &fl = t.flows;
     fl.enable();
-    e.setFlows(&fl);
+    sim::Engine e(&t);
 
     FlowId id = fl.begin("http", TimePoint(0));
     FlowId seen_outer = 0, seen_inner = 0;
@@ -423,6 +420,31 @@ TEST(FlowTrackerTest, EngineCarriesAmbientFlowAcrossEvents)
     EXPECT_EQ(seen_outer, id);
     EXPECT_EQ(seen_inner, id);
     fl.end(id, TimePoint(0));
+}
+
+TEST(TelemetryTest, CompletedFlowReachesEverySiblingWithoutWiring)
+{
+    // The bundle is the wiring: nothing here connects the flow tracker
+    // to the registry, the SLO tracker, the hub or the alert path.
+    Telemetry t;
+    t.flows.enable();
+    SloTarget target;
+    target.latencyTargetNs = 1000; // 1 us
+    t.slo.setTarget("http", target);
+
+    FlowId id = t.flows.begin("http", TimePoint(0), 0, "GET /slow", "web0");
+    t.flows.end(id, TimePoint(5000)); // 5 us: breaches the target
+
+    ASSERT_EQ(t.hub.domains().count("web0"), 1u);
+    EXPECT_EQ(t.hub.domains().at("web0").requests, 1u);
+    const Histogram *total = t.metrics.findHistogram("flow.http.total_ns");
+    ASSERT_NE(total, nullptr);
+    EXPECT_EQ(total->count(), 1u);
+    EXPECT_EQ(total->sum(), 5000u);
+    EXPECT_EQ(t.slo.alerts(), 1u);
+    ASSERT_EQ(t.profiler.alertLog().size(), 1u);
+    EXPECT_EQ(t.profiler.alertLog()[0].rfind("slo_burn: http: ", 0), 0u)
+        << t.profiler.alertLog()[0];
 }
 
 TEST(FlightRecorderTest, CheckerViolationDumpsBoundedTrace)

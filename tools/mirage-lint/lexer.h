@@ -5,11 +5,9 @@
  * This is deliberately not a compiler frontend: the checks below need
  * token streams with line numbers, comment side-tables (suppressions
  * and fixture expectations ride in comments) and balanced-bracket
- * structure, none of which requires name lookup or templates. When a
- * libclang development environment is available the same checks can be
- * rebuilt on the clang AST (see MIRAGE_LINT_FRONTEND in the CMake
- * file); the token frontend is the dependency-free default so the lint
- * gate runs everywhere the tree builds.
+ * structure, none of which requires name lookup or templates. Staying
+ * dependency-free keeps the lint gate running everywhere the tree
+ * builds.
  */
 
 #ifndef MIRAGE_LINT_LEXER_H
