@@ -34,11 +34,10 @@ Cstruct::ofString(const std::string &s)
 }
 
 void
-Cstruct::checkRange(std::size_t off, std::size_t n) const
+Cstruct::rangePanic(std::size_t off, std::size_t n) const
 {
-    if (off + n > len_)
-        panic("Cstruct: access [%zu, %zu) in view of %zu bytes", off,
-              off + n, len_);
+    panic("Cstruct: access [%zu, %zu) in view of %zu bytes", off, off + n,
+          len_);
 }
 
 Cstruct
@@ -62,104 +61,6 @@ Cstruct::trySub(std::size_t off, std::size_t len) const
         return boundsError(strprintf("sub [%zu,+%zu) of %zu-byte view", off,
                                      len, len_));
     return Cstruct(buf_, off_ + off, len);
-}
-
-u8
-Cstruct::getU8(std::size_t off) const
-{
-    checkRange(off, 1);
-    return buf_->data()[off_ + off];
-}
-
-u16
-Cstruct::getBe16(std::size_t off) const
-{
-    checkRange(off, 2);
-    return loadBe16(buf_->data() + off_ + off);
-}
-
-u32
-Cstruct::getBe32(std::size_t off) const
-{
-    checkRange(off, 4);
-    return loadBe32(buf_->data() + off_ + off);
-}
-
-u64
-Cstruct::getBe64(std::size_t off) const
-{
-    checkRange(off, 8);
-    return loadBe64(buf_->data() + off_ + off);
-}
-
-u16
-Cstruct::getLe16(std::size_t off) const
-{
-    checkRange(off, 2);
-    return loadLe16(buf_->data() + off_ + off);
-}
-
-u32
-Cstruct::getLe32(std::size_t off) const
-{
-    checkRange(off, 4);
-    return loadLe32(buf_->data() + off_ + off);
-}
-
-u64
-Cstruct::getLe64(std::size_t off) const
-{
-    checkRange(off, 8);
-    return loadLe64(buf_->data() + off_ + off);
-}
-
-void
-Cstruct::setU8(std::size_t off, u8 v)
-{
-    checkRange(off, 1);
-    buf_->data()[off_ + off] = v;
-}
-
-void
-Cstruct::setBe16(std::size_t off, u16 v)
-{
-    checkRange(off, 2);
-    storeBe16(buf_->data() + off_ + off, v);
-}
-
-void
-Cstruct::setBe32(std::size_t off, u32 v)
-{
-    checkRange(off, 4);
-    storeBe32(buf_->data() + off_ + off, v);
-}
-
-void
-Cstruct::setBe64(std::size_t off, u64 v)
-{
-    checkRange(off, 8);
-    storeBe64(buf_->data() + off_ + off, v);
-}
-
-void
-Cstruct::setLe16(std::size_t off, u16 v)
-{
-    checkRange(off, 2);
-    storeLe16(buf_->data() + off_ + off, v);
-}
-
-void
-Cstruct::setLe32(std::size_t off, u32 v)
-{
-    checkRange(off, 4);
-    storeLe32(buf_->data() + off_ + off, v);
-}
-
-void
-Cstruct::setLe64(std::size_t off, u64 v)
-{
-    checkRange(off, 8);
-    storeLe64(buf_->data() + off_ + off, v);
 }
 
 Result<u8>

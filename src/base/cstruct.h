@@ -59,21 +59,25 @@ class Cstruct
     /** Checked variant of sub for parser use. */
     Result<Cstruct> trySub(std::size_t off, std::size_t len) const;
 
-    /** @{ Fixed-layout accessors; panic on out-of-range (library bug). */
-    u8 getU8(std::size_t off) const;
-    u16 getBe16(std::size_t off) const;
-    u32 getBe32(std::size_t off) const;
-    u64 getBe64(std::size_t off) const;
-    u16 getLe16(std::size_t off) const;
-    u32 getLe32(std::size_t off) const;
-    u64 getLe64(std::size_t off) const;
-    void setU8(std::size_t off, u8 v);
-    void setBe16(std::size_t off, u16 v);
-    void setBe32(std::size_t off, u32 v);
-    void setBe64(std::size_t off, u64 v);
-    void setLe16(std::size_t off, u16 v);
-    void setLe32(std::size_t off, u32 v);
-    void setLe64(std::size_t off, u64 v);
+    /**
+     * @{ Fixed-layout accessors; panic on out-of-range (library bug).
+     * Inline: ring indices and header fields are read on every event,
+     * so the check stays but the call does not.
+     */
+    u8 getU8(std::size_t off) const { return *at(off, 1); }
+    u16 getBe16(std::size_t off) const { return loadBe16(at(off, 2)); }
+    u32 getBe32(std::size_t off) const { return loadBe32(at(off, 4)); }
+    u64 getBe64(std::size_t off) const { return loadBe64(at(off, 8)); }
+    u16 getLe16(std::size_t off) const { return loadLe16(at(off, 2)); }
+    u32 getLe32(std::size_t off) const { return loadLe32(at(off, 4)); }
+    u64 getLe64(std::size_t off) const { return loadLe64(at(off, 8)); }
+    void setU8(std::size_t off, u8 v) { *at(off, 1) = v; }
+    void setBe16(std::size_t off, u16 v) { storeBe16(at(off, 2), v); }
+    void setBe32(std::size_t off, u32 v) { storeBe32(at(off, 4), v); }
+    void setBe64(std::size_t off, u64 v) { storeBe64(at(off, 8), v); }
+    void setLe16(std::size_t off, u16 v) { storeLe16(at(off, 2), v); }
+    void setLe32(std::size_t off, u32 v) { storeLe32(at(off, 4), v); }
+    void setLe64(std::size_t off, u64 v) { storeLe64(at(off, 8), v); }
     /** @} */
 
     /** @{ Checked accessors for parsing untrusted input. */
@@ -115,7 +119,22 @@ class Cstruct
     std::size_t bufferOffset() const { return off_; }
 
   private:
-    void checkRange(std::size_t off, std::size_t n) const;
+    void
+    checkRange(std::size_t off, std::size_t n) const
+    {
+        if (off + n > len_) [[unlikely]]
+            rangePanic(off, n);
+    }
+
+    /** The checked address of [off, off+n) for a fixed-layout access. */
+    u8 *
+    at(std::size_t off, std::size_t n) const
+    {
+        checkRange(off, n);
+        return buf_->data() + off_ + off;
+    }
+
+    [[noreturn]] void rangePanic(std::size_t off, std::size_t n) const;
 
     std::shared_ptr<Buffer> buf_;
     std::size_t off_;

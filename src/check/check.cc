@@ -81,44 +81,69 @@ Checker::report() const
 
 // ---- Grant tables ----------------------------------------------------------
 
+Checker::GrantShadow *
+Checker::findGrant(u32 owner, u32 ref)
+{
+    auto d = doms_.find(owner);
+    if (d == doms_.end())
+        return nullptr;
+    auto it = d->second.grants.find(ref);
+    return it == d->second.grants.end() ? nullptr : &it->second;
+}
+
+bool
+Checker::wasRevoked(u32 owner, u32 ref) const
+{
+    auto d = doms_.find(owner);
+    return d != doms_.end() && d->second.revoked.count(ref);
+}
+
+void
+Checker::setMapCount(u32 owner, u32 ref, GrantShadow &g, u32 n)
+{
+    if ((g.mapCount > 0) != (n > 0)) {
+        std::unordered_set<u64> &mapped = doms_[g.peer].mapped;
+        if (n > 0)
+            mapped.insert(grantKey(owner, ref));
+        else
+            mapped.erase(grantKey(owner, ref));
+    }
+    g.mapCount = n;
+}
+
 void
 Checker::grantCreated(u32 owner, u32 ref, u32 peer)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    if (grants_.count(key)) {
+    if (!doms_[owner].grants.try_emplace(ref, GrantShadow{peer, 0}).second)
         violation(Subsystem::Grant, "ref_reused",
                   strprintf("dom%u re-issued active ref %u", owner, ref));
-        return;
-    }
-    grants_.emplace(key, GrantShadow{owner, peer, 0});
 }
 
 void
 Checker::grantEndAccess(u32 owner, u32 ref, bool table_ok)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    auto it = grants_.find(key);
-    if (it == grants_.end()) {
+    GrantShadow *g = findGrant(owner, ref);
+    if (!g) {
         violation(Subsystem::Grant,
-                  revoked_.count(key) ? "double_revoke"
-                                      : "revoke_unknown_ref",
+                  wasRevoked(owner, ref) ? "double_revoke"
+                                         : "revoke_unknown_ref",
                   strprintf("dom%u endAccess(ref=%u)", owner, ref));
         return;
     }
-    if (it->second.mapCount > 0) {
+    if (g->mapCount > 0) {
         violation(Subsystem::Grant, "revoke_while_mapped",
                   strprintf("dom%u endAccess(ref=%u) with %u mappings "
                             "held by dom%u",
-                            owner, ref, it->second.mapCount,
-                            it->second.peer));
+                            owner, ref, g->mapCount, g->peer));
         // The table refuses this too; the grant stays active.
         return;
     }
     if (table_ok) {
-        grants_.erase(it);
-        revoked_.insert(key);
+        DomainShadow &d = doms_[owner];
+        d.grants.erase(ref);
+        d.revoked.insert(ref);
     }
 }
 
@@ -126,12 +151,11 @@ void
 Checker::grantMap(u32 owner, u32 ref, u32 peer, bool table_ok)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    auto it = grants_.find(key);
-    if (it == grants_.end()) {
+    GrantShadow *g = findGrant(owner, ref);
+    if (!g) {
         violation(Subsystem::Grant,
-                  revoked_.count(key) ? "use_after_revoke"
-                                      : "map_unknown_ref",
+                  wasRevoked(owner, ref) ? "use_after_revoke"
+                                         : "map_unknown_ref",
                   strprintf("dom%u mapped dom%u's ref %u", peer, owner,
                             ref));
         return;
@@ -143,31 +167,30 @@ Checker::grantMap(u32 owner, u32 ref, u32 peer, bool table_ok)
                             peer, owner, ref));
         return;
     }
-    it->second.mapCount++;
+    setMapCount(owner, ref, *g, g->mapCount + 1);
 }
 
 void
 Checker::grantUnmap(u32 owner, u32 ref, u32 peer, bool table_ok)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    auto it = grants_.find(key);
-    if (it == grants_.end()) {
+    GrantShadow *g = findGrant(owner, ref);
+    if (!g) {
         violation(Subsystem::Grant,
-                  revoked_.count(key) ? "use_after_revoke"
-                                      : "unmap_unknown_ref",
+                  wasRevoked(owner, ref) ? "use_after_revoke"
+                                         : "unmap_unknown_ref",
                   strprintf("dom%u unmapped dom%u's ref %u", peer,
                             owner, ref));
         return;
     }
-    if (it->second.peer != peer) {
+    if (g->peer != peer) {
         violation(Subsystem::Grant, "unmap_wrong_domain",
                   strprintf("dom%u unmapped dom%u's ref %u issued to "
                             "dom%u",
-                            peer, owner, ref, it->second.peer));
+                            peer, owner, ref, g->peer));
         return;
     }
-    if (it->second.mapCount == 0) {
+    if (g->mapCount == 0) {
         violation(Subsystem::Grant, "unmap_without_map",
                   strprintf("dom%u unmapped dom%u's ref %u which has "
                             "no mapping",
@@ -175,39 +198,42 @@ Checker::grantUnmap(u32 owner, u32 ref, u32 peer, bool table_ok)
         return;
     }
     if (table_ok)
-        it->second.mapCount--;
+        setMapCount(owner, ref, *g, g->mapCount - 1);
 }
 
 void
 Checker::domainTeardown(u32 dom)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::vector<u64> dead;
-    for (auto &[key, g] : grants_) {
-        if (g.owner == dom) {
-            if (g.mapCount > 0)
-                violation(Subsystem::Grant, "mapping_outlives_domain",
-                          strprintf("dom%u tore down with ref %u still "
-                                    "mapped %u time(s) by dom%u",
-                                    dom, u32(key), g.mapCount, g.peer));
-            dead.push_back(key);
-        } else if (g.peer == dom && g.mapCount > 0) {
-            violation(Subsystem::Grant, "teardown_holding_mappings",
-                      strprintf("dom%u tore down holding %u mapping(s) "
-                                "of dom%u's ref %u",
-                                dom, g.mapCount, g.owner, u32(key)));
-            // The mapper is gone; the mappings die with it.
-            g.mapCount = 0;
-        }
+    auto it = doms_.find(dom);
+    if (it == doms_.end())
+        return;
+    DomainShadow &self = it->second;
+    // Grants it issued that a peer still maps. Clearing the count also
+    // drops them from the peer's (or its own) `mapped` index.
+    for (auto &[ref, g] : self.grants) {
+        if (g.mapCount == 0)
+            continue;
+        violation(Subsystem::Grant, "mapping_outlives_domain",
+                  strprintf("dom%u tore down with ref %u still "
+                            "mapped %u time(s) by dom%u",
+                            dom, ref, g.mapCount, g.peer));
+        setMapCount(dom, ref, g, 0);
     }
-    for (u64 key : dead)
-        grants_.erase(key);
-    for (auto it = revoked_.begin(); it != revoked_.end();) {
-        if (u32(*it >> 32) == dom)
-            it = revoked_.erase(it);
-        else
-            ++it;
+    // Peers' grants it still maps: the mapper is gone, so the mappings
+    // die with it.
+    for (u64 key : self.mapped) {
+        u32 owner = u32(key >> 32), ref = u32(key);
+        GrantShadow *g = findGrant(owner, ref);
+        if (!g)
+            continue;
+        violation(Subsystem::Grant, "teardown_holding_mappings",
+                  strprintf("dom%u tore down holding %u mapping(s) "
+                            "of dom%u's ref %u",
+                            dom, g->mapCount, owner, ref));
+        g->mapCount = 0;
     }
+    doms_.erase(dom);
 }
 
 std::size_t
@@ -215,9 +241,10 @@ Checker::shadowMappedGrants() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     std::size_t n = 0;
-    for (const auto &[key, g] : grants_)
-        if (g.mapCount > 0)
-            n++;
+    for (const auto &[dom, d] : doms_)
+        for (const auto &[ref, g] : d.grants)
+            if (g.mapCount > 0)
+                n++;
     return n;
 }
 

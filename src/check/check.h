@@ -182,9 +182,20 @@ class Checker
   private:
     struct GrantShadow
     {
-        u32 owner;
         u32 peer;
         u32 mapCount = 0;
+    };
+
+    /**
+     * One domain's side of the grant protocol, indexed so its teardown
+     * touches only its own grants and mappings.
+     */
+    struct DomainShadow
+    {
+        std::unordered_map<u32, GrantShadow> grants; //!< live refs issued
+        std::unordered_set<u32> revoked;             //!< refs revoked
+        //! grantKey()s of peers' grants this domain holds mapped
+        std::unordered_set<u64> mapped;
     };
 
     struct RingShadow
@@ -208,6 +219,13 @@ class Checker
         return (u64(owner) << 32) | ref;
     }
 
+    /** The live shadow of @p owner's @p ref, or null. Holds mu_. */
+    GrantShadow *findGrant(u32 owner, u32 ref);
+    /** Whether @p owner revoked @p ref (and has not torn down). */
+    bool wasRevoked(u32 owner, u32 ref) const;
+    /** Move @p g's mapping count to @p n, keeping `mapped` in step. */
+    void setMapCount(u32 owner, u32 ref, GrantShadow &g, u32 n);
+
     bool enabled_ = false;
     Mode mode_;
     std::atomic<u64> total_{0};
@@ -220,8 +238,7 @@ class Checker
     // shard. violation() takes only last_mu_, so hooks may report
     // while holding mu_.
     mutable std::mutex mu_;
-    std::unordered_map<u64, GrantShadow> grants_;
-    std::unordered_set<u64> revoked_;
+    std::unordered_map<u32, DomainShadow> doms_;
     std::unordered_map<const void *, u32> ring_ids_;
     std::vector<RingShadow> rings_;
     std::unordered_map<const void *, HeapShadow> heaps_;

@@ -23,7 +23,7 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
 
     ring_page_ = Cstruct::create(xen::RingLayout::pageBytes());
     xen::SharedRing(ring_page_).init();
-    ring_ = std::make_unique<xen::FrontRing>(ring_page_);
+    ring_.emplace(ring_page_);
     if (auto *m = dom.engine().metrics()) {
         ring_->attachMetrics(*m, "ring.blkif");
         c_completed_ = &m->counter("blk.completed");
@@ -39,7 +39,7 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
         boot_.domain().clearPending(port_);
         onEvent();
     });
-    poller_ = std::make_unique<sim::Poller>(
+    poller_.emplace(
         dom.engine(), [this] { return drainResponses(true); },
         [this] { return ring_->finalCheckForResponses(); });
     backend.connect(dom, ring_grant, back_port);

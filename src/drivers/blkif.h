@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "drivers/grant_pool.h"
@@ -92,10 +93,10 @@ class Blkif
     u64 size_sectors_;
     xen::Port port_;
     Cstruct ring_page_;
-    std::unique_ptr<xen::FrontRing> ring_;
+    std::optional<xen::FrontRing> ring_; //!< inline: read every poll
     /** Parks rsp_event and drains completions on a timer while I/O is
      *  in flight, so backend pushes stop costing doorbells. */
-    std::unique_ptr<sim::Poller> poller_;
+    std::optional<sim::Poller> poller_;
     std::unordered_map<u64, Pending> pending_;
     std::deque<Queued> wait_queue_;
     u64 next_id_ = 0;

@@ -30,8 +30,10 @@ GrantPool::~GrantPool()
 void
 GrantPool::wireMetrics()
 {
+    if (c_issued_)
+        return; // already wired: skip the engine chase
     auto *m = boot_.domain().engine().metrics();
-    if (c_issued_ || !m)
+    if (!m)
         return;
     c_issued_ = &m->counter("grant.issued");
     c_reused_ = &m->counter("grant.reused");
@@ -57,35 +59,51 @@ struct GrantPool::Lease
 {
     Cstruct keep;                      //!< holds the page buffer alive
     std::shared_ptr<GrantPool *> pool; //!< liveness token (may be null)
+    std::size_t at = 0;                //!< index in pages_ when leased
 
     ~Lease()
     {
-        GrantPool *p = pool ? *pool : nullptr;
-        if (!p)
-            return; // page outlived the pool
-        // Copy: a listener may unsubscribe while we iterate.
-        auto listeners = p->listeners_;
-        for (auto &[token, fn] : listeners)
-            fn();
+        if (GrantPool *p = pool ? *pool : nullptr)
+            p->leaseDied(at, keep.buffer().get());
+        // else: the page outlived the pool
     }
 };
 
 Cstruct
-GrantPool::leased(const Cstruct &page)
+GrantPool::leased(std::size_t at)
 {
+    PooledPage &p = pages_[at];
+    p.leased = true;
     auto lease = std::make_shared<Lease>();
-    lease->keep = page;
+    lease->keep = p.page;
     lease->pool = alive_.lock();
+    lease->at = at;
     // Aliasing view: shares the lease's lifetime, points at the page's
     // buffer — page_index_ lookups by buffer identity still match.
-    std::shared_ptr<Buffer> alias(std::move(lease),
-                                  page.buffer().get());
+    std::shared_ptr<Buffer> alias(std::move(lease), p.page.buffer().get());
     return Cstruct(std::move(alias));
+}
+
+void
+GrantPool::leaseDied(std::size_t at, const Buffer *buf)
+{
+    // drain() may have emptied pages_ since; the lease's own reference
+    // keeps its buffer alive, so a matching identity is the same page.
+    if (at < pages_.size() && pages_[at].page.buffer().get() == buf)
+        pages_[at].leased = false;
+    firing_++;
+    for (std::size_t i = 0; i < listeners_.size(); i++)
+        if (listeners_[i].first != 0)
+            listeners_[i].second();
+    if (--firing_ == 0)
+        std::erase_if(listeners_,
+                      [](const auto &l) { return l.first == 0; });
 }
 
 u64
 GrantPool::addRecycleListener(std::function<void()> fn)
 {
+    CHECK(firing_ == 0);
     u64 token = next_listener_++;
     listeners_.emplace_back(token, std::move(fn));
     return token;
@@ -94,8 +112,16 @@ GrantPool::addRecycleListener(std::function<void()> fn)
 void
 GrantPool::removeRecycleListener(u64 token)
 {
-    std::erase_if(listeners_,
-                  [token](const auto &p) { return p.first == token; });
+    if (firing_ == 0) {
+        std::erase_if(listeners_,
+                      [token](const auto &l) { return l.first == token; });
+        return;
+    }
+    // Mid-fire: a running listener may be the one removed, so only
+    // mark it; leaseDied() erases once the loop is done.
+    for (auto &l : listeners_)
+        if (l.first == token)
+            l.first = 0;
 }
 
 bool
@@ -115,18 +141,21 @@ Result<Cstruct>
 GrantPool::acquirePage()
 {
     wireMetrics();
-    if (!pages_.empty()) {
-        for (std::size_t i = 0; i < pages_.size(); i++) {
-            std::size_t at = (scan_hint_ + i) % pages_.size();
-            if (pageFree(pages_[at])) {
-                scan_hint_ = (at + 1) % pages_.size();
-                // The grant-op saving is counted at regionFor(), once
-                // per wire operation; here we only pay the pool scan.
-                boot_.domain().vcpu().charge(sim::costs().grantReuse, "grant.reuse",
-                                 trace::Cat::Hypervisor);
-                return leased(pages_[at].page);
-            }
-        }
+    std::size_t n = pages_.size();
+    std::size_t start = n ? scan_hint_ % n : 0;
+    for (std::size_t i = 0; i < n; i++) {
+        std::size_t at = start + i < n ? start + i : start + i - n;
+        // A leased page is busy: skip it without touching its buffer
+        // or the grant table. Others may still be borrowed outside a
+        // lease (a backend mapping), so pageFree() has the last word.
+        if (pages_[at].leased || !pageFree(pages_[at]))
+            continue;
+        scan_hint_ = at + 1 == n ? 0 : at + 1;
+        // The grant-op saving is counted at regionFor(), once per wire
+        // operation; here we only pay the pool scan.
+        boot_.domain().vcpu().charge(sim::costs().grantReuse,
+                                     "grant.reuse", trace::Cat::Hypervisor);
+        return leased(at);
     }
     if (pages_.size() >= sim::tuning().frontendPoolPages)
         return exhaustedError("grant pool at capacity, no free page");
@@ -143,7 +172,7 @@ GrantPool::acquirePage()
     trace::bump(c_issued_);
     page_index_.emplace(page.value().buffer().get(), pages_.size());
     pages_.push_back(PooledPage{page.value(), gref});
-    return leased(page.value());
+    return leased(pages_.size() - 1);
 }
 
 GrantPool::Region

@@ -82,6 +82,7 @@ class GrantPool
      * Subscribe to pooled-page returns (a leased page's last borrower
      * view dropped, so acquirePage can hand it out again). Fired from a
      * view destructor — listeners must defer real work to the engine.
+     * A listener may remove listeners but must not add one.
      * @return a token for removeRecycleListener.
      */
     u64 addRecycleListener(std::function<void()> fn);
@@ -124,6 +125,10 @@ class GrantPool
     {
         Cstruct page;
         xen::GrantRef gref;
+        //! A lease is live. Its keep reference makes pageFree() false,
+        //! so the free scan skips the page without asking the grant
+        //! table.
+        bool leased = false;
     };
 
     struct Registered
@@ -136,7 +141,8 @@ class GrantPool
     struct Lease;
 
     bool pageFree(const PooledPage &p) const;
-    Cstruct leased(const Cstruct &page);
+    Cstruct leased(std::size_t at);
+    void leaseDied(std::size_t at, const Buffer *buf);
     void evictRegistryIfNeeded();
     void wireMetrics();
     void chargeReuse();
@@ -153,7 +159,9 @@ class GrantPool
     u64 issued_ = 0;
     u64 reused_ = 0;
     u64 next_listener_ = 1;
+    //! Token 0 marks an entry removed while firing, erased afterwards.
     std::vector<std::pair<u64, std::function<void()>>> listeners_;
+    int firing_ = 0; //!< leaseDied() depth; listeners_ must not move
     trace::Counter *c_issued_ = nullptr;
     trace::Counter *c_reused_ = nullptr;
     //! Liveness token shared with the (unremovable) shutdown hook.

@@ -15,7 +15,7 @@ namespace mirage::drivers {
 
 Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
              xen::MacBytes mac)
-    : boot_(boot), mac_(mac)
+    : boot_(boot), engine_(boot.domain().engine()), mac_(mac)
 {
     xen::Domain &dom = boot_.domain();
     xen::Domain &back_dom = backend.backendDomain();
@@ -26,14 +26,14 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
     rx_ring_page_ = Cstruct::create(xen::RingLayout::pageBytes());
     xen::SharedRing(tx_ring_page_).init();
     xen::SharedRing(rx_ring_page_).init();
-    tx_ring_ = std::make_unique<xen::FrontRing>(tx_ring_page_);
-    rx_ring_ = std::make_unique<xen::FrontRing>(rx_ring_page_);
-    if (auto *m = dom.engine().metrics()) {
+    tx_ring_.emplace(tx_ring_page_);
+    rx_ring_.emplace(rx_ring_page_);
+    if (auto *m = engine_.metrics()) {
         tx_ring_->attachMetrics(*m, "ring.netif.tx");
         rx_ring_->attachMetrics(*m, "ring.netif.rx");
     }
-    tx_ring_->attachChecker(dom.engine().checker(), "ring.netif.tx");
-    rx_ring_->attachChecker(dom.engine().checker(), "ring.netif.rx");
+    tx_ring_->attachChecker(engine_.checker(), "ring.netif.tx");
+    rx_ring_->attachChecker(engine_.checker(), "ring.netif.rx");
 
     xen::GrantRef tx_grant = dom.grantTable().grantAccess(
         back_dom.id(), tx_ring_page_, false);
@@ -71,8 +71,8 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
             scheduleRxRepost();
     });
 
-    poller_ = std::make_unique<sim::Poller>(
-        dom.engine(),
+    poller_.emplace(
+        engine_,
         [this] {
             bool tx = drainTxResponses(true);
             bool rx = drainRxResponses(true);
@@ -93,7 +93,7 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
     // Structural connect work for the boot-phase breakdown: two shared
     // rings initialised, two ring pages granted, two event-channel
     // pairs wired.
-    if (trace::BootTracker *boots = dom.engine().boots())
+    if (trace::BootTracker *boots = engine_.boots())
         boots->notePhaseOps(boots->current(), "device_connect", 6);
 }
 
@@ -102,7 +102,7 @@ Netif::~Netif()
     pool_->removeRecycleListener(pool_recycle_listener_);
     boot_.ioPages().removeRecycleListener(recycle_listener_);
     if (repost_pending_)
-        boot_.domain().engine().cancel(repost_event_);
+        engine_.cancel(repost_event_);
 }
 
 Result<Cstruct>
@@ -126,8 +126,7 @@ u32
 Netif::flowTrack()
 {
     if (track_ == 0) {
-        if (auto *tr = boot_.domain().engine().tracer();
-            tr && tr->enabled())
+        if (auto *tr = engine_.tracer(); tr && tr->enabled())
             track_ = tr->track(boot_.domain().name() + "/netif");
     }
     return track_;
@@ -142,12 +141,10 @@ Netif::writeFrameV(const std::vector<Cstruct> &frags, TxOffload offload)
         p->cancel();
         return p;
     }
-    sim::Engine &engine = boot_.domain().engine();
     u64 flow = 0;
-    if (auto *fl = engine.flows();
-        fl && fl->enabled() && fl->current()) {
+    if (auto *fl = engine_.flows(); fl && fl->enabled() && fl->current()) {
         flow = fl->current();
-        fl->stageBegin(flow, "netif_tx", engine.now(), flowTrack());
+        fl->stageBegin(flow, "netif_tx", engine_.now(), flowTrack());
     }
     // A chain longer than the whole ring can never be enqueued: fail
     // it now instead of parking it at the head of the wait queue,
@@ -177,34 +174,33 @@ Netif::abortTx(const std::vector<Cstruct> &frags, const rt::PromisePtr &p,
                u64 flow)
 {
     tx_errors_++;
-    sim::Engine &engine = boot_.domain().engine();
     if (flow) {
-        if (auto *fl = engine.flows())
-            fl->stageEnd(flow, "netif_tx", engine.now(), flowTrack());
+        if (auto *fl = engine_.flows())
+            fl->stageEnd(flow, "netif_tx", engine_.now(), flowTrack());
     }
     // Chain-abort invariant: dropping the chain must return every
     // grant-pool lease its fragments held. The caller's frags vector
     // is still alive during this call, so the check runs after the
     // current event — by then only a leaked lease keeps a page busy.
-    if (auto *ck = engine.checker(); ck && ck->enabled()) {
+    if (auto *ck = engine_.checker(); ck && ck->enabled()) {
         std::vector<const Buffer *> bufs;
         bufs.reserve(frags.size());
         for (const Cstruct &f : frags)
             bufs.push_back(f.buffer().get());
-        engine.after(Duration::nanos(0),
-                     [this, bufs = std::move(bufs)] {
-                         auto *c = boot_.domain()
-                                       .hypervisor()
-                                       .engine()
-                                       .checker();
-                         for (const Buffer *b : bufs)
-                             if (!pool_->bufferIsFree(b))
-                                 c->violation(
-                                     check::Subsystem::Net,
-                                     "tx.abort_leaked_lease",
-                                     "aborted tx chain still holds a "
-                                     "grant-pool page lease");
-                     });
+        engine_.after(Duration::nanos(0),
+                      [this, bufs = std::move(bufs)] {
+                          auto *c = boot_.domain()
+                                        .hypervisor()
+                                        .engine()
+                                        .checker();
+                          for (const Buffer *b : bufs)
+                              if (!pool_->bufferIsFree(b))
+                                  c->violation(
+                                      check::Subsystem::Net,
+                                      "tx.abort_leaked_lease",
+                                      "aborted tx chain still holds a "
+                                      "grant-pool page lease");
+                      });
     }
     p->cancel();
 }
@@ -317,7 +313,7 @@ Netif::scheduleRxRepost()
     if (repost_pending_)
         return;
     repost_pending_ = true;
-    repost_event_ = boot_.domain().engine().after(
+    repost_event_ = engine_.after(
         Duration::nanos(0), [this] {
             repost_pending_ = false;
             postRxBuffers();
@@ -383,8 +379,7 @@ Netif::postRxBuffers()
             rx_stalled_ = true;
             rx_stalls_++;
             if (!c_rx_stalls_) {
-                if (auto *m =
-                        dom.engine().metrics())
+                if (auto *m = engine_.metrics())
                     c_rx_stalls_ = &m->counter("netif.rx.stalls");
             }
             trace::bump(c_rx_stalls_);
@@ -412,8 +407,7 @@ Netif::onEvent()
 bool
 Netif::drainTxResponses(bool park)
 {
-    trace::ProfScope pscope(
-        boot_.domain().engine().profiler(), "net/netif");
+    trace::ProfScope pscope(engine_.profiler(), "net/netif");
     bool any = false;
     do {
         while (tx_ring_->unconsumedResponses() > 0) {
@@ -441,15 +435,14 @@ Netif::drainTxResponses(bool park)
             // non-final one.
             if (--frame.remaining > 0)
                 continue;
-            sim::Engine &engine = boot_.domain().engine();
             if (frame.flow) {
-                if (auto *fl = engine.flows())
-                    fl->stageEnd(frame.flow, "netif_tx", engine.now(),
+                if (auto *fl = engine_.flows())
+                    fl->stageEnd(frame.flow, "netif_tx", engine_.now(),
                                  flowTrack());
             }
             // Continuations of the resolve belong to the frame's flow,
             // not to whatever flow the backend's notify carried.
-            trace::FlowScope scope(frame.flow ? engine.flows() : nullptr,
+            trace::FlowScope scope(frame.flow ? engine_.flows() : nullptr,
                                    frame.flow);
             if (!frame.failed) {
                 tx_completed_++;
@@ -473,8 +466,7 @@ Netif::drainTxResponses(bool park)
 bool
 Netif::drainRxResponses(bool park)
 {
-    trace::ProfScope pscope(
-        boot_.domain().engine().profiler(), "net/netif");
+    trace::ProfScope pscope(engine_.profiler(), "net/netif");
     bool delivered = false;
     do {
         while (rx_ring_->unconsumedResponses() > 0) {
@@ -502,10 +494,8 @@ Netif::drainRxResponses(bool park)
                 // this drain may run off the poll timer, which carries
                 // no flow of its own, so the stamp is the only tie
                 // between the frame and its request.
-                sim::Engine &engine =
-                    boot_.domain().engine();
                 u64 flow = rsp.getLe32(xen::NetifWire::rxrspFlow);
-                trace::FlowScope scope(flow ? engine.flows() : nullptr,
+                trace::FlowScope scope(flow ? engine_.flows() : nullptr,
                                        flow);
                 // Zero-copy delivery: the stack gets a view of the
                 // pool page; the page recycles when all views drop.

@@ -15,6 +15,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -142,18 +143,21 @@ class Netif
     u32 flowTrack();
 
     pvboot::PVBoot &boot_;
+    sim::Engine &engine_; //!< the domain's home shard
     xen::MacBytes mac_;
     xen::DomId backend_domid_ = 0;
     xen::Port tx_port_;
     xen::Port rx_port_;
     Cstruct tx_ring_page_;
     Cstruct rx_ring_page_;
-    std::unique_ptr<xen::FrontRing> tx_ring_;
-    std::unique_ptr<xen::FrontRing> rx_ring_;
+    // Held inline: every poll reads both rings' headers, and a separate
+    // allocation would add a cache miss per read.
+    std::optional<xen::FrontRing> tx_ring_;
+    std::optional<xen::FrontRing> rx_ring_;
     std::unique_ptr<GrantPool> pool_;
     /** Parks both rings' rsp_event and drains on a timer while the
      *  device is busy, so backend pushes stop costing doorbells. */
-    std::unique_ptr<sim::Poller> poller_;
+    std::optional<sim::Poller> poller_;
     std::unordered_map<u16, TxPending> tx_pending_;
     std::unordered_map<u16, RxPosted> rx_posted_;
     std::deque<QueuedTx> tx_wait_queue_;

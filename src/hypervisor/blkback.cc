@@ -146,7 +146,7 @@ Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
     ring_grant_ = ring_grant;
     pmap_.bind(&frontend);
     bell_ = std::make_unique<LazyDoorbell>(hv.events(), dom_, port_);
-    ring_ = std::make_unique<BackRing>(page.value());
+    ring_.emplace(page.value());
     if (auto *m = dom_.engine().metrics())
         ring_->attachMetrics(*m, "ring.blkback");
     ring_->attachChecker(dom_.engine().checker(), "ring.blkback");

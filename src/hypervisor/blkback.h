@@ -8,6 +8,7 @@
 #define MIRAGE_HYPERVISOR_BLKBACK_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -128,7 +129,7 @@ class Blkback
     Domain *frontend_ = nullptr;
     Port port_ = 0;
     GrantRef ring_grant_ = 0;
-    std::unique_ptr<BackRing> ring_;
+    std::optional<BackRing> ring_; //!< inline: read every drain
     std::vector<GrantRef> mapped_grefs_; //!< one-shot data grants in flight
     /** gref → page cache for persistent data grants. */
     GrantMapCache pmap_;

@@ -15,8 +15,10 @@ GrantMapCache::GrantMapCache(Domain &mapper, std::string prefix)
 void
 GrantMapCache::wireMetrics()
 {
+    if (c_hits_)
+        return; // already wired: skip the engine chase
     auto *m = dom_.engine().metrics();
-    if (c_hits_ || !m)
+    if (!m)
         return;
     c_hits_ = &m->counter(prefix_ + ".pmap.hits");
     c_misses_ = &m->counter(prefix_ + ".pmap.misses");

@@ -211,7 +211,7 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
     pmap_.bind(&frontend_);
     rx_bell_ = std::make_unique<LazyDoorbell>(hv.events(), owner_.dom_,
                                               rx_port_);
-    tx_poller_ = std::make_unique<sim::Poller>(
+    tx_poller_.emplace(
         owner_.dom_.engine(),
         [this] { return tx_ring_ ? drainTx(true) : false; },
         [this] {
@@ -224,8 +224,8 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
     if (!tx_page.ok() || !rx_page.ok())
         fatal("netback: cannot map ring grants for %s",
               frontend_.name().c_str());
-    tx_ring_ = std::make_unique<BackRing>(tx_page.value());
-    rx_ring_ = std::make_unique<BackRing>(rx_page.value());
+    tx_ring_.emplace(tx_page.value());
+    rx_ring_.emplace(rx_page.value());
     if (auto *m = owner_.dom_.engine().metrics()) {
         tx_ring_->attachMetrics(*m, "ring.netback.tx");
         rx_ring_->attachMetrics(*m, "ring.netback.rx");

@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
 #include <string>
@@ -248,8 +249,9 @@ class Netback
         Port rx_port_;
         GrantRef tx_ring_grant_;
         GrantRef rx_ring_grant_;
-        std::unique_ptr<BackRing> tx_ring_;
-        std::unique_ptr<BackRing> rx_ring_;
+        // Inline (not heap-allocated): polled on every tx drain.
+        std::optional<BackRing> tx_ring_;
+        std::optional<BackRing> rx_ring_;
         /** gref → page cache for persistent grants (both directions —
          *  the frontend pool issues writable grants, so one mapping
          *  serves tx reads and rx fills alike). */
@@ -259,7 +261,7 @@ class Netback
         /** Parks the tx ring's req_event and drains on a timer while
          *  the frontend is transmitting (frontend pushes then stop
          *  ringing the doorbell). */
-        std::unique_ptr<sim::Poller> tx_poller_;
+        std::optional<sim::Poller> tx_poller_;
         struct PostedRx
         {
             u16 id;

@@ -4,26 +4,39 @@
 
 namespace mirage::xen {
 
+PageTables::Entry *
+PageTables::find(u64 vpn)
+{
+    auto it = leaves_.find(vpn >> leafBits);
+    if (it == leaves_.end())
+        return nullptr;
+    std::size_t i = vpn & (leafPages - 1);
+    return it->second.present.test(i) ? &it->second.entries[i] : nullptr;
+}
+
 Status
 PageTables::map(u64 vpn, PagePerms perms, PageRole role)
 {
     if (sealed_) {
         // Post-seal, only fresh non-executable I/O mappings are legal
         // (§2.3.3): they must not replace any existing page.
-        bool io_ok = role == PageRole::IoPage && !perms.exec &&
-                     pages_.find(vpn) == pages_.end();
+        bool io_ok =
+            role == PageRole::IoPage && !perms.exec && !find(vpn);
         if (!io_ok) {
             refused_++;
             return stateError("page-table modification after seal");
         }
     }
-    auto [it, inserted] = pages_.try_emplace(vpn, Entry{perms, role});
-    (void)it;
-    if (!inserted) {
+    Leaf &leaf = leaves_[vpn >> leafBits];
+    std::size_t i = vpn & (leafPages - 1);
+    if (leaf.present.test(i)) {
         refused_++;
         return stateError(strprintf("vpn %llu already mapped",
                                     (unsigned long long)vpn));
     }
+    leaf.present.set(i);
+    leaf.entries[i] = Entry{perms, role};
+    mapped_++;
     updates_++;
     return Status::success();
 }
@@ -35,12 +48,12 @@ PageTables::protect(u64 vpn, PagePerms perms)
         refused_++;
         return stateError("protect after seal");
     }
-    auto it = pages_.find(vpn);
-    if (it == pages_.end()) {
+    Entry *e = find(vpn);
+    if (!e) {
         refused_++;
         return notFoundError("protect of unmapped page");
     }
-    it->second.perms = perms;
+    e->perms = perms;
     updates_++;
     return Status::success();
 }
@@ -52,10 +65,16 @@ PageTables::unmap(u64 vpn)
         refused_++;
         return stateError("unmap after seal");
     }
-    if (pages_.erase(vpn) == 0) {
+    auto it = leaves_.find(vpn >> leafBits);
+    std::size_t i = vpn & (leafPages - 1);
+    if (it == leaves_.end() || !it->second.present.test(i)) {
         refused_++;
         return notFoundError("unmap of unmapped page");
     }
+    it->second.present.reset(i);
+    if (it->second.present.none())
+        leaves_.erase(it);
+    mapped_--;
     updates_++;
     return Status::success();
 }
@@ -65,11 +84,15 @@ PageTables::seal()
 {
     if (sealed_)
         return stateError("domain already sealed");
-    for (const auto &[vpn, entry] : pages_) {
-        if (violatesWx(entry.perms))
-            return stateError(strprintf(
-                "seal refused: vpn %llu is writable and executable",
-                (unsigned long long)vpn));
+    // Leaves iterate in key order and entries in index order, so the
+    // first violation reported is the lowest offending vpn.
+    for (const auto &[key, leaf] : leaves_) {
+        for (std::size_t i = 0; i < leafPages; i++) {
+            if (leaf.present.test(i) && violatesWx(leaf.entries[i].perms))
+                return stateError(strprintf(
+                    "seal refused: vpn %llu is writable and executable",
+                    (unsigned long long)((key << leafBits) | i)));
+        }
     }
     sealed_ = true;
     return Status::success();
@@ -78,8 +101,7 @@ PageTables::seal()
 const PageTables::Entry *
 PageTables::lookup(u64 vpn) const
 {
-    auto it = pages_.find(vpn);
-    return it == pages_.end() ? nullptr : &it->second;
+    return const_cast<PageTables *>(this)->find(vpn);
 }
 
 bool

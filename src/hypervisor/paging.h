@@ -14,6 +14,8 @@
 #ifndef MIRAGE_HYPERVISOR_PAGING_H
 #define MIRAGE_HYPERVISOR_PAGING_H
 
+#include <array>
+#include <bitset>
 #include <cstddef>
 #include <map>
 
@@ -39,7 +41,7 @@ struct PagePerms
 };
 
 /** Role of a region, used for layout accounting and guard checks. */
-enum class PageRole {
+enum class PageRole : u8 {
     Text,    //!< executable code
     Data,    //!< static data
     Heap,    //!< GC heaps
@@ -50,6 +52,11 @@ enum class PageRole {
 
 /**
  * One guest's page tables, keyed by virtual page number.
+ *
+ * Stored like a radix table's last level: 512-entry leaves (one 2 MB
+ * superpage of VA each) keyed by `vpn >> 9`. A guest's layout is a few
+ * dense regions (Fig 2), so it fills a handful of leaves instead of
+ * allocating one tree node per page.
  *
  * Page-table updates are counted per backend flavour by the caller (the
  * cost difference between native and PV updates drives Fig 7a); this
@@ -91,14 +98,27 @@ class PageTables
     /** Whether a store to @p vpn may proceed. */
     bool canWrite(u64 vpn) const;
 
-    std::size_t mappedPages() const { return pages_.size(); }
+    std::size_t mappedPages() const { return mapped_; }
     u64 updatesApplied() const { return updates_; }
     u64 updatesRefused() const { return refused_; }
 
   private:
+    static constexpr unsigned leafBits = 9;
+    static constexpr std::size_t leafPages = std::size_t(1) << leafBits;
+
+    struct Leaf
+    {
+        std::array<Entry, leafPages> entries{};
+        std::bitset<leafPages> present;
+    };
+
     bool violatesWx(PagePerms p) const { return p.write && p.exec; }
 
-    std::map<u64, Entry> pages_;
+    /** The present entry for @p vpn, or null. */
+    Entry *find(u64 vpn);
+
+    std::map<u64, Leaf> leaves_; //!< vpn >> leafBits → leaf
+    std::size_t mapped_ = 0;
     bool sealed_ = false;
     u64 updates_ = 0;
     u64 refused_ = 0;

@@ -16,8 +16,11 @@ liveChecker(check::Checker *ck)
 
 } // namespace
 
-SharedRing::SharedRing(Cstruct page) : page_(std::move(page))
+SharedRing::SharedRing(Cstruct page)
+    : page_(std::move(page)), hdr_(page_.data())
 {
+    // The one bounds check the header counters need: the page (and so
+    // hdr_) lives as long as this ring and never shrinks.
     CHECK_GE(page_.length(), RingLayout::pageBytes());
 }
 

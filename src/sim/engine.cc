@@ -29,6 +29,47 @@ Engine::releaseSlot(u32 idx)
     free_slots_.push_back(idx);
 }
 
+void
+Engine::KeyHeap::push(const Key &k)
+{
+    keys_.push_back(k);
+    std::size_t i = keys_.size() - 1;
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 4;
+        if (!(keys_[parent] > k))
+            break;
+        keys_[i] = keys_[parent];
+        i = parent;
+    }
+    keys_[i] = k;
+}
+
+void
+Engine::KeyHeap::pop()
+{
+    Key last = keys_.back();
+    keys_.pop_back();
+    std::size_t n = keys_.size();
+    if (n == 0)
+        return;
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        std::size_t least = first;
+        std::size_t end = first + 4 < n ? first + 4 : n;
+        for (std::size_t c = first + 1; c < end; c++)
+            if (keys_[least] > keys_[c])
+                least = c;
+        if (!(last > keys_[least]))
+            break;
+        keys_[i] = keys_[least];
+        i = least;
+    }
+    keys_[i] = last;
+}
+
 CrossKey
 Engine::nextKey()
 {
@@ -54,11 +95,14 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
         slots_.push_back(Slot{});
     }
     Slot &s = slots_[idx];
+    s.fn = std::move(fn);
+    s.hash = key.hash;
+    s.flow = flow;
+    s.pscope = pscope;
     s.state = SlotState::Pending;
     EventId id = (u64(s.gen) << 32) | (idx + 1);
     live_++;
-    queue_.push(Item{t, key.strand, key.idx, key.hash, id, flow, pscope,
-                     std::move(fn)});
+    queue_.push(Key{t, key.strand, key.idx, idx});
     return id;
 }
 
@@ -116,57 +160,70 @@ Engine::setTelemetry(trace::Telemetry *t)
 }
 
 bool
-Engine::dispatchOne(bool bounded, TimePoint limit)
+Engine::settleTop()
 {
     while (!queue_.empty()) {
-        const Item &top = queue_.top();
-        u32 idx = u32(top.id & 0xffffffffu) - 1;
-        if (slots_[idx].state == SlotState::Cancelled) {
-            // Reached the cancelled slot: drop all bookkeeping for it.
-            releaseSlot(idx);
-            cancelled_count_--;
-            live_--;
-            queue_.pop();
-            trace::bump(c_cancelled_);
-            continue;
-        }
-        if (bounded && top.when > limit)
-            return false;
-        Item item = queue_.top();
-        queue_.pop();
+        u32 idx = queue_.top().slot;
+        Slot &s = slots_[idx];
+        if (s.state != SlotState::Cancelled)
+            return true;
+        // Reached the cancelled slot: drop all bookkeeping for it. The
+        // callback dies after the pop, as if it had been queued itself.
+        std::function<void()> dead = std::move(s.fn);
         releaseSlot(idx);
+        cancelled_count_--;
         live_--;
-        now_ = item.when;
-        events_run_++;
-        checksum_ += mixKey(u64(item.when.ns()), item.hash);
-        trace::bump(c_dispatched_);
-        if (telemetry_ && telemetry_->tracer.enabled())
-            telemetry_->tracer.instant(
-                trace::Cat::Engine, "dispatch", now_, 0,
-                strprintf("\"id\":%llu", (unsigned long long)item.id));
-        {
-            // Restore the scheduling context's flow and profiler scope
-            // for the duration of the callback; anything it schedules
-            // inherits them — including the causal key context, so
-            // children order deterministically under (when, strand,
-            // idx) whatever thread runs this. Both scopes are
-            // null-safe.
-            trace::FlowScope scope(flows(), item.flow);
-            trace::ProfRestore pscope(profiler(), item.pscope);
-            Engine *prev_engine = current_;
-            u64 prev_hash = cur_hash_;
-            u64 prev_child = next_child_;
-            current_ = this;
-            cur_hash_ = item.hash;
-            next_child_ = 0;
-            item.fn();
-            cur_hash_ = prev_hash;
-            next_child_ = prev_child;
-            current_ = prev_engine;
-        }
-        return true;
+        queue_.pop();
+        trace::bump(c_cancelled_);
     }
     return false;
+}
+
+bool
+Engine::dispatchOne(bool bounded, TimePoint limit)
+{
+    if (!settleTop())
+        return false;
+    const Key &top = queue_.top();
+    if (bounded && top.when > limit)
+        return false;
+    TimePoint when = top.when;
+    u32 idx = top.slot;
+    queue_.pop();
+    Slot &s = slots_[idx];
+    std::function<void()> fn = std::move(s.fn);
+    u64 hash = s.hash;
+    u64 flow = s.flow;
+    u32 pscope = s.pscope;
+    EventId id = (u64(s.gen) << 32) | (idx + 1);
+    releaseSlot(idx);
+    live_--;
+    now_ = when;
+    events_run_++;
+    checksum_ += mixKey(u64(when.ns()), hash);
+    trace::bump(c_dispatched_);
+    if (telemetry_ && telemetry_->tracer.enabled())
+        telemetry_->tracer.instant(
+            trace::Cat::Engine, "dispatch", now_, 0,
+            strprintf("\"id\":%llu", (unsigned long long)id));
+    // Restore the scheduling context's flow and profiler scope for the
+    // duration of the callback; anything it schedules inherits them —
+    // including the causal key context, so children order
+    // deterministically under (when, strand, idx) whatever thread runs
+    // this. Both scopes are null-safe.
+    trace::FlowScope fscope(flows(), flow);
+    trace::ProfRestore prestore(profiler(), pscope);
+    Engine *prev_engine = current_;
+    u64 prev_hash = cur_hash_;
+    u64 prev_child = next_child_;
+    current_ = this;
+    cur_hash_ = hash;
+    next_child_ = 0;
+    fn();
+    cur_hash_ = prev_hash;
+    next_child_ = prev_child;
+    current_ = prev_engine;
+    return true;
 }
 
 bool
@@ -212,20 +269,7 @@ Engine::runWindow(TimePoint end)
 TimePoint
 Engine::nextEventTime()
 {
-    while (!queue_.empty()) {
-        const Item &top = queue_.top();
-        u32 idx = u32(top.id & 0xffffffffu) - 1;
-        if (slots_[idx].state == SlotState::Cancelled) {
-            releaseSlot(idx);
-            cancelled_count_--;
-            live_--;
-            queue_.pop();
-            trace::bump(c_cancelled_);
-            continue;
-        }
-        return top.when;
-    }
-    return kNever;
+    return settleTop() ? queue_.top().when : kNever;
 }
 
 } // namespace mirage::sim

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "base/time.h"
@@ -222,19 +221,20 @@ class Engine
     check::Checker *checker() const { return checker_; }
 
   private:
-    struct Item
+    /**
+     * Heap entry: the ordering key plus the slot holding everything
+     * else. Kept to 32 bytes so sift-up/down moves little memory; the
+     * callback never moves while its event is queued.
+     */
+    struct Key
     {
         TimePoint when;
         u64 strand; //!< identity hash of the scheduling event
         u64 idx;    //!< sibling index within that dispatch
-        u64 hash;   //!< this event's own identity (mixKey(strand, idx))
-        EventId id;
-        u64 flow;   //!< ambient FlowId captured at schedule time
-        u32 pscope; //!< ambient profiler scope captured alongside
-        std::function<void()> fn;
+        u32 slot;   //!< index into slots_
 
         bool
-        operator>(const Item &o) const
+        operator>(const Key &o) const
         {
             if (when != o.when)
                 return when > o.when;
@@ -245,10 +245,30 @@ class Engine
     };
 
     /**
+     * A 4-ary min-heap of keys: half the levels of a binary heap, and
+     * a node's four children fill two cache lines. No two pending keys
+     * are equal — (strand, idx) names one child of one dispatch — so
+     * the pop order is the total (when, strand, idx) order, whatever
+     * the heap's shape.
+     */
+    class KeyHeap
+    {
+      public:
+        bool empty() const { return keys_.empty(); }
+        std::size_t size() const { return keys_.size(); }
+        const Key &top() const { return keys_.front(); }
+        void push(const Key &k);
+        void pop();
+
+      private:
+        std::vector<Key> keys_;
+    };
+
+    /**
      * Scheduling bookkeeping: one slot per live event, recycled through
-     * a free list. Replaces the previous pending_/cancelled_ hash sets —
-     * scheduling, cancelling and dispatching are now O(1) array
-     * operations instead of two hash lookups per event.
+     * a free list, so scheduling, cancelling and dispatching are O(1)
+     * array operations. The slot owns the callback and the context
+     * restored around it.
      */
     enum class SlotState : u8
     {
@@ -259,6 +279,10 @@ class Engine
 
     struct Slot
     {
+        std::function<void()> fn;
+        u64 hash = 0;   //!< the event's identity (mixKey(strand, idx))
+        u64 flow = 0;   //!< ambient FlowId captured at schedule time
+        u32 pscope = 0; //!< ambient profiler scope captured alongside
         u32 gen = 0;
         SlotState state = SlotState::Free;
     };
@@ -273,6 +297,12 @@ class Engine
     /** Borrow a root-context key from the shard set's primary. */
     CrossKey rootKeyFromSet();
 
+    /**
+     * Pop cancelled heads, destroying their callbacks.
+     * @return true when a pending event is on top.
+     */
+    bool settleTop();
+
     /** The slot an id names, or null for stale/invalid ids. */
     Slot *slotFor(EventId id);
     void releaseSlot(u32 idx);
@@ -282,7 +312,7 @@ class Engine
     u64 next_child_ = 0; //!< next sibling index in the current context
     u64 events_run_ = 0;
     u64 checksum_ = 0;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue_;
+    KeyHeap queue_;
     std::vector<Slot> slots_;
     std::vector<u32> free_slots_;
     std::size_t live_ = 0;            //!< scheduled, not dispatched

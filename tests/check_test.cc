@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "check/check.h"
 #include "core/cloud.h"
 #include "hypervisor/blkback.h"
@@ -81,6 +85,65 @@ TEST_F(CheckedHvTest, GrantLeakAtTeardownCaught)
         << ck.lastViolation();
     EXPECT_EQ(ck.shadowMappedGrants(), 0u)
         << "teardown must drop the domain's shadow entries";
+}
+
+TEST(CheckerTeardownTest, EachDomainReportsItsOwnGrantsAndMappings)
+{
+    Checker ck{Checker::Mode::Count};
+    ck.enable();
+    std::vector<std::string> seen;
+    ck.setViolationHook([&] { seen.push_back(ck.lastViolation()); });
+    auto drain = [&] {
+        std::vector<std::string> out = std::move(seen);
+        seen.clear();
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+
+    // dom1 grants ref 7 to dom2 (mapped twice) and ref 8 to dom3;
+    // dom2 grants ref 9 to dom1 (mapped once); dom4 revokes its ref 1.
+    ck.grantCreated(1, 7, 2);
+    ck.grantCreated(1, 8, 3);
+    ck.grantCreated(2, 9, 1);
+    ck.grantCreated(4, 1, 5);
+    ck.grantMap(1, 7, 2, true);
+    ck.grantMap(1, 7, 2, true);
+    ck.grantMap(1, 8, 3, true);
+    ck.grantMap(2, 9, 1, true);
+    ck.grantEndAccess(4, 1, true);
+    EXPECT_EQ(ck.shadowMappedGrants(), 3u);
+    EXPECT_TRUE(drain().empty());
+
+    // dom2 dies holding dom1's ref 7, with its own ref 9 still mapped.
+    ck.domainTeardown(2);
+    EXPECT_EQ(drain(),
+              (std::vector<std::string>{
+                  "grant.mapping_outlives_domain: dom2 tore down with ref "
+                  "9 still mapped 1 time(s) by dom1",
+                  "grant.teardown_holding_mappings: dom2 tore down "
+                  "holding 2 mapping(s) of dom1's ref 7"}));
+    EXPECT_EQ(ck.shadowMappedGrants(), 1u);
+    // The dead mapper's mappings died with it: ref 7 revokes cleanly.
+    ck.grantEndAccess(1, 7, true);
+    EXPECT_TRUE(drain().empty());
+
+    // dom1 dies: only ref 8, still mapped by dom3, is left to report.
+    ck.domainTeardown(1);
+    EXPECT_EQ(drain(), (std::vector<std::string>{
+                           "grant.mapping_outlives_domain: dom1 tore down "
+                           "with ref 8 still mapped 1 time(s) by dom3"}));
+    ck.domainTeardown(3);
+    EXPECT_TRUE(drain().empty());
+    EXPECT_EQ(ck.shadowMappedGrants(), 0u);
+
+    // A domain's revoked refs are remembered until its teardown.
+    ck.grantEndAccess(4, 1, true);
+    ck.domainTeardown(4);
+    ck.grantEndAccess(4, 1, true);
+    EXPECT_EQ(drain(), (std::vector<std::string>{
+                           "grant.double_revoke: dom4 endAccess(ref=1)",
+                           "grant.revoke_unknown_ref: dom4 endAccess(ref=1)"}));
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 5u);
 }
 
 // ---- Shared rings -----------------------------------------------------------

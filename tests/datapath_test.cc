@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "base/rand.h"
 #include "check/check.h"
 #include "drivers/blkif.h"
 #include "drivers/netif.h"
@@ -98,6 +101,111 @@ TEST_F(DatapathTest, PoolReusesPagesAndFailsCleanlyAtCapacity)
     EXPECT_TRUE(region.persistent);
     EXPECT_EQ(region.offset, 128u);
     EXPECT_GT(pool.reused(), 0u);
+}
+
+TEST_F(DatapathTest, PoolScanPicksWhatAnExhaustiveFreeScanPicks)
+{
+    constexpr std::size_t cap = 8;
+    sim::tuning().frontendPoolPages = cap;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+
+    // Reference: the pool's pages in issue order, scanned round-robin
+    // from the last pick, asking pageFree() (bufferIsFree) about every
+    // page instead of skipping leased ones on their flag.
+    std::vector<const Buffer *> pages;
+    std::size_t hint = 0;
+    auto reference = [&]() -> const Buffer * {
+        for (std::size_t i = 0; i < pages.size(); i++) {
+            std::size_t at = (hint + i) % pages.size();
+            if (pool.bufferIsFree(pages[at])) {
+                hint = (at + 1) % pages.size();
+                return pages[at];
+            }
+        }
+        return nullptr;
+    };
+
+    Rng rng(11);
+    std::vector<Cstruct> held(8); // borrower views, some sub-views
+    std::set<const Buffer *> mapped;
+    std::vector<xen::GrantRef> mapped_refs;
+    std::vector<Cstruct> backend;   // one cached map per mapped page
+    std::vector<Cstruct> in_flight; // extra backend views: busy, unleased
+    int reused = 0, exhausted = 0;
+    for (int step = 0; step < 3000; step++) {
+        held[rng.below(held.size())] = Cstruct();
+        if (!in_flight.empty() && rng.below(2))
+            in_flight.erase(in_flight.begin() +
+                            long(rng.below(in_flight.size())));
+        const Buffer *want = reference();
+        auto got = pool.acquirePage();
+        if (!want && pages.size() == cap) {
+            EXPECT_FALSE(got.ok()) << "step " << step;
+            exhausted++;
+            continue;
+        }
+        ASSERT_TRUE(got.ok()) << "step " << step;
+        Cstruct page = got.value();
+        if (want) {
+            ASSERT_EQ(page.buffer().get(), want) << "step " << step;
+            reused++;
+        } else {
+            pages.push_back(page.buffer().get());
+        }
+        if (rng.below(3) == 0 &&
+            mapped.insert(page.buffer().get()).second) {
+            // The backend maps it persistently and caches the view.
+            xen::GrantRef gref = pool.regionFor(page).gref;
+            backend.push_back(
+                uk.grantTable().mapFor(dom0.id(), gref, true).value());
+            mapped_refs.push_back(gref);
+        } else if (rng.below(4) == 0 && !backend.empty()) {
+            // An in-flight backend op holds a mapped page without any
+            // lease: only pageFree() can tell it is busy.
+            in_flight.push_back(backend[rng.below(backend.size())]);
+        }
+        held[rng.below(held.size())] =
+            rng.below(2) ? page : page.sub(64, 128);
+        if (rng.below(4) == 0)
+            held[rng.below(held.size())] = page.sub(0, 32);
+    }
+    EXPECT_EQ(pages.size(), cap);
+    EXPECT_GT(reused, 1000);
+    EXPECT_GT(exhausted, 0);
+    held.clear();
+    in_flight.clear();
+    backend.clear();
+    for (xen::GrantRef gref : mapped_refs)
+        EXPECT_TRUE(uk.grantTable().unmapFor(dom0.id(), gref).ok());
+    EXPECT_EQ(pool.freePages(), cap);
+}
+
+TEST_F(DatapathTest, PooledPageIsReusableOnceItsLastViewDrops)
+{
+    sim::tuning().frontendPoolPages = 2;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+    int recycled = 0;
+    pool.addRecycleListener([&] { recycled++; });
+
+    Cstruct a = pool.acquirePage().value();
+    Cstruct b = pool.acquirePage().value();
+    const Buffer *b_buf = b.buffer().get();
+    Cstruct tail = b.sub(256, 64);
+    b = Cstruct();
+    // The sub-view still rides b's lease: nothing to hand out.
+    EXPECT_FALSE(pool.bufferIsFree(b_buf));
+    EXPECT_EQ(recycled, 0);
+    EXPECT_FALSE(pool.acquirePage().ok());
+    tail = Cstruct();
+    EXPECT_TRUE(pool.bufferIsFree(b_buf));
+    EXPECT_EQ(recycled, 1);
+    Cstruct again = pool.acquirePage().value();
+    EXPECT_EQ(again.buffer().get(), b_buf);
+    EXPECT_EQ(pool.issued(), 2u);
 }
 
 TEST_F(DatapathTest, TrafficFallsBackToOneShotGrantsWithoutPool)

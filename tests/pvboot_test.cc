@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "pvboot/pvboot.h"
 #include "sim/cost_model.h"
@@ -77,6 +79,92 @@ TEST_F(PvbootTest, LayoutCountsPtUpdates)
 }
 
 // ---- Slab allocator ----------------------------------------------------------
+
+TEST(PageTablesTest, MapProtectUnmapSealAcrossLeavesAndSparseRegions)
+{
+    using xen::PagePerms;
+    using xen::PageRole;
+    static_assert(sizeof(PageRole) == 1);
+    xen::PageTables pt;
+    // Both sides of a 512-page leaf boundary, then the edges of the
+    // sparse Fig 2 regions, which land in leaves far apart.
+    const u64 vpns[] = {0,
+                        511,
+                        512,
+                        513,
+                        LayoutMap::textVpn,
+                        LayoutMap::ioVpn - 1,
+                        LayoutMap::ioVpn,
+                        LayoutMap::minorHeapVpn,
+                        LayoutMap::majorHeapVpn,
+                        LayoutMap::xenReservedVpn - 1};
+    for (u64 v : vpns)
+        ASSERT_TRUE(pt.map(v, PagePerms::rw(), PageRole::Heap).ok()) << v;
+    EXPECT_EQ(pt.mappedPages(), std::size(vpns));
+    for (u64 v : vpns) {
+        const auto *e = pt.lookup(v);
+        ASSERT_NE(e, nullptr) << v;
+        EXPECT_EQ(e->role, PageRole::Heap);
+        EXPECT_TRUE(pt.canWrite(v));
+        EXPECT_FALSE(pt.canExecute(v));
+    }
+    for (u64 v : {u64(510), u64(514), LayoutMap::ioVpn + 1,
+                  LayoutMap::majorHeapVpn - 1, LayoutMap::xenReservedVpn})
+        EXPECT_EQ(pt.lookup(v), nullptr) << v;
+
+    EXPECT_FALSE(pt.map(512, PagePerms::rx(), PageRole::Text).ok());
+    EXPECT_EQ(pt.mappedPages(), std::size(vpns));
+
+    // protect changes one entry, not its leaf neighbour.
+    ASSERT_TRUE(pt.protect(512, PagePerms::rx()).ok());
+    EXPECT_TRUE(pt.canExecute(512));
+    EXPECT_FALSE(pt.canWrite(512));
+    EXPECT_TRUE(pt.canWrite(511));
+    EXPECT_FALSE(pt.protect(514, PagePerms::ro()).ok());
+
+    // Emptying a leaf and refilling it.
+    ASSERT_TRUE(pt.unmap(0).ok());
+    ASSERT_TRUE(pt.unmap(511).ok());
+    ASSERT_TRUE(pt.unmap(LayoutMap::textVpn).ok());
+    EXPECT_FALSE(pt.unmap(511).ok());
+    EXPECT_EQ(pt.lookup(511), nullptr);
+    EXPECT_NE(pt.lookup(512), nullptr);
+    ASSERT_TRUE(pt.map(511, PagePerms::ro(), PageRole::Data).ok());
+    EXPECT_EQ(pt.lookup(511)->role, PageRole::Data);
+    EXPECT_EQ(pt.mappedPages(), std::size(vpns) - 2);
+
+    // The seal names the lowest W^X page, whichever leaf holds it.
+    ASSERT_TRUE(pt.protect(LayoutMap::majorHeapVpn, PagePerms::rwx()).ok());
+    ASSERT_TRUE(pt.protect(513, PagePerms::rwx()).ok());
+    Status st = pt.seal();
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.error().message.find("vpn 513 "), std::string::npos)
+        << st.error().message;
+    ASSERT_TRUE(pt.protect(513, PagePerms::rw()).ok());
+    st = pt.seal();
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.error().message.find(
+                  "vpn " + std::to_string(LayoutMap::majorHeapVpn) + " "),
+              std::string::npos)
+        << st.error().message;
+    ASSERT_TRUE(pt.protect(LayoutMap::majorHeapVpn, PagePerms::rw()).ok());
+    ASSERT_TRUE(pt.seal().ok());
+
+    // Sealed: fresh non-executable I/O pages only, in a new leaf too.
+    u64 refused = pt.updatesRefused();
+    EXPECT_TRUE(pt.map(LayoutMap::ioVpn + 4096, PagePerms::rw(),
+                       PageRole::IoPage)
+                    .ok());
+    EXPECT_FALSE(
+        pt.map(LayoutMap::ioVpn, PagePerms::rw(), PageRole::IoPage).ok());
+    EXPECT_FALSE(pt.map(LayoutMap::ioVpn + 1, PagePerms::rx(),
+                        PageRole::IoPage)
+                     .ok());
+    EXPECT_FALSE(pt.unmap(512).ok());
+    EXPECT_FALSE(pt.protect(512, PagePerms::rw()).ok());
+    EXPECT_EQ(pt.updatesRefused(), refused + 4);
+    EXPECT_EQ(pt.mappedPages(), std::size(vpns) - 1);
+}
 
 TEST(SlabTest, AllocFreeReuse)
 {

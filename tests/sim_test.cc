@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
+#include "base/rand.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
@@ -114,6 +120,148 @@ TEST(EngineTest, CancelledSlotsAreReclaimedOnDispatch)
     EXPECT_FALSE(ran);
     EXPECT_EQ(e.cancelledBacklog(), 0u);
     EXPECT_EQ(e.pendingEvents(), 0u);
+}
+
+/**
+ * Replicates the causal key the engine gives each event — (when,
+ * strand, idx), where strand is the scheduling event's identity hash
+ * (0 at root) and idx numbers the children of one dispatch — and checks
+ * that every dispatch runs the least pending key.
+ */
+class KeyModel
+{
+  public:
+    struct Key
+    {
+        i64 when;
+        u64 strand;
+        u64 idx;
+        auto operator<=>(const Key &) const = default;
+    };
+
+    Engine engine;
+    std::set<Key> pending;
+    std::vector<Key> fired;
+
+    using Body = std::function<void(KeyModel &)>;
+
+    EventId
+    schedule(Duration d, Body body)
+    {
+        Key k{(engine.now() + d).ns(), in_event_ ? hash_ : 0,
+              in_event_ ? child_++ : root_child_++};
+        pending.insert(k);
+        EventId id = engine.after(d, [this, k, body = std::move(body)] {
+            ASSERT_FALSE(pending.empty());
+            EXPECT_TRUE(k == *pending.begin())
+                << "dispatched (" << k.when << ", " << k.strand << ", "
+                << k.idx << ") before a smaller pending key";
+            pending.erase(k);
+            fired.push_back(k);
+            in_event_ = true;
+            hash_ = mixKey(k.strand, k.idx);
+            child_ = 0;
+            body(*this);
+            in_event_ = false;
+        });
+        keys_[id] = k;
+        return id;
+    }
+
+    /** Cancel @p id; a no-op in the model once it fired. */
+    void
+    cancel(EventId id)
+    {
+        engine.cancel(id);
+        if (auto it = keys_.find(id); it != keys_.end())
+            pending.erase(it->second);
+    }
+
+  private:
+    bool in_event_ = false;
+    u64 hash_ = 0;
+    u64 child_ = 0;
+    u64 root_child_ = 0;
+    std::map<EventId, Key> keys_;
+};
+
+TEST(EngineTest, DispatchFollowsCausalKeyUnderInterleaving)
+{
+    KeyModel m;
+    Rng rng(7);
+    std::vector<EventId> ids;
+    // Each event schedules up to three children, many at the same
+    // instant, and cancels an earlier id (pending, fired or recycled).
+    std::function<void(KeyModel &, int)> body = [&](KeyModel &km,
+                                                    int depth) {
+        if (depth < 4) {
+            int kids = int(rng.below(4));
+            for (int c = 0; c < kids; c++) {
+                Duration d = Duration::millis(i64(rng.below(3)));
+                ids.push_back(km.schedule(d, [&, depth](KeyModel &k) {
+                    body(k, depth + 1);
+                }));
+            }
+        }
+        if (!ids.empty() && rng.below(3) == 0)
+            km.cancel(ids[rng.below(ids.size())]);
+    };
+    for (int i = 0; i < 60; i++) {
+        Duration d = Duration::millis(i64(rng.below(6)));
+        ids.push_back(m.schedule(d, [&](KeyModel &k) { body(k, 0); }));
+        if (i % 7 == 3)
+            m.cancel(ids[rng.below(ids.size())]);
+    }
+    m.engine.run();
+    EXPECT_TRUE(m.pending.empty()) << "an uncancelled event never ran";
+    EXPECT_EQ(m.engine.eventsRun(), m.fired.size());
+    EXPECT_GT(m.fired.size(), 100u);
+    EXPECT_EQ(m.engine.pendingEvents(), 0u);
+    EXPECT_EQ(m.engine.cancelledBacklog(), 0u);
+}
+
+TEST(EngineTest, StaleAndRecycledIdsAreNoOps)
+{
+    Engine e;
+    EventId first = e.after(Duration::millis(1), [] {});
+    e.run();
+    // The next event reuses the fired event's slot under a new
+    // generation: the old id must not reach it.
+    bool ran = false;
+    EventId second = e.after(Duration::millis(1), [&] { ran = true; });
+    EXPECT_NE(first, second);
+    EXPECT_EQ(first & 0xffffffffu, second & 0xffffffffu);
+    e.cancel(first);
+    e.cancel(0);
+    e.cancel(~EventId(0));
+    EXPECT_EQ(e.cancelledBacklog(), 0u);
+    e.run();
+    EXPECT_TRUE(ran);
+    // Cancelling after dispatch is equally inert.
+    e.cancel(second);
+    EXPECT_EQ(e.cancelledBacklog(), 0u);
+    EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineTest, CallbackDiesOnDispatchOrWhenItsCancelledEntryPops)
+{
+    Engine e;
+    auto token = std::make_shared<int>(0);
+    e.after(Duration::millis(1), [token] {});
+    EXPECT_EQ(token.use_count(), 2);
+    e.run();
+    EXPECT_EQ(token.use_count(), 1) << "dispatched callback still alive";
+
+    EventId id = e.after(Duration::millis(5), [token] {});
+    e.after(Duration::millis(1), [] {});
+    e.after(Duration::millis(3), [] {});
+    e.cancel(id);
+    // Cancelled but still queued behind the live 3 ms event.
+    e.runUntil(TimePoint(Duration::millis(2).ns()));
+    EXPECT_EQ(token.use_count(), 2);
+    e.run();
+    EXPECT_EQ(token.use_count(), 1) << "cancelled callback outlived its pop";
+    EXPECT_EQ(e.cancelledBacklog(), 0u);
 }
 
 TEST(CpuTest, SerialisesWork)
