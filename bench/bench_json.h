@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "base/logging.h"
-#include "trace/trace.h"
+#include "trace/json.h"
 
 namespace mirage::bench {
 
@@ -53,16 +53,16 @@ class JsonReport
     {
         if (!enabled())
             return;
-        std::string row = strprintf(
-            "{\"name\":\"%s\",\"metric\":\"%s\",\"value\":%.6g,"
-            "\"unit\":\"%s\"",
-            trace::jsonEscape(name).c_str(),
-            trace::jsonEscape(metric).c_str(), value,
-            trace::jsonEscape(unit).c_str());
-        if (p50 > 0 || p99 > 0)
-            row += strprintf(",\"p50\":%.6g,\"p99\":%.6g", p50, p99);
-        row += "}";
-        rows_.push_back(std::move(row));
+        trace::JsonWriter row;
+        row.beginObject().fields("name", name, "metric", metric);
+        row.key("value").raw(strprintf("%.6g", value));
+        row.field("unit", unit);
+        if (p50 > 0 || p99 > 0) {
+            row.key("p50").raw(strprintf("%.6g", p50));
+            row.key("p99").raw(strprintf("%.6g", p99));
+        }
+        row.endObject();
+        rows_.push_back(row.take());
     }
 
     /** Write all pending rows (one JSON object per line). */

@@ -7,8 +7,6 @@ SyscallLayer::chargeRecv(std::size_t bytes)
 {
     const auto &c = sim::costs();
     dom_.vcpu().charge(c.syscall + c.copy(bytes));
-    syscalls_++;
-    bytes_copied_ += bytes;
 }
 
 void
@@ -16,15 +14,6 @@ SyscallLayer::chargeSend(std::size_t bytes)
 {
     const auto &c = sim::costs();
     dom_.vcpu().charge(c.syscall + c.copy(bytes));
-    syscalls_++;
-    bytes_copied_ += bytes;
-}
-
-void
-SyscallLayer::chargeSyscall()
-{
-    dom_.vcpu().charge(sim::costs().syscall);
-    syscalls_++;
 }
 
 void
@@ -37,18 +26,6 @@ void
 SyscallLayer::chargeSelect()
 {
     dom_.vcpu().charge(sim::costs().selectDispatch);
-    syscalls_++;
-}
-
-std::unique_ptr<LinuxGuest>
-startLinuxGuest(core::Cloud &cloud, const std::string &name,
-                net::Ipv4Addr ip, std::size_t memory_mib,
-                unsigned vcpus)
-{
-    core::Guest &g =
-        cloud.startGuest(name, xen::GuestKind::LinuxMinimal, ip,
-                         memory_mib, vcpus, /*cpu_factor=*/1.0);
-    return std::make_unique<LinuxGuest>(g);
 }
 
 void

@@ -13,8 +13,6 @@
 #ifndef MIRAGE_BASELINE_CONVENTIONAL_H
 #define MIRAGE_BASELINE_CONVENTIONAL_H
 
-#include <memory>
-
 #include "core/cloud.h"
 
 namespace mirage::baseline {
@@ -29,20 +27,13 @@ class SyscallLayer
     void chargeRecv(std::size_t bytes);
     /** send(2)-style: syscall + copy user→kernel. */
     void chargeSend(std::size_t bytes);
-    /** A bare syscall (poll, accept, fcntl...). */
-    void chargeSyscall();
     /** Waking and dispatching a userspace process/thread. */
     void chargeProcessWake();
     /** One select/epoll dispatch round. */
     void chargeSelect();
 
-    u64 syscalls() const { return syscalls_; }
-    u64 bytesCopied() const { return bytes_copied_; }
-
   private:
     xen::Domain &dom_;
-    u64 syscalls_ = 0;
-    u64 bytes_copied_ = 0;
 };
 
 /**
@@ -59,12 +50,6 @@ struct LinuxGuest
     net::NetworkStack &stack() { return guest.stack; }
     xen::Domain &dom() { return guest.dom; }
 };
-
-/** Provision a Linux-model guest on a cloud (kernel-speed stack). */
-std::unique_ptr<LinuxGuest>
-startLinuxGuest(core::Cloud &cloud, const std::string &name,
-                net::Ipv4Addr ip, std::size_t memory_mib = 256,
-                unsigned vcpus = 1);
 
 /**
  * Userspace UDP echo-style service: wraps a datagram handler with the

@@ -54,7 +54,6 @@ class OfControllerAppliance
 
     core::Guest &guest() { return guest_; }
     openflow::Controller &controller() { return *controller_; }
-    u64 handled() const { return handled_; }
 
   private:
     void chargePerMessage();

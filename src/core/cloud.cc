@@ -77,7 +77,7 @@ Cloud::~Cloud()
     // the backend disconnect hooks and releases those entries while
     // everything is still alive.
     for (auto &g : guests_)
-        g->dom.shutdown(0);
+        g->dom.shutdown();
 }
 
 void

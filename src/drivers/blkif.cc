@@ -229,11 +229,12 @@ Blkif::drainResponses(bool park)
                 tr->span(trace::Cat::Storage, "blk.request",
                          pending.submitted,
                          eng.now() - pending.submitted, trace_track_,
-                         strprintf("\"op\":\"%s\",\"sectors\":%u",
-                                   pending.op == xen::BlkifWire::opWrite
-                                       ? "write"
-                                       : "read",
-                                   pending.count));
+                         trace::jsonObject(
+                             "op",
+                             pending.op == xen::BlkifWire::opWrite
+                                 ? "write"
+                                 : "read",
+                             "sectors", pending.count));
             }
             if (pending.flow) {
                 if (auto *fl = eng.flows())

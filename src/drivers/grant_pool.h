@@ -109,7 +109,6 @@ class GrantPool
     u64 issued() const { return issued_; }
     u64 reused() const { return reused_; }
     std::size_t pooledPages() const { return pages_.size(); }
-    std::size_t registeredBuffers() const { return regions_.size(); }
     /** Free tier-A pages right now (lazy refcount scan). */
     std::size_t freePages() const;
 

@@ -234,7 +234,6 @@ Blkback::onEvent()
             u64 sector = req.getLe64(BlkifWire::reqSector);
             GrantRef gref = req.getLe32(BlkifWire::reqGrant);
             u64 flow = fl ? req.getLe32(BlkifWire::reqFlow) : 0;
-            handled_++;
             dom_.vcpu().charge(c.backendPerRequest, "blkback.request",
                                trace::Cat::Hypervisor);
             if (flow)

@@ -114,7 +114,6 @@ class Blkback
 
     VirtualDisk &disk() { return disk_; }
     Domain &backendDomain() { return dom_; }
-    u64 requestsHandled() const { return handled_; }
 
     /** Persistent-grant mapping cache (test visibility). */
     const GrantMapCache &mapCache() const { return pmap_; }
@@ -140,7 +139,6 @@ class Blkback
      *  ring, so frontend pushes need no doorbell; the last completion
      *  re-arms it. */
     u64 inflight_ = 0;
-    u64 handled_ = 0;
     u32 track_ = 0; //!< lazily interned "<dom>/blkback" track
 };
 

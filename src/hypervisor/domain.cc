@@ -35,12 +35,11 @@ Domain::addShutdownHook(std::function<void()> hook)
 }
 
 void
-Domain::shutdown(int exit_code)
+Domain::shutdown()
 {
     if (state_ == DomainState::Shutdown)
         return;
     state_ = DomainState::Shutdown;
-    exit_code_ = exit_code;
     if (poll_timer_) {
         engine_.cancel(poll_timer_);
         poll_timer_ = 0;
@@ -144,18 +143,17 @@ Domain::finishPoll(WakeReason reason)
         poll_timer_ = 0;
     }
     if (stats_) {
-        stats_->blocked_ns +=
-            u64((engine_.now() - poll_started_).ns());
-        stats_->polls++;
+        stats_->blocked_ns.inc(u64((engine_.now() - poll_started_).ns()));
+        stats_->polls.inc();
     }
     if (auto *tr = engine_.tracer(); tr && tr->enabled()) {
         if (trace_track_ == 0)
             trace_track_ = tr->track(name_ + "/domainpoll");
         tr->span(trace::Cat::Hypervisor, "domainpoll", poll_started_,
                  engine_.now() - poll_started_, trace_track_,
-                 strprintf("\"wake\":\"%s\"",
-                           reason == WakeReason::Event ? "event"
-                                                       : "timeout"));
+                 trace::jsonObject("wake", reason == WakeReason::Event
+                                               ? "event"
+                                               : "timeout"));
     }
     state_ = DomainState::Running;
     auto wake = std::move(poll_wake_);

@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,22 +67,18 @@ class Domain
      *  single-shard runs). */
     sim::Engine &engine() { return engine_; }
     sim::Cpu &vcpu(unsigned i = 0) { return *vcpus_.at(i); }
-    unsigned vcpuCount() const { return unsigned(vcpus_.size()); }
 
     PageTables &pageTables() { return pt_; }
     GrantTable &grantTable() { return grants_; }
 
     /**
-     * The VM exit code: the main thread's return value (§3.3).
-     *
-     * Teardown order: registered shutdown hooks run first (newest
-     * first, so backends detach in reverse attach order and unmap
-     * their grants), then every event channel the domain is bound to
-     * is closed, then an enabled checker audits the domain for leaked
-     * grant mappings. Idempotent; later calls are ignored.
+     * Stop the domain. Teardown order: registered shutdown hooks run
+     * first (newest first, so backends detach in reverse attach order
+     * and unmap their grants), then every event channel the domain is
+     * bound to is closed, then an enabled checker audits the domain
+     * for leaked grant mappings. Idempotent; later calls are ignored.
      */
-    void shutdown(int exit_code);
-    std::optional<int> exitCode() const { return exit_code_; }
+    void shutdown();
 
     /**
      * Run @p hook when this domain shuts down (backends register
@@ -137,7 +132,6 @@ class Domain
     GuestKind kind_;
     std::size_t memory_mib_;
     DomainState state_ = DomainState::Building;
-    std::optional<int> exit_code_;
     std::vector<std::unique_ptr<sim::Cpu>> vcpus_;
     PageTables pt_;
     GrantTable grants_;

@@ -92,17 +92,6 @@ EventChannelHub::closeAllFor(Domain &dom)
     return n;
 }
 
-std::size_t
-EventChannelHub::openChannels() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::size_t n = 0;
-    for (const auto &ch : channels_)
-        if (ch.open)
-            n++;
-    return n;
-}
-
 Status
 EventChannelHub::notify(Domain &dom, Port port)
 {
@@ -140,20 +129,19 @@ EventChannelHub::notify(Domain &dom, Port port)
     if (auto *tr = eng.tracer(); tr && tr->enabled())
         tr->instant(trace::Cat::Hypervisor, "evtchn.notify",
                     eng.now(), 0,
-                    strprintf("\"from\":\"%s\",\"port\":%u",
-                              dom.name().c_str(), port));
+                    trace::jsonObject("from", dom.name(), "port", port));
     trace::ProfScope pscope(eng.profiler(), "hyp/evtchn");
     dom.hypervisor().chargeHypercall(dom, Hypercall::EventNotify);
     dom.vcpu().charge(sim::costs().eventNotify, "evtchn.send",
                       trace::Cat::Hypervisor);
     if (auto *s = dom.stats())
-        s->notifies_sent++;
+        s->notifies_sent.inc();
     // The receive side of the upcall — including its stats — runs on
     // the peer's home shard at delivery time.
     sim::crossPost(peer->engine(), sim::costs().interrupt,
                    [peer, peer_port] {
                        if (auto *s = peer->stats())
-                           s->notifies_received++;
+                           s->notifies_received.inc();
                        peer->deliverEvent(peer_port);
                    });
     return Status::success();

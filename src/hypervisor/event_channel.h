@@ -57,9 +57,6 @@ class EventChannelHub
      */
     std::size_t closeAllFor(Domain &dom);
 
-    /** Channels currently open (either endpoint). */
-    std::size_t openChannels() const;
-
     /**
      * Send an event from @p dom's @p port to its peer. Charges the
      * notify hypercall on the sender and delivers the upcall after the

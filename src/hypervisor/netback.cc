@@ -88,8 +88,15 @@ Bridge::Bridge(sim::Engine &engine, std::string name)
 void
 Bridge::attach(BridgeEndpoint *ep)
 {
+    // Ports stay sorted by MAC: vifs attach from whichever shard runs
+    // their guest's entry first, and the flood in arrive() walks
+    // ports_, so arrival order would leak into the schedule.
     std::lock_guard<std::mutex> lk(mu_);
-    ports_.push_back(ep);
+    auto at = std::upper_bound(ports_.begin(), ports_.end(), ep->mac(),
+                               [](const MacBytes &mac, BridgeEndpoint *p) {
+                                   return mac < p->mac();
+                               });
+    ports_.insert(at, ep);
 }
 
 void
@@ -160,7 +167,6 @@ Bridge::arrive(BridgeEndpoint *from, Cstruct frame)
         }
     }
     // Broadcast or unknown destination: flood.
-    flooded_++;
     for (BridgeEndpoint *ep : ports_)
         if (ep != from)
             dispatch(ep, frame, when);
@@ -492,7 +498,6 @@ Netback::Vif::forwardChain(trace::FlowTracker *fl)
                               "csum-offloaded frame left netback "
                               "with an invalid TCP checksum");
         }
-        forwarded_++;
         // The switched frame continues the request flow: the fabric
         // hop and far-side delivery inherit it through the engine's
         // ambient propagation.
@@ -560,7 +565,6 @@ Netback::Vif::forwardChain(trace::FlowTracker *fl)
                               "csum_blank_on_wire",
                               "derived TSO segment left netback "
                               "with an invalid TCP checksum");
-            forwarded_++;
             // Every derived segment rides the chain's flow across the
             // bridge, so far-side deliveries stamp it per frame.
             trace::FlowScope scope(fl, pending_flow_);

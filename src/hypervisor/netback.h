@@ -130,7 +130,6 @@ class Bridge
     void send(BridgeEndpoint *from, Cstruct frame);
 
     u64 framesSwitched() const { return switched_; }
-    u64 framesFlooded() const { return flooded_; }
     u64 framesDropped() const { return dropped_; }
 
     /**
@@ -168,7 +167,6 @@ class Bridge
     std::map<MacBytes, BridgeEndpoint *> learned_;
     std::function<bool(const Cstruct &)> drop_fn_;
     u64 switched_ = 0;
-    u64 flooded_ = 0;
     u64 dropped_ = 0;
 };
 
@@ -214,7 +212,6 @@ class Netback
         void disconnect();
 
         u64 framesDropped() const { return dropped_; }
-        u64 framesForwarded() const { return forwarded_; }
 
         /** Persistent-grant mapping cache (test visibility). */
         const GrantMapCache &mapCache() const { return pmap_; }
@@ -294,7 +291,6 @@ class Netback
         /** dom0 vCPU backlog when the packet's stage opened. */
         TimePoint pending_busy0_;
         u64 dropped_ = 0;
-        u64 forwarded_ = 0;
         u32 track_ = 0; //!< lazily interned "<dom>/netback" track
     };
 

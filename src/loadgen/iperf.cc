@@ -8,7 +8,6 @@ IperfServer::IperfServer(core::Guest &guest, u16 port)
 {
     Status st = guest.stack.tcp().listen(
         port, [this](net::TcpConnPtr conn) {
-            flows_++;
             conn->onData(
                 [this](Cstruct data) { bytes_ += data.length(); });
         });

@@ -22,11 +22,9 @@ class IperfServer
     IperfServer(core::Guest &guest, u16 port);
 
     u64 bytesReceived() const { return bytes_; }
-    u64 flowsAccepted() const { return flows_; }
 
   private:
     u64 bytes_ = 0;
-    u64 flows_ = 0;
 };
 
 /** Sender side: one or more parallel flows. */

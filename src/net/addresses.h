@@ -62,7 +62,6 @@ class Ipv4Addr
     constexpr u32 raw() const { return addr_; }
     bool isBroadcast() const { return addr_ == 0xffffffff; }
     bool isAny() const { return addr_ == 0; }
-    bool isMulticast() const { return (addr_ >> 28) == 0xe; }
 
     /** Same-subnet test under @p netmask. */
     bool

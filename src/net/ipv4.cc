@@ -149,7 +149,6 @@ Ipv4::emitOne(const MacAddr &next_hop, Ipv4Addr dst, u8 proto,
     out.push_back(hdr_page.value());
     for (const auto &f : frags)
         out.push_back(f);
-    sent_++;
     if (more_fragments || frag_offset_words > 0)
         fragments_sent_++;
     stack_.transmit(next_hop, EtherType::Ipv4, std::move(out), offload);
@@ -199,7 +198,6 @@ Ipv4::input(const Cstruct &packet)
         handleFragment(pkt, packet.getBe16(4), offset, more);
         return;
     }
-    received_++;
     auto it = handlers_.find(pkt.proto);
     if (it != handlers_.end())
         it->second(pkt);
@@ -239,7 +237,6 @@ Ipv4::handleFragment(const Ipv4Packet &pkt, u16 ident, u16 offset,
     out.payload = whole;
     reassembly_.erase(key);
     reassemblies_++;
-    received_++;
     auto it = handlers_.find(out.proto);
     if (it != handlers_.end())
         it->second(out);

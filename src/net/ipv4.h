@@ -64,8 +64,6 @@ class Ipv4
     void send(Ipv4Addr dst, u8 proto, std::vector<Cstruct> payload_frags,
               drivers::TxOffload offload = {});
 
-    u64 packetsSent() const { return sent_; }
-    u64 packetsReceived() const { return received_; }
     u64 headerErrors() const { return header_errors_; }
     u64 fragmentsSent() const { return fragments_sent_; }
     u64 reassemblies() const { return reassemblies_; }
@@ -107,8 +105,6 @@ class Ipv4
     std::map<u8, std::function<void(const Ipv4Packet &)>> handlers_;
     std::map<ReassemblyKey, ReassemblyState> reassembly_;
     u16 next_ident_ = 1;
-    u64 sent_ = 0;
-    u64 received_ = 0;
     u64 header_errors_ = 0;
     u64 fragments_sent_ = 0;
     u64 reassemblies_ = 0;

@@ -42,7 +42,6 @@ NetworkStack::transmit(const MacAddr &dst, EtherType type,
                        drivers::TxOffload offload)
 {
     writeEthHeader(frags[0], dst, mac(), type);
-    frames_out_++;
     std::size_t len = fragsLength(frags);
     tx_bytes_ += len;
     wireTxMetrics();
@@ -91,12 +90,6 @@ NetworkStack::packetCost() const
 }
 
 void
-NetworkStack::chargePacket(std::size_t)
-{
-    domain().vcpu().charge(packetCost(), "net.packet", trace::Cat::Net);
-}
-
-void
 NetworkStack::chargeChecksum(std::size_t bytes)
 {
     Duration cost = Duration(i64(double(sim::costs().checksum(bytes).ns()) *
@@ -107,7 +100,6 @@ NetworkStack::chargeChecksum(std::size_t bytes)
 void
 NetworkStack::frameInput(Cstruct frame)
 {
-    frames_in_++;
     Duration cost = packetCost();
     if (frame.length() >= sim::costs().dataPacketThreshold)
         cost += config_.rxOverheadPerPacket;

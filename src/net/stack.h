@@ -95,11 +95,8 @@ class NetworkStack
 
     // ---- Cost charging ----------------------------------------------------
     Duration packetCost() const;
-    void chargePacket(std::size_t bytes);
     void chargeChecksum(std::size_t bytes);
 
-    u64 framesIn() const { return frames_in_; }
-    u64 framesOut() const { return frames_out_; }
 
     // ---- Copy accounting (net.tx.copies_per_byte) ------------------------
     /**
@@ -124,8 +121,6 @@ class NetworkStack
     Icmp icmp_;
     Udp udp_;
     Tcp tcp_;
-    u64 frames_in_ = 0;
-    u64 frames_out_ = 0;
     u64 tx_bytes_ = 0;
     u64 tx_copy_bytes_ = 0;
     trace::Counter *c_tx_bytes_ = nullptr;

@@ -87,7 +87,6 @@ Tcp::input(const Ipv4Packet &pkt)
     if (!parsed.ok())
         return;
     const TcpSegment &seg = parsed.value();
-    demuxed_++;
 
     Key key{pkt.src.raw(), seg.srcPort, seg.dstPort};
     auto it = conns_.find(key);

@@ -41,7 +41,6 @@ class Tcp
                        std::function<void(Result<TcpConnPtr>)> done);
 
     std::size_t connectionCount() const { return conns_.size(); }
-    u64 segmentsDemuxed() const { return demuxed_; }
     u64 resetsSent() const { return rsts_; }
     u64 checksumErrors() const { return checksum_errors_; }
 
@@ -65,7 +64,6 @@ class Tcp
     std::map<Key, TcpConnPtr> conns_;
     std::map<u16, std::function<void(TcpConnPtr)>> listeners_;
     u16 next_ephemeral_ = 49152;
-    u64 demuxed_ = 0;
     u64 rsts_ = 0;
     u64 checksum_errors_ = 0;
 };

@@ -179,10 +179,9 @@ TcpConnection::segmentInput(const TcpSegment &seg)
                 tr->track(stack_.domain().name() + "/tcp");
         tr->instant(trace::Cat::Net, "tcp.rx",
                     stack_.scheduler().engine().now(), trace_track_,
-                    strprintf("\"port\":%u,\"seq\":%u,\"flags\":%u,"
-                              "\"len\":%zu",
-                              local_port_, seg.seq, seg.flags,
-                              seg.payload.length()));
+                    trace::jsonObject("port", local_port_, "seq", seg.seq,
+                                      "flags", seg.flags, "len",
+                                      seg.payload.length()));
     }
 
     if (seg.has(TcpFlags::rst)) {
@@ -578,10 +577,9 @@ TcpConnection::sendSegment(u8 flags, u32 seq,
                 tr->track(stack_.domain().name() + "/tcp");
         tr->instant(trace::Cat::Net, "tcp.tx",
                     stack_.scheduler().engine().now(), trace_track_,
-                    strprintf("\"port\":%u,\"seq\":%u,\"flags\":%u,"
-                              "\"len\":%zu",
-                              local_port_, seq, flags,
-                              total - hdr_len));
+                    trace::jsonObject("port", local_port_, "seq", seq,
+                                      "flags", flags, "len",
+                                      total - hdr_len));
     }
 
     std::vector<Cstruct> frags;
@@ -618,12 +616,6 @@ void
 TcpConnection::sendAck()
 {
     sendSegment(TcpFlags::ack, snd_nxt_, {});
-}
-
-void
-TcpConnection::sendRst()
-{
-    sendSegment(TcpFlags::rst | TcpFlags::ack, snd_nxt_, {});
 }
 
 // ---- Timers -------------------------------------------------------------------

@@ -87,9 +87,6 @@ class TcpConnection : public Flow,
     };
 
     const Stats &stats() const { return stats_; }
-    u32 cwnd() const { return cwnd_; }
-    u32 ssthresh() const { return ssthresh_; }
-    Duration currentRto() const { return rto_; }
     /** Peer-advertised send window, in bytes (post-scaling). */
     u64 sndWnd() const { return snd_wnd_; }
 
@@ -107,7 +104,6 @@ class TcpConnection : public Flow,
     void segmentInput(const TcpSegment &seg);
     void handleAck(const TcpSegment &seg);
     void handleData(const TcpSegment &seg);
-    void deliverInOrder();
 
     void trySend();
     /** Both the per-stack config and the global tuning switch agree
@@ -131,7 +127,6 @@ class TcpConnection : public Flow,
      */
     void retransmitFront();
     void sendAck();
-    void sendRst();
 
     void armRto();
     void cancelRto();

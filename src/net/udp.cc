@@ -52,7 +52,6 @@ Udp::input(const Ipv4Packet &pkt)
         no_listener_++;
         return;
     }
-    in_++;
     UdpDatagram dgram{pkt.src, pkt.dst, p.getBe16(0), dst_port,
                       p.sub(headerBytes, len - headerBytes)};
     it->second(dgram);
@@ -89,7 +88,6 @@ Udp::sendTo(Ipv4Addr dst, u16 dst_port, u16 src_port,
     frags.push_back(udp);
     for (auto &f : payload_frags)
         frags.push_back(std::move(f));
-    out_++;
     stack_.ipv4().send(dst, IpProto::udp, std::move(frags));
 }
 

@@ -44,16 +44,12 @@ class Udp
     void sendTo(Ipv4Addr dst, u16 dst_port, u16 src_port,
                 std::vector<Cstruct> payload_frags);
 
-    u64 datagramsIn() const { return in_; }
-    u64 datagramsOut() const { return out_; }
     u64 checksumErrors() const { return checksum_errors_; }
     u64 noListener() const { return no_listener_; }
 
   private:
     NetworkStack &stack_;
     std::map<u16, std::function<void(const UdpDatagram &)>> listeners_;
-    u64 in_ = 0;
-    u64 out_ = 0;
     u64 checksum_errors_ = 0;
     u64 no_listener_ = 0;
 };

@@ -40,7 +40,6 @@ class Zone
 
     const Name &origin() const { return origin_; }
     std::size_t recordCount() const { return records_; }
-    std::size_t nameCount() const { return byName_.size(); }
 
   private:
     Zone() = default;

@@ -110,18 +110,6 @@ responseHeadString(const HttpResponse &rsp)
 } // namespace
 
 Cstruct
-serialiseResponse(const HttpResponse &rsp)
-{
-    std::string out = responseHeadString(rsp);
-    if (rsp.bodyFrags.empty())
-        out += rsp.body;
-    else
-        for (const auto &f : rsp.bodyFrags)
-            out += f.toString();
-    return Cstruct::ofString(out);
-}
-
-Cstruct
 serialiseResponseHead(const HttpResponse &rsp)
 {
     return Cstruct::ofString(responseHeadString(rsp));

@@ -35,8 +35,6 @@ class ExtentAllocator
     Result<u64> growSuperpage();
 
     u64 baseVpn() const { return base_vpn_; }
-    std::size_t superpagesUsed() const { return used_; }
-    std::size_t reservedSuperpages() const { return max_; }
     u64 bytesUsed() const { return u64(used_) * superpageSize; }
 
     /** The defining property: the used region is one contiguous run. */

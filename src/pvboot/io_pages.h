@@ -48,7 +48,6 @@ class IoPagePool
 
     std::size_t capacity() const { return capacity_; }
     std::size_t inUse() const { return in_use_; }
-    std::size_t available() const { return capacity_ - in_use_; }
     std::size_t highWater() const { return high_water_; }
     u64 allocations() const { return allocations_; }
     u64 recycled() const { return recycled_; }

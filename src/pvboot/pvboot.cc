@@ -8,9 +8,7 @@
 namespace mirage::pvboot {
 
 PVBoot::PVBoot(xen::Domain &dom, LayoutSpec spec)
-    : dom_(dom), spec_(spec), slab_(256), io_pages_(spec.ioPages),
-      major_extent_(LayoutMap::majorHeapVpn,
-                    dom.memoryMib() * (1024 * 1024 / superpageSize))
+    : dom_(dom), spec_(spec), slab_(256), io_pages_(spec.ioPages)
 {
     auto updates = buildLayout(dom_.pageTables(), spec_);
     if (!updates.ok())

@@ -1,8 +1,8 @@
 /**
  * @file
  * PVBoot (§3.2): start-of-day support. Initialises one vCPU and the
- * Fig 2 single address space, provides the slab and extent allocators
- * and the I/O page pool, and exposes domainpoll — the only blocking
+ * Fig 2 single address space, provides the slab allocator and the I/O
+ * page pool, and exposes domainpoll — the only blocking
  * primitive the runtime layer builds its event loop on.
  */
 
@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "hypervisor/xen.h"
-#include "pvboot/extent.h"
 #include "pvboot/io_pages.h"
 #include "pvboot/layout.h"
 #include "pvboot/slab.h"
@@ -34,10 +33,6 @@ class PVBoot
 
     SlabAllocator &slab() { return slab_; }
     IoPagePool &ioPages() { return io_pages_; }
-    ExtentAllocator &majorExtent() { return major_extent_; }
-
-    /** Current wallclock (domain wallclock == virtual sim time). */
-    TimePoint wallclock() const { return dom_.engine().now(); }
 
     /**
      * Block on a set of event channels and a timeout (§3.2). Thin
@@ -64,7 +59,6 @@ class PVBoot
     LayoutSpec spec_;
     SlabAllocator slab_;
     IoPagePool io_pages_;
-    ExtentAllocator major_extent_;
     u64 layout_updates_ = 0;
 };
 

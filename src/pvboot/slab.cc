@@ -58,7 +58,6 @@ SlabAllocator::alloc(std::size_t size)
         return nullptr;
     FreeObject *obj = free_lists_[index];
     free_lists_[index] = obj->next;
-    allocs_++;
     bytes_allocated_ += classSize(index);
     return obj;
 }

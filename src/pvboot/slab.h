@@ -47,7 +47,6 @@ class SlabAllocator
 
     std::size_t pagesInUse() const { return pages_in_use_; }
     std::size_t bytesAllocated() const { return bytes_allocated_; }
-    u64 allocCount() const { return allocs_; }
 
   private:
     struct FreeObject
@@ -72,7 +71,6 @@ class SlabAllocator
     std::size_t capacity_pages_;
     std::size_t pages_in_use_ = 0;
     std::size_t bytes_allocated_ = 0;
-    u64 allocs_ = 0;
     std::array<FreeObject *, numClasses> free_lists_{};
     std::vector<Slab> slabs_;
 };

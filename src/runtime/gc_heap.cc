@@ -162,9 +162,9 @@ GcHeap::collectMinor()
     trace::bump(c_minor_collections_);
     trace::observe(h_minor_pause_ns_, u64(pause.ns()));
     if (dstats) {
-        dstats->gc_minor++;
+        dstats->gc_minor.inc();
         dstats->gc_minor_pause_ns.record(u64(pause.ns()));
-        dstats->gc_promoted_bytes += promoted;
+        dstats->gc_promoted_bytes.inc(promoted);
     }
     if (prof)
         prof->checkGcPause(u64(pause.ns()), "minor", cpu_.name());
@@ -188,9 +188,9 @@ GcHeap::collectMinor()
                     trace::Cat::Runtime);
         trace::observe(h_major_pause_ns_, u64(mark_ns));
         if (dstats) {
-            dstats->gc_major++;
+            dstats->gc_major.inc();
             dstats->gc_major_pause_ns.record(u64(mark_ns));
-            dstats->gc_live_after_major_bytes = live_major_bytes_;
+            dstats->gc_live_after_major_bytes.set(live_major_bytes_);
         }
         if (prof)
             prof->checkGcPause(u64(mark_ns), "major", cpu_.name());

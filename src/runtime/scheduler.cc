@@ -22,7 +22,6 @@ Scheduler::Scheduler(sim::Engine &engine, sim::Cpu *cpu, GcHeap *heap,
 PromisePtr
 Scheduler::sleep(Duration d)
 {
-    threads_created_++;
     trace::bump(c_threads_created_);
     if (cpu_)
         cpu_->charge(sim::costs().threadCreate, "thread.create",
@@ -41,12 +40,6 @@ Scheduler::sleep(Duration d)
     timers_.push(Timer{deadline, next_seq_++, p, cell, has_cell});
     armEngineTimer();
     return p;
-}
-
-void
-Scheduler::runLater(std::function<void()> fn)
-{
-    engine_.after(Duration(0), std::move(fn));
 }
 
 PromisePtr

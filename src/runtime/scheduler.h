@@ -58,15 +58,10 @@ class Scheduler
      */
     PromisePtr sleep(Duration d);
 
-    /** Run @p fn on the next event-loop turn. */
-    void runLater(std::function<void()> fn);
-
     /** pick(p, sleep(d)): resolves or cancels p on timeout. */
     PromisePtr withTimeout(PromisePtr p, Duration d);
 
-    u64 threadsCreated() const { return threads_created_; }
     u64 wakeups() const { return wakeups_; }
-    std::size_t pendingTimers() const { return timers_.size(); }
 
     /** The engine time at which the last-created sleep will fire,
      *  including modelled dispatch latency (jitter measurements). */
@@ -103,7 +98,6 @@ class Scheduler
     sim::EventId armed_event_ = 0;
     TimePoint armed_for_;
     bool armed_ = false;
-    u64 threads_created_ = 0;
     u64 wakeups_ = 0;
     trace::Counter *c_threads_created_ = nullptr;
     trace::Counter *c_wakeups_ = nullptr;

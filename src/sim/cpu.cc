@@ -19,8 +19,8 @@ Cpu::submit(Duration cost, std::function<void()> done, const char *what,
     free_at_ = start + cost;
     busy_ += cost;
     if (stats_) {
-        stats_->run_ns += u64(cost.ns());
-        stats_->steal_ns += u64((start - engine_.now()).ns());
+        stats_->run_ns.inc(u64(cost.ns()));
+        stats_->steal_ns.inc(u64((start - engine_.now()).ns()));
     }
     if (auto *p = engine_.profiler(); p && p->enabled())
         p->charge(what, u64(cost.ns()), start.ns());

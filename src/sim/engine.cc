@@ -205,7 +205,7 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
     if (telemetry_ && telemetry_->tracer.enabled())
         telemetry_->tracer.instant(
             trace::Cat::Engine, "dispatch", now_, 0,
-            strprintf("\"id\":%llu", (unsigned long long)id));
+            trace::jsonObject("id", id));
     // Restore the scheduling context's flow and profiler scope for the
     // duration of the callback; anything it schedules inherits them —
     // including the causal key context, so children order

@@ -42,7 +42,6 @@ MemDevice::read(u64 sector, u32 count, Cstruct buf, BlockCallback done)
         done(boundsError("MemDevice read out of range"));
         return;
     }
-    reads_++;
     trace::bump(c_reads_);
     std::memcpy(buf.data(), bytes_.data() + sector * sectorBytes,
                 std::size_t(count) * sectorBytes);

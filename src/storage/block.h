@@ -76,7 +76,6 @@ class MemDevice : public BlockDevice
 
     /** Direct access for image tooling. */
     u8 *raw() { return bytes_.data(); }
-    u64 readsIssued() const { return reads_; }
     u64 writesIssued() const { return writes_; }
 
     /** Mirror the read/write counts into @p reg. */
@@ -85,7 +84,6 @@ class MemDevice : public BlockDevice
   private:
     std::vector<u8> bytes_;
     u64 size_sectors_;
-    u64 reads_ = 0;
     u64 writes_ = 0;
     trace::Counter *c_reads_ = nullptr;
     trace::Counter *c_writes_ = nullptr;

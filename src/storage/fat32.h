@@ -46,7 +46,6 @@ class Fat32Volume
     void mount(std::function<void(Status)> done);
 
     bool mounted() const { return mounted_; }
-    u32 clusterCount() const { return cluster_count_; }
     u32 freeClusters() const;
 
     /** List root-directory entries. */

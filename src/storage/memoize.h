@@ -86,13 +86,6 @@ class Memoizer
     u64 misses() const { return misses_; }
     u64 evictions() const { return evictions_; }
 
-    double
-    hitRate() const
-    {
-        u64 total = hits_ + misses_;
-        return total ? double(hits_) / double(total) : 0.0;
-    }
-
   private:
     using Entry = std::pair<Key, Value>;
 

@@ -49,8 +49,7 @@ BootTracker::begin(const std::string &domain, TimePoint ts)
         started_.fetch_add(1, std::memory_order_relaxed);
     }
     t_.tracer.asyncBegin(Cat::Boot, "boot", id, ts, bootTrack(domain),
-                         strprintf("\"domain\":\"%s\"",
-                                   jsonEscape(domain).c_str()));
+                         jsonObject("domain", domain));
     current_tls_ = id;
     return id;
 }
@@ -112,7 +111,6 @@ BootTracker::ready(BootId id, TimePoint ts)
         r->ready_ns = ts.ns();
         domain = r->domain;
         total = u64(r->ready_ns - r->submit_ns);
-        completed_.fetch_add(1, std::memory_order_relaxed);
     }
     t_.tracer.asyncEnd(Cat::Boot, "boot", id, ts, bootTrack(domain));
     t_.metrics.counter("boot.completed").inc();
@@ -152,6 +150,13 @@ BootTracker::firstRequest(const std::string &domain, TimePoint ts)
         .record(u64(ts.ns() - submit_ns));
 }
 
+u64
+BootTracker::completedBoots() const
+{
+    const Counter *c = t_.metrics.findCounter("boot.completed");
+    return c ? c->value() : 0;
+}
+
 std::map<std::string, HdrHistogram>
 BootTracker::phaseHistogramsSnapshot() const
 {
@@ -177,30 +182,24 @@ std::string
 BootTracker::json() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::string out = "[";
-    bool first = true;
+    JsonWriter w;
+    w.beginArray();
     for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
         const Record &r = *it;
-        out += strprintf(
-            "%s\n{\"domain\":\"%s\",\"submit_ns\":%lld,"
-            "\"total_ns\":%lld,\"first_request_ns\":%lld,\"phases\":{",
-            jsonSep(first), jsonEscape(r.domain).c_str(),
-            (long long)r.submit_ns, (long long)r.totalNs(),
-            (long long)(r.first_request_ns >= 0
-                            ? r.first_request_ns - r.submit_ns
-                            : -1));
-        bool first_phase = true;
+        w.newline().beginObject().fields(
+            "domain", r.domain, "submit_ns", r.submit_ns, "total_ns",
+            r.totalNs(), "first_request_ns",
+            r.first_request_ns >= 0 ? r.first_request_ns - r.submit_ns
+                                    : i64(-1));
+        w.key("phases").beginObject();
         for (const Phase &p : r.phases) {
-            out += strprintf("%s\"%s\":{\"dur_ns\":%lld,\"ops\":%llu}",
-                             jsonSep(first_phase),
-                             jsonEscape(p.name).c_str(),
-                             (long long)p.dur_ns,
-                             (unsigned long long)p.ops);
+            w.key(p.name).beginObject();
+            w.fields("dur_ns", p.dur_ns, "ops", p.ops).endObject();
         }
-        out += "}}";
+        w.endObject().endObject();
     }
-    out += "\n]";
-    return out;
+    w.newline().endArray();
+    return w.take();
 }
 
 } // namespace mirage::trace

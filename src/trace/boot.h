@@ -127,12 +127,10 @@ class BootTracker
     BootId current() const { return current_tls_; }
     void setCurrent(BootId id) { current_tls_ = id; }
 
-    // ---- Introspection (lock-free) ----------------------------------
+    // ---- Introspection ----------------------------------------------
     u64 started() const { return started_.load(std::memory_order_relaxed); }
-    u64 completedBoots() const
-    {
-        return completed_.load(std::memory_order_relaxed);
-    }
+    /** The registry's `boot.completed` counter (0 before the first). */
+    u64 completedBoots() const;
 
     /** Completed + in-flight boots, oldest first (bounded history). */
     const std::deque<Record> &records() const { return records_; }
@@ -167,7 +165,6 @@ class BootTracker
     bool enabled_ = false;
     BootId next_id_ = 1;
     std::atomic<u64> started_{0};
-    std::atomic<u64> completed_{0};
     // Guards records_/open_by_domain_/next_id_; toolstack boots land on
     // every shard.
     mutable std::mutex mu_;

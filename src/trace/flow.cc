@@ -51,10 +51,9 @@ FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
         std::lock_guard<std::mutex> lk(mu_);
         if (live_.size() >= liveCapacity) {
             // A stuck flow (lost ACK, dead peer) must not pin memory
-            // forever; evict the map's first victim and count it.
+            // forever; evict the map's first victim.
             live_.erase(live_.begin());
             live_count_.fetch_sub(1, std::memory_order_relaxed);
-            abandoned_.fetch_add(1, std::memory_order_relaxed);
         }
         if (id == 0)
             id = next_id_++;
@@ -66,13 +65,11 @@ FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
         f.start_ns = ts.ns();
         detail_copy = f.detail;
         live_count_.fetch_add(1, std::memory_order_relaxed);
-        started_.fetch_add(1, std::memory_order_relaxed);
     }
     t_.tracer.asyncBegin(Cat::Flow, kind, id, ts, tid,
                          detail_copy.empty()
                              ? std::string()
-                             : strprintf("\"detail\":\"%s\"",
-                                         jsonEscape(detail_copy).c_str()));
+                             : jsonObject("detail", detail_copy));
     current_tls_ = id;
     // Hooks run outside the lock: the stall watchdog re-arms off this
     // and reads completed()/liveCount() in the process.
@@ -192,30 +189,21 @@ std::string
 FlowTracker::recentJson() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::string out = "[";
-    bool first = true;
+    JsonWriter w;
+    w.beginArray();
     // Newest first: a dashboard polling /flows wants the fresh tail.
     for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
         const Flow &f = *it;
-        out += strprintf("%s\n{\"id\":%llu,\"kind\":\"%s\","
-                         "\"detail\":\"%s\",\"start_ns\":%lld,"
-                         "\"total_ns\":%lld,\"stages\":{",
-                         jsonSep(first),
-                         (unsigned long long)f.id,
-                         jsonEscape(f.kind).c_str(),
-                         jsonEscape(f.detail).c_str(),
-                         (long long)f.start_ns,
-                         (long long)(f.end_ns - f.start_ns));
-        bool first_stage = true;
-        for (const Stage &s : f.stages) {
-            out += strprintf("%s\"%s\":%llu", jsonSep(first_stage),
-                             jsonEscape(s.name).c_str(),
-                             (unsigned long long)s.total_ns);
-        }
-        out += "}}";
+        w.newline().beginObject().fields(
+            "id", f.id, "kind", f.kind, "detail", f.detail, "start_ns",
+            f.start_ns, "total_ns", f.end_ns - f.start_ns);
+        w.key("stages").beginObject();
+        for (const Stage &s : f.stages)
+            w.field(s.name, s.total_ns);
+        w.endObject().endObject();
     }
-    out += "\n]\n";
-    return out;
+    w.newline().endArray().newline();
+    return w.take();
 }
 
 } // namespace mirage::trace

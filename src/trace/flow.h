@@ -139,15 +139,9 @@ class FlowTracker
     }
 
     // ---- Introspection (lock-free: watchdog hooks read these) -------
-    u64 started() const { return started_.load(std::memory_order_relaxed); }
     u64 completed() const
     {
         return completed_.load(std::memory_order_relaxed);
-    }
-    /** Flows evicted while still live (ran past liveCapacity). */
-    u64 abandoned() const
-    {
-        return abandoned_.load(std::memory_order_relaxed);
     }
     std::size_t liveCount() const
     {
@@ -182,9 +176,7 @@ class FlowTracker
     bool enabled_ = false;
     std::function<FlowId()> id_source_;
     FlowId next_id_ = 1;
-    std::atomic<u64> started_{0};
     std::atomic<u64> completed_{0};
-    std::atomic<u64> abandoned_{0};
     std::atomic<std::size_t> live_count_{0};
     // Guards live_/recent_/next_id_; shard workers begin and finalize
     // flows concurrently. The counters above stay lock-free so the

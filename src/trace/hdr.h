@@ -33,6 +33,7 @@
 
 #include "base/logging.h"
 #include "base/types.h"
+#include "trace/json.h"
 
 namespace mirage::trace {
 
@@ -138,21 +139,17 @@ class HdrHistogram
             (unsigned long long)max());
     }
 
-    /** JSON object: count, mean_ns, p50_ns, p99_ns, (p999_ns,)
-     *  max_ns. */
-    std::string
-    json(bool p999 = false) const
+    /** Write the JSON object {count, mean_ns, p50_ns, p99_ns,
+     *  (p999_ns,) max_ns} into @p w. */
+    void
+    json(JsonWriter &w, bool p999 = false) const
     {
-        std::string out = strprintf(
-            "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
-            "\"p99_ns\":%llu,",
-            (unsigned long long)count(), mean(),
-            (unsigned long long)quantile(0.50),
-            (unsigned long long)quantile(0.99));
+        w.beginObject().field("count", count());
+        w.key("mean_ns").fixed(mean(), 0);
+        w.fields("p50_ns", quantile(0.50), "p99_ns", quantile(0.99));
         if (p999)
-            out += strprintf("\"p999_ns\":%llu,",
-                             (unsigned long long)quantile(0.999));
-        return out + strprintf("\"max_ns\":%llu}", (unsigned long long)max());
+            w.field("p999_ns", quantile(0.999));
+        w.field("max_ns", max()).endObject();
     }
 
     static std::size_t

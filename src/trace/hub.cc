@@ -1,5 +1,7 @@
 #include "trace/hub.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 #include "trace/telemetry.h"
 #include "trace/wallprof.h"
@@ -53,72 +55,54 @@ TelemetryHub::fleetJson() const
         domains = domains_;
     }
     DomainAgg total = sumOf(domains);
-    std::string out = "{\n\"domains\":[";
-    bool first = true;
+    JsonWriter w;
+    w.beginObject().newline().key("domains").beginArray();
     u64 run_sum = 0, steal_sum = 0, blocked_sum = 0;
     u64 run_max = 0, steal_max = 0;
     for (const auto &[name, agg] : domains) {
-        out += strprintf(
-            "%s\n{\"name\":\"%s\",\"requests\":%llu,\"errors\":%llu,"
-            "\"latency\":%s",
-            jsonSep(first), jsonEscape(name).c_str(),
-            (unsigned long long)agg.requests,
-            (unsigned long long)agg.errors,
-            agg.latency.json(true).c_str());
+        w.newline().beginObject().fields("name", name, "requests",
+                                         agg.requests, "errors", agg.errors);
+        agg.latency.json(w.key("latency"), true);
         if (const DomainStats *ds = t_.profiler.findDomain(name)) {
-            run_sum += ds->run_ns;
-            steal_sum += ds->steal_ns;
-            blocked_sum += ds->blocked_ns;
-            if (ds->run_ns > run_max)
-                run_max = ds->run_ns;
-            if (ds->steal_ns > steal_max)
-                steal_max = ds->steal_ns;
-            out += strprintf(
-                ",\"cpu\":{\"run_ns\":%llu,\"steal_ns\":%llu,"
-                "\"blocked_ns\":%llu},"
-                "\"gc\":{\"minor\":%llu,\"major\":%llu}",
-                (unsigned long long)ds->run_ns,
-                (unsigned long long)ds->steal_ns,
-                (unsigned long long)ds->blocked_ns,
-                (unsigned long long)ds->gc_minor,
-                (unsigned long long)ds->gc_major);
+            u64 run = ds->run_ns.value(), steal = ds->steal_ns.value();
+            u64 blocked = ds->blocked_ns.value();
+            run_sum += run;
+            steal_sum += steal;
+            blocked_sum += blocked;
+            run_max = std::max(run_max, run);
+            steal_max = std::max(steal_max, steal);
+            w.key("cpu").beginObject().fields("run_ns", run, "steal_ns",
+                                              steal, "blocked_ns", blocked);
+            w.endObject().key("gc").beginObject();
+            w.fields("minor", ds->gc_minor.value(), "major",
+                     ds->gc_major.value());
+            w.endObject();
         }
-        out += "}";
+        w.endObject();
     }
-    out += "],\n\"fleet\":{";
-    out += strprintf(
-        "\"domains\":%zu,\"requests\":%llu,\"errors\":%llu,"
-        "\"latency\":%s,"
-        "\"cpu\":{\"run_ns_sum\":%llu,\"run_ns_max\":%llu,"
-        "\"steal_ns_sum\":%llu,\"steal_ns_max\":%llu,"
-        "\"blocked_ns_sum\":%llu}",
-        domains.size(), (unsigned long long)total.requests,
-        (unsigned long long)total.errors, total.latency.json(true).c_str(),
-        (unsigned long long)run_sum, (unsigned long long)run_max,
-        (unsigned long long)steal_sum, (unsigned long long)steal_max,
-        (unsigned long long)blocked_sum);
-    out += strprintf(",\"alerts\":%llu,\"alert_log\":[",
-                     (unsigned long long)t_.profiler.alerts());
-    bool fa = true;
-    for (const std::string &a : t_.profiler.alertLog()) {
-        out += strprintf("%s\"%s\"", jsonSep(fa), jsonEscape(a).c_str());
-    }
-    out += "]}";
+    w.endArray().newline().key("fleet").beginObject();
+    w.fields("domains", domains.size(), "requests", total.requests,
+             "errors", total.errors);
+    total.latency.json(w.key("latency"), true);
+    w.key("cpu").beginObject().fields(
+        "run_ns_sum", run_sum, "run_ns_max", run_max, "steal_ns_sum",
+        steal_sum, "steal_ns_max", steal_max, "blocked_ns_sum",
+        blocked_sum);
+    w.endObject().field("alerts", t_.profiler.alerts());
+    w.key("alert_log").beginArray();
+    for (const std::string &a : t_.profiler.alertLog())
+        w.str(a);
+    w.endArray().endObject();
     const BootTracker &boots = t_.boots;
-    out += strprintf(
-        ",\n\"boot\":{\"started\":%llu,\"completed\":%llu,"
-        "\"total\":%s,\"first_request\":%s,\"phases\":{",
-        (unsigned long long)boots.started(),
-        (unsigned long long)boots.completedBoots(),
-        boots.totalHistogram().json(true).c_str(),
-        boots.firstRequestHistogram().json(true).c_str());
-    bool fp = true;
-    for (const auto &[phase, h] : boots.phaseHistogramsSnapshot()) {
-        out += strprintf("%s\"%s\":%s", jsonSep(fp),
-                         jsonEscape(phase).c_str(), h.json(true).c_str());
-    }
-    out += "},\"recent\":" + boots.json() + "}";
-    out += ",\n\"slo\":" + t_.slo.json();
+    w.newline().key("boot").beginObject().fields(
+        "started", boots.started(), "completed", boots.completedBoots());
+    boots.totalHistogram().json(w.key("total"), true);
+    boots.firstRequestHistogram().json(w.key("first_request"), true);
+    w.key("phases").beginObject();
+    for (const auto &[phase, h] : boots.phaseHistogramsSnapshot())
+        h.json(w.key(phase), true);
+    w.endObject().key("recent").raw(boots.json()).endObject();
+    w.newline().key("slo").raw(t_.slo.json());
     // Only render the shard section once the profiler has seen a
     // sharded run; a 1-shard cloud bypasses the ShardSet entirely and
     // an all-zero section would just read as a broken profiler. Never
@@ -126,53 +110,28 @@ TelemetryHub::fleetJson() const
     // and wall-clock bytes in the body would change packetisation and
     // so virtual timing — breaking bit-identical replay.
     if (t_.wall && t_.wall->windows() > 0 && !t_.wall->inRun())
-        out += ",\n\"shards\":" + t_.wall->statsJson();
-    out += "\n}\n";
-    return out;
+        w.newline().key("shards").raw(t_.wall->statsJson());
+    w.newline().endObject().newline();
+    return w.take();
 }
-
-namespace {
-
-std::string
-promLabel(const std::string &s)
-{
-    // Label values allow anything except backslash, quote, newline.
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\' || c == '"')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 TelemetryHub::toPrometheus() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     std::string out;
-    out += "# TYPE fleet_requests_total counter\n";
+    appendPromType(out, "fleet_requests_total", "counter");
     for (const auto &[name, agg] : domains_)
-        out += strprintf("fleet_requests_total{domain=\"%s\"} %llu\n",
-                         promLabel(name).c_str(),
-                         (unsigned long long)agg.requests);
-    out += "# TYPE fleet_errors_total counter\n";
+        appendPromSample(out, "fleet_requests_total",
+                         promLabel("domain", name), agg.requests);
+    appendPromType(out, "fleet_errors_total", "counter");
     for (const auto &[name, agg] : domains_)
-        out += strprintf("fleet_errors_total{domain=\"%s\"} %llu\n",
-                         promLabel(name).c_str(),
-                         (unsigned long long)agg.errors);
-    out += "# TYPE fleet_request_latency_ns histogram\n";
+        appendPromSample(out, "fleet_errors_total",
+                         promLabel("domain", name), agg.errors);
+    appendPromType(out, "fleet_request_latency_ns", "histogram");
     for (const auto &[name, agg] : domains_)
         appendPromHistogram(out, "fleet_request_latency_ns",
-                            "domain=\"" + promLabel(name) + "\"",
-                            agg.latency);
+                            promLabel("domain", name), agg.latency);
     // Same in-run gate as fleetJson: /metrics is fetched by in-sim
     // clients, and wall-dependent bytes must never reach them.
     if (t_.wall && t_.wall->windows() > 0 && !t_.wall->inRun())

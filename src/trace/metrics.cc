@@ -84,31 +84,77 @@ promName(const std::string &name)
     return out;
 }
 
+/** A sample line up to its value: `<name>{<labels>} `. */
+std::string &
+promSeries(std::string &out, std::string_view name,
+           const std::string &labels)
+{
+    out += name;
+    if (!labels.empty())
+        out += "{" + labels + "}";
+    return out += ' ';
+}
+
 } // namespace
+
+std::string
+promLabel(std::string_view name, std::string_view value)
+{
+    // Label values allow anything except backslash, quote, newline.
+    std::string out = std::string(name) + "=\"";
+    for (char c : value) {
+        if (c == '\\' || c == '"')
+            out += '\\';
+        if (c == '\n')
+            out += "\\n";
+        else
+            out += c;
+    }
+    return out + '"';
+}
+
+void
+appendPromType(std::string &out, std::string_view name, const char *type)
+{
+    out += "# TYPE " + std::string(name) + " " + type + "\n";
+}
+
+void
+appendPromSample(std::string &out, std::string_view name,
+                 const std::string &labels, u64 value)
+{
+    promSeries(out, name, labels) += std::to_string(value) + '\n';
+}
+
+void
+appendPromSample(std::string &out, std::string_view name,
+                 const std::string &labels, double value, int decimals)
+{
+    promSeries(out, name, labels) += strprintf("%.*f\n", decimals, value);
+}
 
 void
 appendPromHistogram(std::string &out, const std::string &name,
                     const std::string &labels, const Histogram &h)
 {
-    std::string open = labels.empty() ? "{" : "{" + labels + ",";
-    std::string tail = labels.empty() ? "" : "{" + labels + "}";
+    std::string bucket = name + "_bucket";
+    std::string prefix = labels.empty() ? "" : labels + ",";
     u64 cumulative = 0;
     for (std::size_t i = 0; i < Histogram::bucketCount; i++) {
         u64 in_bucket = h.bucketCountAt(i);
         if (in_bucket == 0)
             continue;
         cumulative += in_bucket;
-        out += strprintf(
-            "%s_bucket%sle=\"%llu\"} %llu\n", name.c_str(), open.c_str(),
-            (unsigned long long)Histogram::bucketUpperBound(i),
-            (unsigned long long)cumulative);
+        appendPromSample(
+            out, bucket,
+            prefix + promLabel("le", std::to_string(
+                                         Histogram::bucketUpperBound(i))),
+            cumulative);
     }
-    out += strprintf("%s_bucket%sle=\"+Inf\"} %llu\n", name.c_str(),
-                     open.c_str(), (unsigned long long)h.count());
-    out += strprintf("%s_sum%s %llu\n", name.c_str(), tail.c_str(),
-                     (unsigned long long)h.sum());
-    out += strprintf("%s_count%s %llu\n", name.c_str(), tail.c_str(),
-                     (unsigned long long)h.count());
+    appendPromSample(out, bucket, prefix + promLabel("le", "+Inf"),
+                     h.count());
+    appendPromSample(out, name + "_sum", labels, h.sum());
+    appendPromSample(out, name + "_count", labels, h.count());
 }
 
 std::string
@@ -118,12 +164,12 @@ MetricsRegistry::toPrometheus() const
     std::string out;
     for (const auto &[name, c] : counters_) {
         std::string p = promName(name);
-        out += strprintf("# TYPE %s counter\n%s %llu\n", p.c_str(),
-                         p.c_str(), (unsigned long long)c->value());
+        appendPromType(out, p, "counter");
+        appendPromSample(out, p, "", c->value());
     }
     for (const auto &[name, h] : histograms_) {
         std::string p = promName(name);
-        out += strprintf("# TYPE %s histogram\n", p.c_str());
+        appendPromType(out, p, "histogram");
         appendPromHistogram(out, p, "", *h);
     }
     return out;

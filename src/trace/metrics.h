@@ -13,6 +13,11 @@
  * Naming convention: `<subsystem>.<metric>`, lower_snake_case, with
  * byte counts suffixed `_bytes` and durations suffixed `_ns`
  * (e.g. `gc.minor_collections`, `tcp.bytes_sent`, `ring.blkif.req_pushed`).
+ *
+ * This header also declares the one Prometheus text writer: every
+ * `/metrics` series (registry, fleet hub, wall profiler) is rendered
+ * through promLabel / appendPromType / appendPromSample /
+ * appendPromHistogram.
  */
 
 #ifndef MIRAGE_TRACE_METRICS_H
@@ -24,6 +29,7 @@
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "base/types.h"
 #include "trace/hdr.h"
@@ -31,15 +37,22 @@
 namespace mirage::trace {
 
 /**
- * A monotonically increasing named value. Increments are relaxed
- * atomics so per-shard simulation workers can share one registry; the
- * total is exact once the shards quiesce (window barriers, run end).
+ * A u64 cell with relaxed-atomic access — the one counter type. Named
+ * registry counters and the per-domain DomainStats fields are both
+ * Counters: the owning shard writes while rollups (/top, /fleet,
+ * /metrics) read from another thread, and totals are exact once the
+ * shards quiesce (window barriers, run end).
  */
 class Counter
 {
   public:
     void inc(u64 n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+    /** Overwrite, for gauge-style fields (live bytes after a GC). */
+    void set(u64 v) { value_.store(v, std::memory_order_relaxed); }
     u64 value() const { return value_.load(std::memory_order_relaxed); }
+    /** value() under std::atomic's name; perfbench reads
+     *  `DomainStats` fields through it. */
+    u64 load() const { return value(); }
 
   private:
     std::atomic<u64> value_{0};
@@ -71,12 +84,31 @@ observe(Histogram *h, u64 v)
         h->record(v);
 }
 
+// ---- Prometheus text exposition (format 0.0.4) -----------------------------
+// The one writer of exposition text: the registry, the hub and the wall
+// profiler render their `/metrics` series through these helpers.
+
+/** One label, `name="value"`, with backslash, quote and newline in
+ *  @p value escaped. Join several with ','. */
+std::string promLabel(std::string_view name, std::string_view value);
+
+/** `# TYPE <name> <type>` (counter, gauge, histogram). */
+void appendPromType(std::string &out, std::string_view name,
+                    const char *type);
+
+/** One sample line, `<name>{<labels>} <value>`; no braces when
+ *  @p labels is empty. A double prints with @p decimals digits. */
+void appendPromSample(std::string &out, std::string_view name,
+                      const std::string &labels, u64 value);
+void appendPromSample(std::string &out, std::string_view name,
+                      const std::string &labels, double value,
+                      int decimals);
+
 /**
  * Append @p h to @p out as Prometheus series `<name>_bucket`
  * (cumulative, only buckets that change the count, then `le="+Inf"`),
- * `<name>_sum` and `<name>_count`. @p labels is a label list without
- * braces (`domain="web3"`), or empty. The `# TYPE` line is the
- * caller's.
+ * `<name>_sum` and `<name>_count`, each carrying @p labels. The
+ * `# TYPE` line is the caller's.
  */
 void appendPromHistogram(std::string &out, const std::string &name,
                          const std::string &labels, const Histogram &h);

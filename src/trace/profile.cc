@@ -94,18 +94,16 @@ Profiler::emitCounterSample(i64 now_ns)
     // One multi-series counter event: ns charged per top-level scope
     // since the previous sample. Perfetto stacks the series into a
     // CPU-attribution area chart alongside the span tracks.
-    std::string args;
+    JsonWriter args;
+    args.beginObject();
     for (u32 c : nodes_[0].children) {
         Node &n = nodes_[c];
-        u64 delta = n.total_ns - n.emitted_ns;
+        args.field(n.label, n.total_ns - n.emitted_ns);
         n.emitted_ns = n.total_ns;
-        if (!args.empty())
-            args += ",";
-        args += strprintf("\"%s\":%llu", jsonEscape(n.label).c_str(),
-                          (unsigned long long)delta);
     }
+    args.endObject();
     t_.tracer.counter(Cat::Cpu, "prof.cpu_ns", TimePoint(now_ns),
-                      std::move(args));
+                      args.take());
 }
 
 u64
@@ -252,50 +250,40 @@ std::string
 Profiler::topJson() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::string out = "{\"domains\":[";
-    bool first_dom = true;
+    JsonWriter w;
+    w.beginObject().key("domains").beginArray();
     for (const auto &[name, d] : domains_) {
-        out += jsonSep(first_dom);
-        out += strprintf(
-            "{\"name\":\"%s\","
-            "\"cpu\":{\"run_ns\":%llu,\"steal_ns\":%llu,"
-            "\"blocked_ns\":%llu,\"polls\":%llu},"
-            "\"evtchn\":{\"sent\":%llu,\"received\":%llu},",
-            jsonEscape(name).c_str(), (unsigned long long)d->run_ns,
-            (unsigned long long)d->steal_ns,
-            (unsigned long long)d->blocked_ns,
-            (unsigned long long)d->polls,
-            (unsigned long long)d->notifies_sent,
-            (unsigned long long)d->notifies_received);
-        out += "\"rings\":{";
+        w.beginObject().field("name", name);
+        w.key("cpu").beginObject().fields(
+            "run_ns", d->run_ns.value(), "steal_ns", d->steal_ns.value(),
+            "blocked_ns", d->blocked_ns.value(), "polls", d->polls.value());
+        w.endObject();
+        w.key("evtchn").beginObject().fields(
+            "sent", d->notifies_sent.value(), "received",
+            d->notifies_received.value());
+        w.endObject();
+        w.key("rings").beginObject();
         {
             std::lock_guard<std::mutex> rlk(d->rings_mu_);
-            bool first_ring = true;
             for (const auto &[rname, ring] : d->rings) {
-                out += jsonSep(first_ring);
-                out += strprintf("\"%s\":{\"hwm\":%u,\"capacity\":%u}",
-                                 jsonEscape(rname).c_str(), ring.hwm,
-                                 ring.capacity);
+                w.key(rname).beginObject();
+                w.fields("hwm", ring.hwm, "capacity", ring.capacity);
+                w.endObject();
             }
         }
-        out += "},";
-        out += strprintf(
-            "\"gc\":{\"minor\":%llu,\"major\":%llu,"
-            "\"promoted_bytes\":%llu,\"live_after_major_bytes\":%llu,"
-            "\"minor_pause\":%s,\"major_pause\":%s}}",
-            (unsigned long long)d->gc_minor,
-            (unsigned long long)d->gc_major,
-            (unsigned long long)d->gc_promoted_bytes,
-            (unsigned long long)d->gc_live_after_major_bytes,
-            d->gc_minor_pause_ns.json().c_str(),
-            d->gc_major_pause_ns.json().c_str());
+        w.endObject();
+        w.key("gc").beginObject().fields(
+            "minor", d->gc_minor.value(), "major", d->gc_major.value(),
+            "promoted_bytes", d->gc_promoted_bytes.value(),
+            "live_after_major_bytes", d->gc_live_after_major_bytes.value());
+        d->gc_minor_pause_ns.json(w.key("minor_pause"));
+        d->gc_major_pause_ns.json(w.key("major_pause"));
+        w.endObject().endObject();
     }
-    out += strprintf("],\"charged_ns\":%llu,"
-                     "\"attributed_fraction\":%.4f,\"alerts\":%llu}",
-                     (unsigned long long)totalNs(),
-                     attributedFractionLocked(),
-                     (unsigned long long)alerts());
-    return out;
+    w.endArray().field("charged_ns", totalNs());
+    w.key("attributed_fraction").fixed(attributedFractionLocked(), 4);
+    w.field("alerts", alerts()).endObject();
+    return w.take();
 }
 
 std::string
@@ -310,13 +298,14 @@ Profiler::topText() const
         out += strprintf(
             "%-12s %10.2f %10.2f %10.2f %6llu %7llu %7llu %6llu %6llu "
             "%10.1f\n",
-            name.c_str(), double(d->run_ns) / 1e6,
-            double(d->steal_ns) / 1e6, double(d->blocked_ns) / 1e6,
-            (unsigned long long)d->polls,
-            (unsigned long long)d->notifies_sent,
-            (unsigned long long)d->notifies_received,
-            (unsigned long long)d->gc_minor,
-            (unsigned long long)d->gc_major,
+            name.c_str(), double(d->run_ns.value()) / 1e6,
+            double(d->steal_ns.value()) / 1e6,
+            double(d->blocked_ns.value()) / 1e6,
+            (unsigned long long)d->polls.value(),
+            (unsigned long long)d->notifies_sent.value(),
+            (unsigned long long)d->notifies_received.value(),
+            (unsigned long long)d->gc_minor.value(),
+            (unsigned long long)d->gc_major.value(),
             double(d->gc_minor_pause_ns.quantile(0.99)) / 1e3);
         std::lock_guard<std::mutex> rlk(d->rings_mu_);
         for (const auto &[rname, ring] : d->rings)
@@ -336,7 +325,6 @@ Profiler::topText() const
 void
 Profiler::alert(const char *kind, const std::string &detail)
 {
-    alerts_.fetch_add(1, std::memory_order_relaxed);
     c_alerts_.inc();
     {
         std::lock_guard<std::mutex> lk(mu_);

@@ -60,43 +60,6 @@ class Profiler;
 struct Telemetry;
 
 /**
- * A u64 cell with relaxed-atomic access, drop-in for the plain counters
- * in DomainStats: each field is written by the owning domain's shard
- * while rollups (/top, TelemetryHub) read from another thread. Totals
- * are exact at window barriers.
- */
-class RelaxedU64
-{
-  public:
-    RelaxedU64(u64 v = 0) : v_(v) {}
-    RelaxedU64 &operator=(u64 v)
-    {
-        store(v);
-        return *this;
-    }
-    RelaxedU64 &operator+=(u64 n)
-    {
-        v_.fetch_add(n, std::memory_order_relaxed);
-        return *this;
-    }
-    RelaxedU64 &operator++()
-    {
-        v_.fetch_add(1, std::memory_order_relaxed);
-        return *this;
-    }
-    u64 operator++(int)
-    {
-        return v_.fetch_add(1, std::memory_order_relaxed);
-    }
-    operator u64() const { return load(); }
-    u64 load() const { return v_.load(std::memory_order_relaxed); }
-    void store(u64 v) { v_.store(v, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<u64> v_;
-};
-
-/**
  * Per-domain resource accounting — one record per domain, owned by the
  * Profiler, written directly by sim::Cpu (run/steal), xen::Domain
  * (blocked time), the event-channel hub (notify rates), the backends
@@ -118,14 +81,14 @@ struct DomainStats
     Profiler *owner = nullptr; //!< for ring-full alerts
 
     // ---- vCPU time (summed over the domain's vcpus) -----------------
-    RelaxedU64 run_ns;     //!< work charged to the vcpus
-    RelaxedU64 steal_ns;   //!< charged work queued behind earlier work
-    RelaxedU64 blocked_ns; //!< time spent inside domainpoll
-    RelaxedU64 polls;      //!< completed domainpolls
+    Counter run_ns;     //!< work charged to the vcpus
+    Counter steal_ns;   //!< charged work queued behind earlier work
+    Counter blocked_ns; //!< time spent inside domainpoll
+    Counter polls;      //!< completed domainpolls
 
     // ---- Event channels ---------------------------------------------
-    RelaxedU64 notifies_sent;
-    RelaxedU64 notifies_received;
+    Counter notifies_sent;
+    Counter notifies_received;
 
     // ---- Ring occupancy high-water marks (keyed by ring name) -------
     // Guarded by rings_mu_: the owning shard updates marks while /top
@@ -134,10 +97,10 @@ struct DomainStats
     std::map<std::string, Ring> rings;
 
     // ---- GC ----------------------------------------------------------
-    RelaxedU64 gc_minor;
-    RelaxedU64 gc_major;
-    RelaxedU64 gc_promoted_bytes;
-    RelaxedU64 gc_live_after_major_bytes;
+    Counter gc_minor;
+    Counter gc_major;
+    Counter gc_promoted_bytes;
+    Counter gc_live_after_major_bytes;
     Histogram gc_minor_pause_ns;
     Histogram gc_major_pause_ns;
 
@@ -244,7 +207,7 @@ class Profiler
      *  count, log, warn and dump the flight recorder. */
     void alert(const char *kind, const std::string &detail);
 
-    u64 alerts() const { return alerts_.load(std::memory_order_relaxed); }
+    u64 alerts() const { return c_alerts_.value(); }
     /** Most recent alerts, oldest first ("kind: detail"), bounded. */
     std::vector<std::string> alertLog() const
     {
@@ -293,7 +256,6 @@ class Profiler
     i64 sample_interval_ns_ = 100'000;
     i64 next_sample_ns_ = 0;
     std::map<std::string, std::unique_ptr<DomainStats>> domains_;
-    std::atomic<u64> alerts_{0};
     std::vector<std::string> alert_log_;
     u64 gc_pause_alert_ns_ = 0;
     static constexpr std::size_t alertLogCapacity = 64;

@@ -144,23 +144,20 @@ std::string
 SloTracker::json() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::string out = "[";
-    bool first = true;
+    JsonWriter w;
+    w.beginArray();
     for (const auto &[kind, s] : states_) {
-        out += strprintf(
-            "%s{\"kind\":\"%s\",\"objective\":%.4f,"
-            "\"latency_target_ns\":%llu,\"good\":%llu,\"bad\":%llu,"
-            "\"fast_burn\":%.2f,\"slow_burn\":%.2f,"
-            "\"alerting\":%s,\"alerts\":%llu}",
-            jsonSep(first), jsonEscape(kind).c_str(),
-            s.target.objective,
-            (unsigned long long)s.target.latencyTargetNs,
-            (unsigned long long)s.good, (unsigned long long)s.bad,
-            s.fast_burn, s.slow_burn, s.alerting ? "true" : "false",
-            (unsigned long long)s.alerts);
+        w.beginObject().field("kind", kind);
+        w.key("objective").fixed(s.target.objective, 4);
+        w.fields("latency_target_ns", s.target.latencyTargetNs, "good",
+                 s.good, "bad", s.bad);
+        w.key("fast_burn").fixed(s.fast_burn, 2);
+        w.key("slow_burn").fixed(s.slow_burn, 2);
+        w.fields("alerting", s.alerting, "alerts", s.alerts);
+        w.endObject();
     }
-    out += "]";
-    return out;
+    w.endArray();
+    return w.take();
 }
 
 } // namespace mirage::trace

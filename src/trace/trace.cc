@@ -33,35 +33,6 @@ catName(Cat cat)
     return "unknown";
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (u8(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 Status
 writeFile(const std::string &path, const std::string &body)
 {
@@ -182,39 +153,41 @@ TraceRecorder::toChromeJson() const
                          return a->ts_ns < b->ts_ns;
                      });
 
-    std::string out = strprintf(
-        "{\"displayTimeUnit\":\"ms\",\"droppedEvents\":%llu,"
-        "\"traceEvents\":[\n",
-        (unsigned long long)dropped);
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-           "\"args\":{\"name\":\"mirage\"}}";
-    for (std::size_t i = 0; i < tracks.size(); i++) {
-        out += strprintf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%zu,"
-                         "\"name\":\"thread_name\","
-                         "\"args\":{\"name\":\"%s\"}}",
-                         i, jsonEscape(tracks[i]).c_str());
-    }
+    JsonWriter w;
+    w.beginObject()
+        .field("displayTimeUnit", "ms")
+        .field("droppedEvents", dropped)
+        .key("traceEvents")
+        .beginArray();
+    auto meta = [&w](std::size_t tid, const char *what,
+                     const std::string &name) {
+        w.newline().beginObject().fields("ph", "M", "pid", 1, "tid", tid,
+                                         "name", what);
+        w.key("args").beginObject().field("name", name).endObject();
+        w.endObject();
+    };
+    meta(0, "process_name", "mirage");
+    for (std::size_t i = 0; i < tracks.size(); i++)
+        meta(i, "thread_name", tracks[i]);
     for (const Event *e : ordered) {
         // Chrome expects microsecond timestamps; keep ns resolution
         // with a fractional part.
-        out += strprintf(",\n{\"ph\":\"%c\",\"pid\":1,\"tid\":%u,"
-                         "\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.3f",
-                         e->ph, e->tid, catName(e->cat),
-                         jsonEscape(e->name).c_str(),
-                         double(e->ts_ns) / 1000.0);
+        w.newline().beginObject().key("ph").str(std::string_view(&e->ph, 1));
+        w.fields("pid", 1, "tid", e->tid, "cat", catName(e->cat), "name",
+                 e->name);
+        w.key("ts").fixed(double(e->ts_ns) / 1000.0, 3);
         if (e->ph == 'X')
-            out += strprintf(",\"dur\":%.3f", double(e->dur_ns) / 1000.0);
+            w.key("dur").fixed(double(e->dur_ns) / 1000.0, 3);
         if (e->ph == 'i')
-            out += ",\"s\":\"t\"";
+            w.field("s", "t");
         if (e->ph == 'b' || e->ph == 'e' || e->ph == 'n')
-            out += strprintf(",\"id\":\"0x%llx\"",
-                             (unsigned long long)e->id);
+            w.field("id", strprintf("0x%llx", (unsigned long long)e->id));
         if (!e->args.empty())
-            out += strprintf(",\"args\":{%s}", e->args.c_str());
-        out += "}";
+            w.key("args").raw(e->args);
+        w.endObject();
     }
-    out += "\n]}\n";
-    return out;
+    w.newline().endArray().endObject().newline();
+    return w.take();
 }
 
 Status

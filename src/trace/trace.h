@@ -42,6 +42,7 @@
 #include "base/result.h"
 #include "base/time.h"
 #include "base/types.h"
+#include "trace/json.h"
 
 namespace mirage::trace {
 
@@ -60,18 +61,6 @@ enum class Cat : u8 {
 
 const char *catName(Cat cat);
 
-/** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
-/** JSON list separator: "" before the first element, "," after. */
-inline const char *
-jsonSep(bool &first)
-{
-    const char *sep = first ? "" : ",";
-    first = false;
-    return sep;
-}
-
 /** Write @p body to the file at @p path, replacing it. */
 Status writeFile(const std::string &path, const std::string &body);
 
@@ -87,7 +76,7 @@ class TraceRecorder
         i64 ts_ns;  //!< virtual-time start
         i64 dur_ns; //!< span length (0 for instants)
         u64 id;     //!< async-flow id ('b'/'e'/'n' only; else 0)
-        std::string args; //!< JSON object body, e.g. "\"seq\":7" (may be empty)
+        std::string args; //!< jsonObject(...), e.g. {"seq":7}; may be empty
     };
 
     void enable(bool on = true) { enabled_ = on; }
@@ -137,7 +126,7 @@ class TraceRecorder
 
     /**
      * A counter sample ('C'): @p args carries the series values, e.g.
-     * "\"net\":120,\"gc\":30" — Perfetto renders each key as a stacked
+     * {"net":120,"gc":30} — Perfetto renders each key as a stacked
      * series on one counter track named @p name.
      */
     void counter(Cat cat, const char *name, TimePoint ts,

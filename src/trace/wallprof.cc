@@ -312,14 +312,14 @@ WallProfiler::toChromeJson() const
     // one thread track per worker; the virtual window each execute
     // span ran rides in args so it can be cross-referenced against the
     // virtual-time trace (TraceRecorder::toChromeJson).
-    std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
+    JsonWriter out;
+    out.beginObject().key("traceEvents").beginArray();
     for (unsigned w = 0; w < slots_.size(); w++) {
-        out += strprintf(
-            "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-            "\"tid\":%u,\"args\":{\"name\":\"wall/shard%u\"}}",
-            first ? "" : ",\n", w + 1, w);
-        first = false;
+        out.newline().beginObject().fields(
+            "name", "thread_name", "ph", "M", "pid", 1, "tid", w + 1);
+        out.key("args").beginObject();
+        out.field("name", strprintf("wall/shard%u", w)).endObject();
+        out.endObject();
     }
     for (unsigned w = 0; w < slots_.size(); w++) {
         std::vector<Span> spans;
@@ -328,29 +328,23 @@ WallProfiler::toChromeJson() const
             spans = slots_[w]->spans;
         }
         for (const Span &s : spans) {
-            out += strprintf(
-                "%s{\"name\":\"%s\",\"cat\":\"wall\",\"ph\":\"X\","
-                "\"pid\":1,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,"
-                "\"args\":{",
-                first ? "" : ",\n", phaseName(s.phase), w + 1,
-                double(s.t0_ns) / 1e3,
-                double(s.t1_ns - s.t0_ns) / 1e3);
-            first = false;
+            out.newline().beginObject().fields(
+                "name", phaseName(s.phase), "cat", "wall", "ph", "X",
+                "pid", 1, "tid", w + 1);
+            out.key("ts").fixed(double(s.t0_ns) / 1e3, 3);
+            out.key("dur").fixed(double(s.t1_ns - s.t0_ns) / 1e3, 3);
+            out.key("args").beginObject();
             if (s.vt_ns >= 0)
-                out += strprintf("\"vt_ns\":%lld,\"vend_ns\":%lld,",
-                                 (long long)s.vt_ns,
-                                 (long long)s.vend_ns);
+                out.fields("vt_ns", s.vt_ns, "vend_ns", s.vend_ns);
             if (s.phase == WallPhase::Execute)
-                out += strprintf("\"events\":%llu,",
-                                 (unsigned long long)s.events);
+                out.field("events", s.events);
             if (s.phase == WallPhase::Wait && s.idle_ns)
-                out += strprintf("\"idle_ns\":%llu,",
-                                 (unsigned long long)s.idle_ns);
-            out += strprintf("\"shard\":%u}}", w);
+                out.field("idle_ns", s.idle_ns);
+            out.field("shard", w).endObject().endObject();
         }
     }
-    out += "\n]}\n";
-    return out;
+    out.newline().endArray().endObject().newline();
+    return out.take();
 }
 
 Status
@@ -362,35 +356,29 @@ WallProfiler::writeChromeJson(const std::string &path) const
 std::string
 WallProfiler::statsJson() const
 {
-    std::string out = strprintf(
-        "{\"workers\":%u,\"elapsed_ns\":%llu,\"windows\":%llu,"
-        "\"attributed\":%.4f,\"efficiency\":%.4f,"
-        "\"barrier_wait_frac\":%.4f,\"imbalance\":%.3f,"
-        "\"timeline_spans\":%llu,\"timeline_dropped\":%llu,"
-        "\"per_shard\":[",
-        workers(), (unsigned long long)elapsedNs(),
-        (unsigned long long)windows(), attributedFraction(),
-        parallelEfficiency(), barrierWaitFraction(), imbalanceRatio(),
-        (unsigned long long)spansRecorded(),
-        (unsigned long long)spansDropped());
+    JsonWriter out;
+    out.beginObject().fields("workers", workers(), "elapsed_ns",
+                             elapsedNs(), "windows", windows());
+    out.key("attributed").fixed(attributedFraction(), 4);
+    out.key("efficiency").fixed(parallelEfficiency(), 4);
+    out.key("barrier_wait_frac").fixed(barrierWaitFraction(), 4);
+    out.key("imbalance").fixed(imbalanceRatio(), 3);
+    out.fields("timeline_spans", spansRecorded(), "timeline_dropped",
+               spansDropped());
+    out.key("per_shard").beginArray();
     for (unsigned w = 0; w < workers(); w++) {
         ShardStats s = shardStats(w);
-        out += strprintf(
-            "%s{\"shard\":%u,\"busy_ns\":%llu,\"calc_ns\":%llu,"
-            "\"drain_ns\":%llu,\"wait_ns\":%llu,\"idle_ns\":%llu,"
-            "\"events\":%llu,\"windows\":%llu}",
-            w ? "," : "", w, (unsigned long long)s.busy_ns,
-            (unsigned long long)s.calc_ns,
-            (unsigned long long)s.drain_ns,
-            (unsigned long long)s.wait_ns,
-            (unsigned long long)s.idle_ns,
-            (unsigned long long)s.events,
-            (unsigned long long)s.windows);
+        out.beginObject().fields(
+            "shard", w, "busy_ns", s.busy_ns, "calc_ns", s.calc_ns,
+            "drain_ns", s.drain_ns, "wait_ns", s.wait_ns, "idle_ns",
+            s.idle_ns, "events", s.events, "windows", s.windows);
+        out.endObject();
     }
-    out += "],\"delivery_lag_virtual\":" + lag_virt_.json();
-    out += ",\"mailbox_lag_wall\":" + lag_wall_.json();
-    out += "}";
-    return out;
+    out.endArray();
+    lag_virt_.json(out.key("delivery_lag_virtual"));
+    lag_wall_.json(out.key("mailbox_lag_wall"));
+    out.endObject();
+    return out.take();
 }
 
 std::string
@@ -408,46 +396,36 @@ WallProfiler::toPrometheus() const
         {"shard_wait_ns", WallPhase::Wait},
         {"shard_idle_ns", WallPhase::Idle},
     };
-    for (const auto &s : series) {
-        out += strprintf("# TYPE %s counter\n", s.name);
-        for (unsigned w = 0; w < workers(); w++)
-            out += strprintf(
-                "%s{shard=\"%u\"} %llu\n", s.name, w,
-                (unsigned long long)slots_[w]
-                    ->phase_ns[unsigned(s.phase)]
-                    .load(relaxed));
-    }
-    out += "# TYPE shard_events_total counter\n";
-    for (unsigned w = 0; w < workers(); w++)
-        out += strprintf(
-            "shard_events_total{shard=\"%u\"} %llu\n", w,
-            (unsigned long long)slots_[w]->events.load(relaxed));
-    out += strprintf("# TYPE shard_windows_total counter\n"
-                     "shard_windows_total %llu\n",
-                     (unsigned long long)windows());
-    out += strprintf("# TYPE shard_wall_elapsed_ns counter\n"
-                     "shard_wall_elapsed_ns %llu\n",
-                     (unsigned long long)elapsedNs());
-    out += strprintf("# TYPE shard_parallel_efficiency gauge\n"
-                     "shard_parallel_efficiency %.4f\n",
-                     parallelEfficiency());
-    out += strprintf("# TYPE shard_wall_attributed_fraction gauge\n"
-                     "shard_wall_attributed_fraction %.4f\n",
-                     attributedFraction());
-    out += strprintf("# TYPE shard_imbalance_ratio gauge\n"
-                     "shard_imbalance_ratio %.3f\n",
-                     imbalanceRatio());
-    struct
-    {
-        const char *name;
-        const HdrHistogram *h;
-    } hists[] = {
-        {"shard_delivery_lag_virtual_ns", &lag_virt_},
-        {"shard_mailbox_lag_wall_ns", &lag_wall_},
+    auto shard = [](unsigned t) {
+        return promLabel("shard", std::to_string(t));
     };
-    for (const auto &hs : hists) {
-        out += strprintf("# TYPE %s histogram\n", hs.name);
-        appendPromHistogram(out, hs.name, "", *hs.h);
+    for (const auto &s : series) {
+        appendPromType(out, s.name, "counter");
+        for (unsigned t = 0; t < workers(); t++)
+            appendPromSample(
+                out, s.name, shard(t),
+                slots_[t]->phase_ns[unsigned(s.phase)].load(relaxed));
+    }
+    appendPromType(out, "shard_events_total", "counter");
+    for (unsigned t = 0; t < workers(); t++)
+        appendPromSample(out, "shard_events_total", shard(t),
+                         slots_[t]->events.load(relaxed));
+    appendPromType(out, "shard_windows_total", "counter");
+    appendPromSample(out, "shard_windows_total", "", windows());
+    appendPromType(out, "shard_wall_elapsed_ns", "counter");
+    appendPromSample(out, "shard_wall_elapsed_ns", "", elapsedNs());
+    auto gauge = [&out](const char *name, double v, int decimals) {
+        appendPromType(out, name, "gauge");
+        appendPromSample(out, name, "", v, decimals);
+    };
+    gauge("shard_parallel_efficiency", parallelEfficiency(), 4);
+    gauge("shard_wall_attributed_fraction", attributedFraction(), 4);
+    gauge("shard_imbalance_ratio", imbalanceRatio(), 3);
+    for (auto [name, h] :
+         {std::pair{"shard_delivery_lag_virtual_ns", &lag_virt_},
+          std::pair{"shard_mailbox_lag_wall_ns", &lag_wall_}}) {
+        appendPromType(out, name, "histogram");
+        appendPromHistogram(out, name, "", *h);
     }
     return out;
 }

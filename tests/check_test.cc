@@ -78,7 +78,7 @@ TEST_F(CheckedHvTest, GrantLeakAtTeardownCaught)
     ASSERT_EQ(ck.shadowMappedGrants(), 1u);
 
     // The granting domain dies while the peer still holds the mapping.
-    a.shutdown(0);
+    a.shutdown();
     EXPECT_EQ(ck.violations(Subsystem::Grant), 1u);
     EXPECT_NE(ck.lastViolation().find("mapping_outlives_domain"),
               std::string::npos)
@@ -380,7 +380,7 @@ TEST(CheckedCloudTest, BlkbackRingTrafficRunsViolationFree)
 
     // Clean teardown: disconnecting the backend unmaps everything, so
     // the guest's shutdown audit finds no leaked mappings.
-    uk.shutdown(0);
+    uk.shutdown();
     EXPECT_EQ(ck.violations(), 0u) << ck.report();
 }
 

@@ -630,9 +630,9 @@ TEST(CheckedDatapathTest, TeardownWithLivePersistentGrantsIsClean)
     ASSERT_GT(blk->grantPool().issued(), 0u);
 
     // Persistent grants are still granted and mapped right now.
-    da.shutdown(0);
-    db.shutdown(0);
-    dc.shutdown(0);
+    da.shutdown();
+    db.shutdown();
+    dc.shutdown();
     EXPECT_EQ(ck.violations(), 0u) << ck.report();
 
     // Driver objects outlive their domains; destruction stays clean.

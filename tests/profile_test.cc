@@ -182,8 +182,8 @@ TEST(ProfilerCpuTest, SubmitChargesRunStealAndScope)
     }
     engine.run();
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(d.run_ns, 150u);
-    EXPECT_EQ(d.steal_ns, 100u);
+    EXPECT_EQ(d.run_ns.value(), 150u);
+    EXPECT_EQ(d.steal_ns.value(), 100u);
     EXPECT_EQ(p.selfNs("app;unit.work"), 150u);
     EXPECT_EQ(p.samples("app;unit.work"), 2u);
 }
@@ -251,14 +251,14 @@ TEST(ProfilerTopTest, TopJsonHasPerDomainSections)
     Telemetry t;
     Profiler &p = t.profiler;
     DomainStats &d = p.domain("guest");
-    d.run_ns = 1000;
-    d.steal_ns = 200;
-    d.blocked_ns = 300;
-    d.polls = 4;
-    d.notifies_sent = 5;
-    d.notifies_received = 6;
+    d.run_ns.set(1000);
+    d.steal_ns.set(200);
+    d.blocked_ns.set(300);
+    d.polls.set(4);
+    d.notifies_sent.set(5);
+    d.notifies_received.set(6);
     d.noteRing("blkback", 2, 32);
-    d.gc_minor = 3;
+    d.gc_minor.set(3);
     d.gc_minor_pause_ns.record(1000);
 
     std::string json = p.topJson();
@@ -315,9 +315,9 @@ TEST(GcHeapProfileTest, PauseHistogramsAndAttributionMatch)
 
     EXPECT_GT(heap.stats().minorCollections, 0u);
     EXPECT_GT(heap.stats().promotedBytes, 0u);
-    EXPECT_EQ(d.gc_minor, heap.stats().minorCollections)
+    EXPECT_EQ(d.gc_minor.value(), heap.stats().minorCollections)
         << "DomainStats must mirror the heap's own counters";
-    EXPECT_EQ(d.gc_promoted_bytes, heap.stats().promotedBytes);
+    EXPECT_EQ(d.gc_promoted_bytes.value(), heap.stats().promotedBytes);
     EXPECT_EQ(d.gc_minor_pause_ns.count(),
               heap.stats().minorCollections);
     EXPECT_GT(d.gc_minor_pause_ns.max(), 0u);
@@ -386,13 +386,13 @@ TEST(CloudProfileTest, DomainsAccumulateRunAndNotifyAccounting)
     const DomainStats *c = cloud.profiler().findDomain("client");
     ASSERT_NE(s, nullptr);
     ASSERT_NE(c, nullptr);
-    EXPECT_GT(s->run_ns, 0u);
-    EXPECT_GT(c->run_ns, 0u);
-    EXPECT_GT(s->notifies_sent, 0u);
-    EXPECT_GT(s->notifies_received, 0u);
+    EXPECT_GT(s->run_ns.value(), 0u);
+    EXPECT_GT(c->run_ns.value(), 0u);
+    EXPECT_GT(s->notifies_sent.value(), 0u);
+    EXPECT_GT(s->notifies_received.value(), 0u);
     EXPECT_GT(s->rings.count("netback.tx"), 0u)
         << "backend drains must record ring occupancy";
-    EXPECT_EQ(u64(server.dom.vcpu().busyTime().ns()), s->run_ns)
+    EXPECT_EQ(u64(server.dom.vcpu().busyTime().ns()), s->run_ns.value())
         << "DomainStats run time must equal the vcpu's busy time";
 }
 

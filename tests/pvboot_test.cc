@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "pvboot/extent.h"
 #include "pvboot/pvboot.h"
 #include "sim/cost_model.h"
 

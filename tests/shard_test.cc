@@ -464,6 +464,93 @@ TEST(CloudShardTest, HttpFleetIsIdenticalAtAnyShardCount)
     }
 }
 
+struct BootStormResult
+{
+    std::vector<i64> first_response_ns; //!< per domain, -1 = no answer
+    u64 checksum = 0;
+    u64 events = 0;
+};
+
+/** Cold-boot @p domains appliances through the toolstack at t=0 and
+ *  probe each once from a client the instant it is ready. */
+BootStormResult
+runBootStorm(unsigned shards, int domains)
+{
+    core::Cloud::Config cfg;
+    cfg.shards = shards;
+    core::Cloud cloud(cfg);
+    core::Guest &client =
+        cloud.startUnikernel("client", net::Ipv4Addr(10, 0, 0, 200));
+
+    BootStormResult r;
+    r.first_response_ns.assign(std::size_t(domains), -1);
+    std::vector<std::unique_ptr<http::HttpServer>> servers(
+        static_cast<std::size_t>(domains));
+    for (int i = 0; i < domains; i++) {
+        net::Ipv4Addr ip(10, 0, 0, u8(1 + i));
+        cloud.bootUnikernel(
+            "boot" + std::to_string(i), ip, 16,
+            [&, i, ip](core::Guest &g, xen::BootBreakdown) {
+                servers[std::size_t(i)] = std::make_unique<http::HttpServer>(
+                    g.stack, 80,
+                    [](const http::HttpRequest &req, auto respond) {
+                        respond(http::HttpResponse::text(200, req.path));
+                    });
+                sim::crossPost(client.dom.engine(), Duration::micros(2),
+                               [&, i, ip] {
+                    auto holder = std::make_shared<
+                        std::shared_ptr<http::HttpSession>>();
+                    *holder = http::HttpSession::open(
+                        client.stack, ip, 80, [&, i, holder](Status st) {
+                            ASSERT_TRUE(st.ok());
+                            http::HttpRequest get;
+                            get.method = "GET";
+                            get.path = "/probe";
+                            std::weak_ptr<http::HttpSession> weak = *holder;
+                            (*holder)->request(
+                                get, [&, i, weak](
+                                         Result<http::HttpResponse> resp) {
+                                    if (resp.ok())
+                                        r.first_response_ns[std::size_t(i)] =
+                                            Engine::current()->now().ns();
+                                    if (auto s = weak.lock())
+                                        s->close();
+                                });
+                        });
+                });
+            });
+    }
+    cloud.run();
+    r.checksum = cloud.shards().dispatchChecksum();
+    r.events = cloud.eventsRun();
+    return r;
+}
+
+TEST(CloudShardTest, ToolstackBootStormIsIdenticalAtAnyShardCount)
+{
+    // Guest entries run on whichever worker reaches them first; any
+    // container they fill in arrival order (bridge ports, guest lists)
+    // must not leak that order into the schedule.
+    const int kDomains = 64;
+    BootStormResult one = runBootStorm(1, kDomains);
+    for (i64 ns : one.first_response_ns)
+        ASSERT_GE(ns, 0);
+    for (int rep = 0; rep < 10; rep++) {
+        for (unsigned shards : {1u, 2u, 4u}) {
+            if (shards == 1 && rep > 0)
+                continue;
+            BootStormResult k = runBootStorm(shards, kDomains);
+            EXPECT_EQ(one.events, k.events)
+                << shards << " shards, rep " << rep;
+            EXPECT_EQ(one.checksum, k.checksum)
+                << shards << " shards, rep " << rep;
+            EXPECT_TRUE(one.first_response_ns == k.first_response_ns)
+                << "per-domain first responses differ at " << shards
+                << " shards, rep " << rep;
+        }
+    }
+}
+
 TEST(CloudShardTest, ShardAwareAggregatesReachQuiescence)
 {
     core::Cloud::Config cfg;

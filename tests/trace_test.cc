@@ -165,7 +165,7 @@ TEST(TraceRecorderTest, ChromeJsonIsSortedByTimestamp)
     tr.span(Cat::Cpu, "late", TimePoint(Duration::micros(30).ns()),
             Duration::micros(10), tid);
     tr.span(Cat::Cpu, "early", TimePoint(Duration::micros(1).ns()),
-            Duration::micros(2), tid, "\"seq\":7");
+            Duration::micros(2), tid, jsonObject("seq", 7));
     tr.instant(Cat::Engine, "dispatch", TimePoint(0));
     EXPECT_EQ(tr.eventCount(), 3u);
 
@@ -229,15 +229,45 @@ TEST(TraceRecorderTest, EngineMirrorsCountersAndRecordsDispatch)
     EXPECT_EQ(dispatches, e.eventsRun());
 }
 
-TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlChars)
+/** @p s as the writer renders a string value. */
+std::string
+quoted(const std::string &s)
 {
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("line\nbreak"), "line\\nbreak");
-    EXPECT_EQ(jsonEscape("tab\there"), "tab\\there");
-    EXPECT_EQ(jsonEscape(std::string("nul\x01mid")), "nul\\u0001mid");
-    EXPECT_EQ(jsonEscape("\r"), "\\u000d");
+    JsonWriter w;
+    w.str(s);
+    return w.take();
+}
+
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndControlChars)
+{
+    EXPECT_EQ(quoted("plain"), "\"plain\"");
+    EXPECT_EQ(quoted("a\"b"), "\"a\\\"b\"");
+    EXPECT_EQ(quoted("a\\b"), "\"a\\\\b\"");
+    EXPECT_EQ(quoted("line\nbreak"), "\"line\\nbreak\"");
+    EXPECT_EQ(quoted("tab\there"), "\"tab\\there\"");
+    EXPECT_EQ(quoted(std::string("nul\x01mid")), "\"nul\\u0001mid\"");
+    EXPECT_EQ(quoted("\r"), "\"\\u000d\"");
+    // Keys are escaped the same way.
+    EXPECT_EQ(jsonObject("k\"", 1), "{\"k\\\"\":1}");
+}
+
+TEST(JsonWriterTest, PlacesCommasAndLineBreaks)
+{
+    JsonWriter w;
+    w.beginObject().newline().key("list").beginArray();
+    for (int i = 0; i < 3; i++)
+        w.newline().beginObject().field("i", i).endObject();
+    w.endArray().newline().key("empty").beginArray().endArray();
+    w.key("nested").beginObject().fields("s", "x", "neg", i64(-2), "on",
+                                         true);
+    w.key("ratio").fixed(0.12345, 4).key("pre").raw("[1,2]");
+    w.endObject().newline().endObject().newline();
+    EXPECT_EQ(w.take(), "{\n\"list\":[\n{\"i\":0},\n{\"i\":1},\n{\"i\":2}],\n"
+                        "\"empty\":[],\"nested\":{\"s\":\"x\",\"neg\":-2,"
+                        "\"on\":true,\"ratio\":0.1235,\"pre\":[1,2]}\n}\n");
+    EXPECT_EQ(jsonObject(), "{}");
+    EXPECT_EQ(jsonObject("op", "read", "sectors", 8u),
+              "{\"op\":\"read\",\"sectors\":8}");
 }
 
 TEST(TraceRecorderTest, FlightRingKeepsLastNAndCountsDropped)
