@@ -15,7 +15,10 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
       // registers disconnect(): LIFO shutdown unmaps the backend's
       // cached grants first, then the pool revokes cleanly.
       pool_(std::make_unique<GrantPool>(boot, backend_domid_)),
-      size_sectors_(backend.disk().sizeSectors())
+      size_sectors_(backend.disk().sizeSectors()),
+      completed_(trace::total(boot.domain().engine().metrics(),
+                              "blk.completed")),
+      errors_(trace::total(boot.domain().engine().metrics(), "blk.errors"))
 {
     xen::Domain &dom = boot_.domain();
     xen::Domain &back_dom = backend.backendDomain();
@@ -24,11 +27,7 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
     ring_page_ = Cstruct::create(xen::RingLayout::pageBytes());
     xen::SharedRing(ring_page_).init();
     ring_.emplace(ring_page_);
-    if (auto *m = dom.engine().metrics()) {
-        ring_->attachMetrics(*m, "ring.blkif");
-        c_completed_ = &m->counter("blk.completed");
-        c_errors_ = &m->counter("blk.errors");
-    }
+    ring_->attachMetrics(dom.engine().metrics(), "ring.blkif");
     ring_->attachChecker(dom.engine().checker(), "ring.blkif");
 
     xen::GrantRef ring_grant =
@@ -81,8 +80,7 @@ Blkif::submit(u8 op, u64 sector, u32 count, Cstruct page)
     if (count == 0 || count > xen::BlkifWire::maxSectors ||
         page.length() <
             std::size_t(count) * xen::BlkifWire::sectorBytes) {
-        errors_++;
-        trace::bump(c_errors_);
+        errors_.inc();
         p->cancel();
         return p;
     }
@@ -97,8 +95,7 @@ Blkif::submit(u8 op, u64 sector, u32 count, Cstruct page)
     // real blkfront parks bios.
     if (!wait_queue_.empty() || ring_->freeRequests() == 0) {
         if (wait_queue_.size() >= waitQueueLimit) {
-            errors_++;
-            trace::bump(c_errors_);
+            errors_.inc();
             if (flow)
                 engine.flows()->stageEnd(flow, "blkif", engine.now(),
                                          blkTrack());
@@ -245,12 +242,10 @@ Blkif::drainResponses(bool park)
             trace::FlowScope scope(pending.flow ? eng.flows() : nullptr,
                                    pending.flow);
             if (status == xen::BlkifWire::statusOk) {
-                completed_++;
-                trace::bump(c_completed_);
+                completed_.inc();
                 pending.promise->resolve();
             } else {
-                errors_++;
-                trace::bump(c_errors_);
+                errors_.inc();
                 pending.promise->cancel();
             }
         }

@@ -48,8 +48,8 @@ class Blkif
      */
     Result<Cstruct> allocPage();
 
-    u64 requestsCompleted() const { return completed_; }
-    u64 requestErrors() const { return errors_; }
+    u64 requestsCompleted() const { return completed_.value(); }
+    u64 requestErrors() const { return errors_.value(); }
 
     /** The device's persistent-grant pool (test visibility). */
     GrantPool &grantPool() { return *pool_; }
@@ -100,10 +100,8 @@ class Blkif
     std::unordered_map<u64, Pending> pending_;
     std::deque<Queued> wait_queue_;
     u64 next_id_ = 0;
-    u64 completed_ = 0;
-    u64 errors_ = 0;
-    trace::Counter *c_completed_ = nullptr;
-    trace::Counter *c_errors_ = nullptr;
+    trace::Counter completed_; //!< feeds `blk.completed`
+    trace::Counter errors_;    //!< feeds `blk.errors`
     u32 trace_track_ = 0;
 };
 

@@ -8,7 +8,11 @@
 namespace mirage::drivers {
 
 GrantPool::GrantPool(pvboot::PVBoot &boot, xen::DomId backend)
-    : boot_(boot), backend_(backend)
+    : boot_(boot), backend_(backend),
+      issued_(trace::total(boot.domain().engine().metrics(),
+                           "grant.issued")),
+      reused_(trace::total(boot.domain().engine().metrics(),
+                           "grant.reused"))
 {
     // The hook may outlive a stack-allocated pool (hooks are not
     // removable); the drained_ flag lives in the pool, so guard with a
@@ -28,22 +32,9 @@ GrantPool::~GrantPool()
 }
 
 void
-GrantPool::wireMetrics()
-{
-    if (c_issued_)
-        return; // already wired: skip the engine chase
-    auto *m = boot_.domain().engine().metrics();
-    if (!m)
-        return;
-    c_issued_ = &m->counter("grant.issued");
-    c_reused_ = &m->counter("grant.reused");
-}
-
-void
 GrantPool::chargeReuse()
 {
-    reused_++;
-    trace::bump(c_reused_);
+    reused_.inc();
     boot_.domain().vcpu().charge(sim::costs().grantReuse, "grant.reuse",
                                  trace::Cat::Hypervisor);
 }
@@ -140,7 +131,6 @@ GrantPool::pageFree(const PooledPage &p) const
 Result<Cstruct>
 GrantPool::acquirePage()
 {
-    wireMetrics();
     std::size_t n = pages_.size();
     std::size_t start = n ? scan_hint_ % n : 0;
     for (std::size_t i = 0; i < n; i++) {
@@ -168,8 +158,7 @@ GrantPool::acquirePage()
         backend_, page.value(), false);
     boot_.domain().vcpu().charge(sim::costs().grantIssue, "grant.issue",
                                  trace::Cat::Hypervisor);
-    issued_++;
-    trace::bump(c_issued_);
+    issued_.inc();
     page_index_.emplace(page.value().buffer().get(), pages_.size());
     pages_.push_back(PooledPage{page.value(), gref});
     return leased(pages_.size() - 1);
@@ -178,7 +167,6 @@ GrantPool::acquirePage()
 GrantPool::Region
 GrantPool::regionFor(const Cstruct &view)
 {
-    wireMetrics();
     const Buffer *buf = view.buffer().get();
     if (!buf)
         return Region{};
@@ -208,8 +196,7 @@ GrantPool::regionFor(const Cstruct &view)
         boot_.domain().grantTable().grantAccess(backend_, whole, false);
     boot_.domain().vcpu().charge(sim::costs().grantIssue, "grant.issue",
                                  trace::Cat::Hypervisor);
-    issued_++;
-    trace::bump(c_issued_);
+    issued_.inc();
     lru_.push_front(buf);
     regions_.emplace(buf, Registered{whole, gref, lru_.begin()});
     return Region{gref, view.bufferOffset(), true};

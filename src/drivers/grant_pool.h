@@ -106,8 +106,8 @@ class GrantPool
      */
     void drain();
 
-    u64 issued() const { return issued_; }
-    u64 reused() const { return reused_; }
+    u64 issued() const { return issued_.value(); }
+    u64 reused() const { return reused_.value(); }
     std::size_t pooledPages() const { return pages_.size(); }
     /** Free tier-A pages right now (lazy refcount scan). */
     std::size_t freePages() const;
@@ -143,7 +143,6 @@ class GrantPool
     Cstruct leased(std::size_t at);
     void leaseDied(std::size_t at, const Buffer *buf);
     void evictRegistryIfNeeded();
-    void wireMetrics();
     void chargeReuse();
 
     pvboot::PVBoot &boot_;
@@ -155,14 +154,12 @@ class GrantPool
     std::unordered_map<const Buffer *, Registered> regions_;
     std::list<const Buffer *> lru_; //!< front = most recently used
     bool drained_ = false;
-    u64 issued_ = 0;
-    u64 reused_ = 0;
+    trace::Counter issued_; //!< feeds `grant.issued`
+    trace::Counter reused_; //!< feeds `grant.reused`
     u64 next_listener_ = 1;
     //! Token 0 marks an entry removed while firing, erased afterwards.
     std::vector<std::pair<u64, std::function<void()>>> listeners_;
     int firing_ = 0; //!< leaseDied() depth; listeners_ must not move
-    trace::Counter *c_issued_ = nullptr;
-    trace::Counter *c_reused_ = nullptr;
     //! Liveness token shared with the (unremovable) shutdown hook.
     std::weak_ptr<GrantPool *> alive_;
 };

@@ -15,7 +15,9 @@ namespace mirage::drivers {
 
 Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
              xen::MacBytes mac)
-    : boot_(boot), engine_(boot.domain().engine()), mac_(mac)
+    : boot_(boot), engine_(boot.domain().engine()), mac_(mac),
+      rx_stalls_(trace::total(engine_.metrics(), "netif.rx.stalls",
+                              trace::Listed::OnceCounted))
 {
     xen::Domain &dom = boot_.domain();
     xen::Domain &back_dom = backend.backendDomain();
@@ -28,10 +30,8 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
     xen::SharedRing(rx_ring_page_).init();
     tx_ring_.emplace(tx_ring_page_);
     rx_ring_.emplace(rx_ring_page_);
-    if (auto *m = engine_.metrics()) {
-        tx_ring_->attachMetrics(*m, "ring.netif.tx");
-        rx_ring_->attachMetrics(*m, "ring.netif.rx");
-    }
+    tx_ring_->attachMetrics(engine_.metrics(), "ring.netif.tx");
+    rx_ring_->attachMetrics(engine_.metrics(), "ring.netif.rx");
     tx_ring_->attachChecker(engine_.checker(), "ring.netif.tx");
     rx_ring_->attachChecker(engine_.checker(), "ring.netif.rx");
 
@@ -377,12 +377,7 @@ Netif::postRxBuffers()
     if (starved) {
         if (!rx_stalled_) {
             rx_stalled_ = true;
-            rx_stalls_++;
-            if (!c_rx_stalls_) {
-                if (auto *m = engine_.metrics())
-                    c_rx_stalls_ = &m->counter("netif.rx.stalls");
-            }
-            trace::bump(c_rx_stalls_);
+            rx_stalls_.inc();
         }
     } else {
         rx_stalled_ = false;

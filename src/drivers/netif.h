@@ -86,7 +86,7 @@ class Netif
     u64 txCompleted() const { return tx_completed_; }
     u64 rxDelivered() const { return rx_delivered_; }
     u64 txErrors() const { return tx_errors_; }
-    u64 rxStalls() const { return rx_stalls_; }
+    u64 rxStalls() const { return rx_stalls_.value(); }
     std::size_t txQueueDepth() const { return tx_wait_queue_.size(); }
     GrantPool &grantPool() { return *pool_; }
 
@@ -166,7 +166,7 @@ class Netif
     u64 tx_completed_ = 0;
     u64 rx_delivered_ = 0;
     u64 tx_errors_ = 0;
-    u64 rx_stalls_ = 0;
+    trace::Counter rx_stalls_; //!< feeds `netif.rx.stalls`
     u32 track_ = 0; //!< lazily interned "<dom>/netif" trace track
     //! I/O page pool recycle subscription (rx restock after a stall).
     u64 recycle_listener_ = 0;
@@ -175,7 +175,6 @@ class Netif
     bool rx_stalled_ = false;     //!< rx ring underfilled for want of pages
     bool repost_pending_ = false; //!< a deferred restock is scheduled
     sim::EventId repost_event_ = 0;
-    trace::Counter *c_rx_stalls_ = nullptr;
 };
 
 } // namespace mirage::drivers

@@ -16,7 +16,9 @@ namespace mirage::xen {
 
 VirtualDisk::VirtualDisk(sim::Engine &engine, std::string name,
                          u64 size_sectors)
-    : engine_(engine), server_(engine, name), size_sectors_(size_sectors)
+    : engine_(engine), server_(engine, name), size_sectors_(size_sectors),
+      requests_(trace::total(engine.metrics(), "disk.requests",
+                             trace::Listed::OnceCounted))
 {
 }
 
@@ -89,11 +91,7 @@ void
 VirtualDisk::readAsync(u64 sector, u32 count, Cstruct dst,
                        std::function<void(Status)> done)
 {
-    requests_++;
-    // Metrics attach after construction (Cloud wires them up later).
-    if (!c_requests_ && engine_.metrics())
-        c_requests_ = &engine_.metrics()->counter("disk.requests");
-    trace::bump(c_requests_);
+    requests_.inc();
     engine_.after(sim::costs().ssdPerRequest, [this, sector, count,
                                                dst,
                                                done = std::move(done)] {
@@ -110,10 +108,7 @@ void
 VirtualDisk::writeAsync(u64 sector, u32 count, Cstruct src,
                         std::function<void(Status)> done)
 {
-    requests_++;
-    if (!c_requests_ && engine_.metrics())
-        c_requests_ = &engine_.metrics()->counter("disk.requests");
-    trace::bump(c_requests_);
+    requests_.inc();
     engine_.after(sim::costs().ssdPerRequest, [this, sector, count,
                                                src = std::move(src),
                                                done = std::move(done)] {
@@ -147,8 +142,7 @@ Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
     pmap_.bind(&frontend);
     bell_ = std::make_unique<LazyDoorbell>(hv.events(), dom_, port_);
     ring_.emplace(page.value());
-    if (auto *m = dom_.engine().metrics())
-        ring_->attachMetrics(*m, "ring.blkback");
+    ring_->attachMetrics(dom_.engine().metrics(), "ring.blkback");
     ring_->attachChecker(dom_.engine().checker(), "ring.blkback");
     dom_.setPortHandler(port_, [this] {
         dom_.clearPending(port_);

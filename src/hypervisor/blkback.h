@@ -78,7 +78,7 @@ class VirtualDisk
     void writeAsync(u64 sector, u32 count, Cstruct src,
                     std::function<void(Status)> done);
 
-    u64 requestsServed() const { return requests_; }
+    u64 requestsServed() const { return requests_.value(); }
 
   private:
     static constexpr std::size_t chunkSectors = 8; //!< 4 kB chunks
@@ -90,8 +90,7 @@ class VirtualDisk
     sim::Cpu server_;
     u64 size_sectors_;
     std::unordered_map<u64, std::vector<u8>> chunks_;
-    u64 requests_ = 0;
-    trace::Counter *c_requests_ = nullptr;
+    trace::Counter requests_; //!< feeds `disk.requests`
 };
 
 class Blkback

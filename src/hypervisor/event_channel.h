@@ -13,7 +13,6 @@
 #ifndef MIRAGE_HYPERVISOR_EVENT_CHANNEL_H
 #define MIRAGE_HYPERVISOR_EVENT_CHANNEL_H
 
-#include <atomic>
 #include <functional>
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
@@ -38,7 +37,7 @@ using Port = u32;
 class EventChannelHub
 {
   public:
-    explicit EventChannelHub(sim::Engine &engine) : engine_(engine) {}
+    explicit EventChannelHub(sim::Engine &engine);
 
     /**
      * Create a channel between two domains.
@@ -66,20 +65,8 @@ class EventChannelHub
      */
     Status notify(Domain &dom, Port port);
 
-    /** Count of notify() calls, for hypercall-traffic assertions. */
-    u64 notifications() const
-    {
-        return notifications_.load(std::memory_order_relaxed);
-    }
-
-    /** Doorbells coalesced away by batching helpers (see below). */
-    u64 suppressed() const
-    {
-        return suppressed_.load(std::memory_order_relaxed);
-    }
-
-    /** Record @p n doorbells a batching helper elided. */
-    void countSuppressed(u64 n = 1);
+    /** Record a doorbell a batching helper elided. */
+    void countSuppressed() { trace::bump(c_suppressed_); }
 
   private:
     friend class DoorbellBatch;
@@ -108,11 +95,11 @@ class EventChannelHub
     // toolstack or teardown while guests notify from their own shards.
     mutable std::mutex mu_;
     std::vector<Channel> channels_;
-    std::atomic<u64> notifications_{0};
-    std::atomic<u64> suppressed_{0};
-    trace::Counter *c_notifications_ = nullptr;
-    trace::Counter *c_sent_ = nullptr;
-    trace::Counter *c_suppressed_ = nullptr;
+    // Registry totals (null without telemetry), listed from the first
+    // notify or suppressed doorbell on.
+    trace::Counter *const c_notifications_;
+    trace::Counter *const c_sent_;
+    trace::Counter *const c_suppressed_;
 };
 
 /**

@@ -7,22 +7,14 @@
 
 namespace mirage::xen {
 
-GrantMapCache::GrantMapCache(Domain &mapper, std::string prefix)
-    : dom_(mapper), prefix_(std::move(prefix))
+GrantMapCache::GrantMapCache(Domain &mapper, const std::string &prefix)
+    : dom_(mapper),
+      hits_(trace::total(mapper.engine().metrics(), prefix + ".pmap.hits")),
+      misses_(trace::total(mapper.engine().metrics(),
+                           prefix + ".pmap.misses")),
+      evictions_(trace::total(mapper.engine().metrics(),
+                              prefix + ".pmap.evictions"))
 {
-}
-
-void
-GrantMapCache::wireMetrics()
-{
-    if (c_hits_)
-        return; // already wired: skip the engine chase
-    auto *m = dom_.engine().metrics();
-    if (!m)
-        return;
-    c_hits_ = &m->counter(prefix_ + ".pmap.hits");
-    c_misses_ = &m->counter(prefix_ + ".pmap.misses");
-    c_evictions_ = &m->counter(prefix_ + ".pmap.evictions");
 }
 
 Result<Cstruct>
@@ -30,12 +22,10 @@ GrantMapCache::map(GrantRef gref)
 {
     if (!frontend_)
         return stateError("grant map cache not bound to a frontend");
-    wireMetrics();
     auto it = entries_.find(gref);
     if (it != entries_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        hits_++;
-        trace::bump(c_hits_);
+        hits_.inc();
         dom_.vcpu().charge(sim::costs().grantMapHit, "grant.map_hit",
                            trace::Cat::Hypervisor);
         return it->second.page;
@@ -44,8 +34,7 @@ GrantMapCache::map(GrantRef gref)
         dom_.hypervisor().grantMap(dom_, *frontend_, gref, true);
     if (!page.ok())
         return page;
-    misses_++;
-    trace::bump(c_misses_);
+    misses_.inc();
     lru_.push_front(gref);
     entries_.emplace(gref, Entry{page.value(), lru_.begin()});
     evictIfNeeded();
@@ -64,8 +53,7 @@ GrantMapCache::evictIfNeeded()
             continue;
         dom_.hypervisor().grantUnmap(dom_, *frontend_, victim);
         entries_.erase(it);
-        evictions_++;
-        trace::bump(c_evictions_);
+        evictions_.inc();
     }
 }
 

@@ -22,10 +22,7 @@
 #include "base/cstruct.h"
 #include "base/result.h"
 #include "hypervisor/grant_table.h"
-
-namespace mirage::trace {
-class Counter;
-}
+#include "trace/metrics.h"
 
 namespace mirage::xen {
 
@@ -38,7 +35,7 @@ class GrantMapCache
      * @param mapper   the backend domain doing the mapping.
      * @param prefix   metric prefix, e.g. "netback" → `netback.pmap.*`.
      */
-    GrantMapCache(Domain &mapper, std::string prefix);
+    GrantMapCache(Domain &mapper, const std::string &prefix);
 
     /** Set (or change) the frontend whose grants this cache maps. */
     void bind(Domain *frontend) { frontend_ = frontend; }
@@ -56,9 +53,9 @@ class GrantMapCache
     void unmapAll();
 
     std::size_t size() const { return entries_.size(); }
-    u64 hits() const { return hits_; }
-    u64 misses() const { return misses_; }
-    u64 evictions() const { return evictions_; }
+    u64 hits() const { return hits_.value(); }
+    u64 misses() const { return misses_.value(); }
+    u64 evictions() const { return evictions_.value(); }
 
   private:
     struct Entry
@@ -68,19 +65,15 @@ class GrantMapCache
     };
 
     void evictIfNeeded();
-    void wireMetrics();
 
     Domain &dom_;
     Domain *frontend_ = nullptr;
-    std::string prefix_;
     std::unordered_map<GrantRef, Entry> entries_;
     std::list<GrantRef> lru_; //!< front = most recently used
-    u64 hits_ = 0;
-    u64 misses_ = 0;
-    u64 evictions_ = 0;
-    trace::Counter *c_hits_ = nullptr;
-    trace::Counter *c_misses_ = nullptr;
-    trace::Counter *c_evictions_ = nullptr;
+    // Each feeds `<prefix>.pmap.{hits,misses,evictions}`.
+    trace::Counter hits_;
+    trace::Counter misses_;
+    trace::Counter evictions_;
 };
 
 } // namespace mirage::xen

@@ -8,14 +8,11 @@
 namespace mirage::xen {
 
 void
-GrantTable::countOp()
+GrantTable::bindEngine(const sim::Engine *engine)
 {
-    // One tick per grant-table operation, whichever kind: the datapath
-    // benches compare this per-packet across tuning configurations.
-    ops_++;
-    if (!c_ops_ && engine_ && engine_->metrics())
-        c_ops_ = &engine_->metrics()->counter("gnttab.ops");
-    trace::bump(c_ops_);
+    engine_ = engine;
+    c_ops_ = trace::total(engine ? engine->metrics() : nullptr,
+                          "gnttab.ops", trace::Listed::OnceCounted);
 }
 
 check::Checker *
@@ -30,7 +27,7 @@ GrantTable::checker() const
 GrantRef
 GrantTable::grantAccess(DomId peer, Cstruct page, bool readonly)
 {
-    countOp();
+    trace::bump(c_ops_);
     GrantRef ref = next_ref_++;
     entries_.emplace(ref, Entry{peer, std::move(page), readonly, 0});
     if (check::Checker *ck = checker())
@@ -41,7 +38,7 @@ GrantTable::grantAccess(DomId peer, Cstruct page, bool readonly)
 Status
 GrantTable::endAccess(GrantRef ref)
 {
-    countOp();
+    trace::bump(c_ops_);
     check::Checker *ck = checker();
     auto it = entries_.find(ref);
     if (it == entries_.end()) {
@@ -63,7 +60,7 @@ GrantTable::endAccess(GrantRef ref)
 Result<Cstruct>
 GrantTable::mapFor(DomId peer, GrantRef ref, bool write)
 {
-    countOp();
+    trace::bump(c_ops_);
     check::Checker *ck = checker();
     auto it = entries_.find(ref);
     if (it == entries_.end()) {
@@ -88,7 +85,7 @@ GrantTable::mapFor(DomId peer, GrantRef ref, bool write)
 Status
 GrantTable::unmapFor(DomId peer, GrantRef ref)
 {
-    countOp();
+    trace::bump(c_ops_);
     check::Checker *ck = checker();
     auto it = entries_.find(ref);
     if (it == entries_.end()) {

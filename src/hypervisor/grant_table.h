@@ -78,17 +78,14 @@ class GrantTable
 
     /**
      * Bind the engine whose checker (if any, and enabled) audits this
-     * table. Resolved lazily on every operation, so a checker attached
-     * to the engine after domain construction is still honoured.
+     * table, and whose registry counts its operations in `gnttab.ops`.
+     * The checker is resolved on every operation, so one attached to
+     * the engine after domain construction is still honoured.
      */
-    void bindEngine(const sim::Engine *engine) { engine_ = engine; }
-
-    /** grantAccess + endAccess + map + unmap calls, all tables. */
-    u64 ops() const { return ops_; }
+    void bindEngine(const sim::Engine *engine);
 
   private:
     check::Checker *checker() const;
-    void countOp();
 
     struct Entry
     {
@@ -102,8 +99,9 @@ class GrantTable
     GrantRef next_ref_ = 1;
     const sim::Engine *engine_ = nullptr;
     std::unordered_map<GrantRef, Entry> entries_;
-    u64 ops_ = 0;
-    trace::Counter *c_ops_ = nullptr; //!< global `gnttab.ops`
+    //! `gnttab.ops`: one tick per grantAccess, endAccess, map or unmap
+    //! in any table; the datapath benches compare it per packet.
+    trace::Counter *c_ops_ = nullptr;
 };
 
 } // namespace mirage::xen

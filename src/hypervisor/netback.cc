@@ -232,10 +232,8 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
               frontend_.name().c_str());
     tx_ring_.emplace(tx_page.value());
     rx_ring_.emplace(rx_page.value());
-    if (auto *m = owner_.dom_.engine().metrics()) {
-        tx_ring_->attachMetrics(*m, "ring.netback.tx");
-        rx_ring_->attachMetrics(*m, "ring.netback.rx");
-    }
+    tx_ring_->attachMetrics(owner_.dom_.engine().metrics(), "ring.netback.tx");
+    rx_ring_->attachMetrics(owner_.dom_.engine().metrics(), "ring.netback.rx");
     tx_ring_->attachChecker(owner_.dom_.engine().checker(), "ring.netback.tx");
     rx_ring_->attachChecker(owner_.dom_.engine().checker(), "ring.netback.rx");
 

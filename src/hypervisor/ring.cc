@@ -100,11 +100,11 @@ FrontRing::takeResponse()
 }
 
 void
-FrontRing::attachMetrics(trace::MetricsRegistry &reg,
+FrontRing::attachMetrics(trace::MetricsRegistry *reg,
                          const std::string &prefix)
 {
-    c_req_pushed_ = &reg.counter(prefix + ".req_pushed");
-    c_rsp_taken_ = &reg.counter(prefix + ".rsp_taken");
+    c_req_pushed_ = trace::total(reg, prefix + ".req_pushed");
+    c_rsp_taken_ = trace::total(reg, prefix + ".rsp_taken");
 }
 
 void
@@ -201,11 +201,11 @@ BackRing::suppressRequestEvents()
 }
 
 void
-BackRing::attachMetrics(trace::MetricsRegistry &reg,
+BackRing::attachMetrics(trace::MetricsRegistry *reg,
                         const std::string &prefix)
 {
-    c_req_taken_ = &reg.counter(prefix + ".req_taken");
-    c_rsp_pushed_ = &reg.counter(prefix + ".rsp_pushed");
+    c_req_taken_ = trace::total(reg, prefix + ".req_taken");
+    c_rsp_pushed_ = trace::total(reg, prefix + ".rsp_pushed");
 }
 
 void

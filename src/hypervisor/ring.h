@@ -133,11 +133,11 @@ class FrontRing
     void suppressResponseEvents();
 
     /**
-     * Mirror push/take activity into `<prefix>.req_pushed` and
-     * `<prefix>.rsp_taken` counters (aggregated when several rings
-     * share a prefix).
+     * Count push/take activity in the registry totals
+     * `<prefix>.req_pushed` and `<prefix>.rsp_taken` (shared when
+     * several rings share a prefix); a null @p reg counts nothing.
      */
-    void attachMetrics(trace::MetricsRegistry &reg,
+    void attachMetrics(trace::MetricsRegistry *reg,
                        const std::string &prefix);
 
     /**
@@ -190,8 +190,8 @@ class BackRing
      */
     void suppressRequestEvents();
 
-    /** Mirror into `<prefix>.req_taken` / `<prefix>.rsp_pushed`. */
-    void attachMetrics(trace::MetricsRegistry &reg,
+    /** Count into `<prefix>.req_taken` / `<prefix>.rsp_pushed`. */
+    void attachMetrics(trace::MetricsRegistry *reg,
                        const std::string &prefix);
 
     /** See FrontRing::attachChecker. */

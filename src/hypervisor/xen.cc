@@ -19,6 +19,8 @@ Hypervisor::createDomain(const std::string &name, GuestKind kind,
                          sim::Engine *home)
 {
     std::lock_guard<std::mutex> lk(domains_mu_);
+    // mirage-lint: allow(model-mutex-order) searched by id, never
+    // walked to schedule anything
     domains_.push_back(std::make_unique<Domain>(*this, next_domid_++, name,
                                                 kind, memory_mib, vcpus,
                                                 home));

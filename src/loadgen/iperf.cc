@@ -64,7 +64,7 @@ struct RunState : std::enable_shared_from_this<RunState>
         report.mbps = double(delivered) * 8.0 /
                       (elapsed.toSecondsF() * 1e6);
         for (const auto &conn : conns) {
-            report.retransmits += conn->stats().retransmits;
+            report.retransmits += conn->stats().retransmits.value();
             conn->close();
         }
         done(report);

@@ -8,7 +8,10 @@ namespace mirage::net {
 NetworkStack::NetworkStack(drivers::Netif &netif, rt::Scheduler &sched,
                            Config config)
     : netif_(netif), sched_(sched), config_(config), arp_(*this),
-      ipv4_(*this), icmp_(*this), udp_(*this), tcp_(*this)
+      ipv4_(*this), icmp_(*this), udp_(*this), tcp_(*this),
+      tx_bytes_(trace::total(sched.engine().metrics(), "net.tx.bytes")),
+      tx_copy_bytes_(
+          trace::total(sched.engine().metrics(), "net.tx.copy_bytes"))
 {
     ipv4_.setHandler(IpProto::icmp,
                      [this](const Ipv4Packet &p) { icmp_.input(p); });
@@ -43,9 +46,7 @@ NetworkStack::transmit(const MacAddr &dst, EtherType type,
 {
     writeEthHeader(frags[0], dst, mac(), type);
     std::size_t len = fragsLength(frags);
-    tx_bytes_ += len;
-    wireTxMetrics();
-    trace::bump(c_tx_bytes_, len);
+    tx_bytes_.inc(len);
     // The vCPU paces transmission: the frame reaches the driver only
     // once the per-packet stack work has had its turn on the CPU —
     // this is what makes throughput saturate with CPU (Figs 8, 12).
@@ -61,22 +62,9 @@ NetworkStack::transmit(const MacAddr &dst, EtherType type,
 }
 
 void
-NetworkStack::wireTxMetrics()
-{
-    if (c_tx_bytes_)
-        return;
-    if (auto *m = domain().engine().metrics()) {
-        c_tx_bytes_ = &m->counter("net.tx.bytes");
-        c_tx_copy_bytes_ = &m->counter("net.tx.copy_bytes");
-    }
-}
-
-void
 NetworkStack::noteTxCopy(std::size_t bytes)
 {
-    tx_copy_bytes_ += bytes;
-    wireTxMetrics();
-    trace::bump(c_tx_copy_bytes_, bytes);
+    tx_copy_bytes_.inc(bytes);
     // The copy itself costs CPU — same rate the backend pays.
     domain().vcpu().charge(sim::costs().copy(bytes), "net.tx.copy",
                            trace::Cat::Net);

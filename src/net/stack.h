@@ -106,12 +106,11 @@ class NetworkStack
      * txCopyBytes()/txBytes() ≈ 0.
      */
     void noteTxCopy(std::size_t bytes);
-    u64 txBytes() const { return tx_bytes_; }
-    u64 txCopyBytes() const { return tx_copy_bytes_; }
+    u64 txBytes() const { return tx_bytes_.value(); }
+    u64 txCopyBytes() const { return tx_copy_bytes_.value(); }
 
   private:
     void frameInput(Cstruct frame);
-    void wireTxMetrics();
 
     drivers::Netif &netif_;
     rt::Scheduler &sched_;
@@ -121,10 +120,8 @@ class NetworkStack
     Icmp icmp_;
     Udp udp_;
     Tcp tcp_;
-    u64 tx_bytes_ = 0;
-    u64 tx_copy_bytes_ = 0;
-    trace::Counter *c_tx_bytes_ = nullptr;
-    trace::Counter *c_tx_copy_bytes_ = nullptr;
+    trace::Counter tx_bytes_;      //!< feeds `net.tx.bytes`
+    trace::Counter tx_copy_bytes_; //!< feeds `net.tx.copy_bytes`
 };
 
 } // namespace mirage::net

@@ -25,18 +25,21 @@ TcpConnection::TcpConnection(NetworkStack &stack, Tcp &tcp,
                              u16 peer_port)
     : stack_(stack), tcp_(tcp), local_port_(local_port),
       peer_ip_(peer_ip), peer_port_(peer_port),
-      cwnd_(u32(defaultMss) * 10) // RFC 6928 initial window
+      cwnd_(u32(defaultMss) * 10), // RFC 6928 initial window
+      stats_(stack.scheduler().engine().metrics())
 {
-    if (auto *m = stack_.scheduler().engine().metrics()) {
-        c_segments_sent_ = &m->counter("tcp.segments_sent");
-        c_segments_received_ = &m->counter("tcp.segments_received");
-        c_bytes_sent_ = &m->counter("tcp.bytes_sent");
-        c_bytes_received_ = &m->counter("tcp.bytes_received");
-        c_retransmits_ = &m->counter("tcp.retransmits");
-        c_fast_retransmits_ = &m->counter("tcp.fast_retransmits");
-        c_rto_fires_ = &m->counter("tcp.rto_fires");
-        c_dup_acks_ = &m->counter("tcp.dup_acks");
-    }
+}
+
+TcpConnection::Stats::Stats(trace::MetricsRegistry *m)
+    : bytesSent(trace::total(m, "tcp.bytes_sent")),
+      bytesReceived(trace::total(m, "tcp.bytes_received")),
+      segmentsSent(trace::total(m, "tcp.segments_sent")),
+      segmentsReceived(trace::total(m, "tcp.segments_received")),
+      retransmits(trace::total(m, "tcp.retransmits")),
+      fastRetransmits(trace::total(m, "tcp.fast_retransmits")),
+      rtoFires(trace::total(m, "tcp.rto_fires")),
+      dupAcksSeen(trace::total(m, "tcp.dup_acks"))
+{
 }
 
 u32
@@ -170,8 +173,7 @@ TcpConnection::close()
 void
 TcpConnection::segmentInput(const TcpSegment &seg)
 {
-    stats_.segmentsReceived++;
-    trace::bump(c_segments_received_);
+    stats_.segmentsReceived.inc();
     if (auto *tr = stack_.scheduler().engine().tracer();
         tr && tr->enabled()) {
         if (trace_track_ == 0)
@@ -287,8 +289,7 @@ TcpConnection::handleAck(const TcpSegment &seg)
                 // Partial ACK: retransmit the next hole, deflate.
                 if (!unacked_.empty()) {
                     retransmitFront();
-                    stats_.retransmits++;
-                    trace::bump(c_retransmits_);
+                    stats_.retransmits.inc();
                 }
                 cwnd_ = cwnd_ > acked ? cwnd_ - acked : u32(mss_);
                 cwnd_ += mss_;
@@ -325,18 +326,15 @@ TcpConnection::handleAck(const TcpSegment &seg)
         snd_wnd_ = new_wnd;
         if (seg.payload.empty() && !seg.has(TcpFlags::fin)) {
             dup_acks_++;
-            stats_.dupAcksSeen++;
-            trace::bump(c_dup_acks_);
+            stats_.dupAcksSeen.inc();
             if (!in_recovery_ && dup_acks_ == 3) {
                 // Fast retransmit + fast recovery.
                 u32 flight = flightSize();
                 ssthresh_ =
                     std::max(flight / 2, u32(mss_) * 2);
                 retransmitFront();
-                stats_.retransmits++;
-                stats_.fastRetransmits++;
-                trace::bump(c_retransmits_);
-                trace::bump(c_fast_retransmits_);
+                stats_.retransmits.inc();
+                stats_.fastRetransmits.inc();
                 in_recovery_ = true;
                 recover_ = snd_nxt_;
                 cwnd_ = ssthresh_ + 3 * u32(mss_);
@@ -382,8 +380,7 @@ TcpConnection::handleData(const TcpSegment &seg)
 
     if (!payload.empty()) {
         rcv_nxt_ += u32(payload.length());
-        stats_.bytesReceived += payload.length();
-        trace::bump(c_bytes_received_, payload.length());
+        stats_.bytesReceived.inc(payload.length());
         if (data_handler_)
             data_handler_(payload);
     }
@@ -402,8 +399,7 @@ TcpConnection::handleData(const TcpSegment &seg)
         u32 skip = rcv_nxt_ - held_seq;
         Cstruct fresh = skip ? held.shift(skip) : held;
         rcv_nxt_ += u32(fresh.length());
-        stats_.bytesReceived += fresh.length();
-        trace::bump(c_bytes_received_, fresh.length());
+        stats_.bytesReceived.inc(fresh.length());
         if (data_handler_)
             data_handler_(fresh);
         it = out_of_order_.begin();
@@ -510,8 +506,7 @@ TcpConnection::trySend()
                                    stack_.scheduler().engine().now(),
                                    false});
         snd_nxt_ += u32(gathered);
-        stats_.bytesSent += gathered;
-        trace::bump(c_bytes_sent_, gathered);
+        stats_.bytesSent.inc(gathered);
         armRto();
     }
 
@@ -568,8 +563,7 @@ TcpConnection::sendSegment(u8 flags, u32 seq,
         stack_.chargeChecksum(hdr_len + payload_len);
     }
     std::size_t total = hdr_len + payload_len;
-    stats_.segmentsSent++;
-    trace::bump(c_segments_sent_);
+    stats_.segmentsSent.inc();
     if (auto *tr = stack_.scheduler().engine().tracer();
         tr && tr->enabled()) {
         if (trace_track_ == 0)
@@ -647,10 +641,8 @@ TcpConnection::onRtoFire()
 {
     if (unacked_.empty() || state_ == State::Closed)
         return;
-    stats_.rtoFires++;
-    stats_.retransmits++;
-    trace::bump(c_rto_fires_);
-    trace::bump(c_retransmits_);
+    stats_.rtoFires.inc();
+    stats_.retransmits.inc();
     // Collapse to one MSS and back off (RFC 5681 / 6298).
     ssthresh_ = std::max(flightSize() / 2, u32(mss_) * 2);
     cwnd_ = mss_;

@@ -74,16 +74,19 @@ class TcpConnection : public Flow,
     u16 peerPort() const { return peer_port_; }
     u16 localPort() const { return local_port_; }
 
+    /** This connection's counts; each feeds its `tcp.*` total. */
     struct Stats
     {
-        u64 bytesSent = 0;
-        u64 bytesReceived = 0;
-        u64 segmentsSent = 0;
-        u64 segmentsReceived = 0;
-        u64 retransmits = 0;
-        u64 fastRetransmits = 0;
-        u64 rtoFires = 0;
-        u64 dupAcksSeen = 0;
+        explicit Stats(trace::MetricsRegistry *m);
+
+        trace::Counter bytesSent;
+        trace::Counter bytesReceived;
+        trace::Counter segmentsSent;
+        trace::Counter segmentsReceived;
+        trace::Counter retransmits;
+        trace::Counter fastRetransmits;
+        trace::Counter rtoFires;
+        trace::Counter dupAcksSeen;
     };
 
     const Stats &stats() const { return stats_; }
@@ -220,16 +223,6 @@ class TcpConnection : public Flow,
     std::function<void(Result<bool>)> connect_cb_;
     bool close_signalled_ = false;
     Stats stats_;
-
-    // Registry mirrors of stats_ (null when no metrics are attached).
-    trace::Counter *c_segments_sent_ = nullptr;
-    trace::Counter *c_segments_received_ = nullptr;
-    trace::Counter *c_bytes_sent_ = nullptr;
-    trace::Counter *c_bytes_received_ = nullptr;
-    trace::Counter *c_retransmits_ = nullptr;
-    trace::Counter *c_fast_retransmits_ = nullptr;
-    trace::Counter *c_rto_fires_ = nullptr;
-    trace::Counter *c_dup_acks_ = nullptr;
     u32 trace_track_ = 0;
 };
 

@@ -8,17 +8,22 @@
 
 namespace mirage::rt {
 
+GcHeap::Stats::Stats(trace::MetricsRegistry *m)
+    : allocations(trace::total(m, "gc.allocations")),
+      bytesAllocated(trace::total(m, "gc.bytes_allocated")),
+      minorCollections(trace::total(m, "gc.minor_collections")),
+      majorMarks(trace::total(m, "gc.major_marks")),
+      promotedBytes(trace::total(m, "gc.promoted_bytes")),
+      growEvents(trace::total(m, "gc.grow_events"))
+{
+}
+
 GcHeap::GcHeap(sim::Cpu &cpu, pvboot::MemoryBackend backend,
                std::size_t minor_bytes)
-    : cpu_(cpu), backend_(std::move(backend)), minor_bytes_(minor_bytes)
+    : cpu_(cpu), backend_(std::move(backend)), minor_bytes_(minor_bytes),
+      stats_(cpu.engine().metrics())
 {
     if (auto *m = cpu_.engine().metrics()) {
-        c_allocations_ = &m->counter("gc.allocations");
-        c_bytes_allocated_ = &m->counter("gc.bytes_allocated");
-        c_minor_collections_ = &m->counter("gc.minor_collections");
-        c_major_marks_ = &m->counter("gc.major_marks");
-        c_promoted_bytes_ = &m->counter("gc.promoted_bytes");
-        c_grow_events_ = &m->counter("gc.grow_events");
         h_minor_pause_ns_ = &m->histogram("gc.minor_pause_ns");
         h_major_pause_ns_ = &m->histogram("gc.major_pause_ns");
     }
@@ -77,13 +82,11 @@ GcHeap::alloc(u32 bytes)
         ck->gcAlloc(this, ref);
     minor_set_.push_back(ref);
     minor_used_ += bytes;
-    stats_.allocations++;
-    stats_.bytesAllocated += bytes;
+    stats_.allocations.inc();
+    stats_.bytesAllocated.inc(bytes);
     stats_.liveBytes += bytes;
     stats_.peakLiveBytes = std::max(stats_.peakLiveBytes,
                                     stats_.liveBytes);
-    trace::bump(c_allocations_);
-    trace::bump(c_bytes_allocated_, bytes);
     cpu_.charge(sim::costs().gcAlloc, "gc.alloc", trace::Cat::Runtime);
     return ref;
 }
@@ -126,8 +129,7 @@ GcHeap::growMajor(u64 needed_bytes)
     cpu_.charge(sim::costs().zero(std::size_t(grow)), "gc.zero",
                 trace::Cat::Runtime);
     stats_.majorHeapBytes += grow;
-    stats_.growEvents++;
-    trace::bump(c_grow_events_);
+    stats_.growEvents.inc();
 }
 
 void
@@ -137,7 +139,7 @@ GcHeap::collectMinor()
     trace::Profiler *prof = cpu_.engine().profiler();
     trace::DomainStats *dstats = cpu_.domainStats();
     trace::ProfScope pscope(prof, "rt/gc");
-    stats_.minorCollections++;
+    stats_.minorCollections.inc();
 
     // Walk the minor set: survivors promote, garbage is reclaimed.
     u64 promoted = 0;
@@ -159,7 +161,6 @@ GcHeap::collectMinor()
     double ns = c.gcPerLiveByteNs * double(promoted) * scanFactor();
     Duration pause = c.gcMinorFixed + Duration(i64(ns));
     cpu_.charge(pause, "gc.minor", trace::Cat::Runtime);
-    trace::bump(c_minor_collections_);
     trace::observe(h_minor_pause_ns_, u64(pause.ns()));
     if (dstats) {
         dstats->gc_minor.inc();
@@ -172,16 +173,14 @@ GcHeap::collectMinor()
     growMajor(promoted);
     major_used_ += promoted;
     live_major_bytes_ += promoted;
-    stats_.promotedBytes += promoted;
-    trace::bump(c_promoted_bytes_, promoted);
+    stats_.promotedBytes.inc(promoted);
     minor_used_ = 0;
 
     // Periodic incremental major mark (the "regular compaction and
     // scanning" Fig 7a attributes the xen/linux gap to).
     if (++minors_since_major_ >= c.gcMajorMarkInterval) {
         minors_since_major_ = 0;
-        stats_.majorMarks++;
-        trace::bump(c_major_marks_);
+        stats_.majorMarks.inc();
         double mark_ns = c.gcMajorMarkPerByteNs *
                          double(live_major_bytes_) * scanFactor();
         cpu_.charge(Duration(i64(mark_ns)), "gc.major_mark",

@@ -37,15 +37,19 @@ class GcHeap
   public:
     struct Stats
     {
-        u64 allocations = 0;
-        u64 bytesAllocated = 0;
+        /** Binds each count to its `gc.*` total in @p m (null: none). */
+        explicit Stats(trace::MetricsRegistry *m);
+
+        trace::Counter allocations;
+        trace::Counter bytesAllocated;
+        trace::Counter minorCollections;
+        trace::Counter majorMarks;
+        trace::Counter promotedBytes;
+        trace::Counter growEvents;
+        // Gauges: this heap's alone, no registry series.
         u64 liveBytes = 0;
         u64 peakLiveBytes = 0;
-        u64 minorCollections = 0;
-        u64 majorMarks = 0;
-        u64 promotedBytes = 0;
         u64 majorHeapBytes = 0; //!< current major heap size
-        u64 growEvents = 0;
     };
 
     /**
@@ -107,14 +111,7 @@ class GcHeap
     std::vector<CellRef> minor_set_; //!< cells allocated since last GC
     Stats stats_;
 
-    // Mirrors of stats_ in the engine's metrics registry (null when no
-    // registry was attached before construction).
-    trace::Counter *c_allocations_ = nullptr;
-    trace::Counter *c_bytes_allocated_ = nullptr;
-    trace::Counter *c_minor_collections_ = nullptr;
-    trace::Counter *c_major_marks_ = nullptr;
-    trace::Counter *c_promoted_bytes_ = nullptr;
-    trace::Counter *c_grow_events_ = nullptr;
+    // Registry pause histograms (null without telemetry).
     trace::Histogram *h_minor_pause_ns_ = nullptr;
     trace::Histogram *h_major_pause_ns_ = nullptr;
 };

@@ -11,12 +11,11 @@ Scheduler::Config::Config()
 
 Scheduler::Scheduler(sim::Engine &engine, sim::Cpu *cpu, GcHeap *heap,
                      Config config)
-    : engine_(engine), cpu_(cpu), heap_(heap), config_(std::move(config))
+    : engine_(engine), cpu_(cpu), heap_(heap), config_(std::move(config)),
+      c_threads_created_(
+          trace::total(engine.metrics(), "rt.threads_created")),
+      wakeups_(trace::total(engine.metrics(), "rt.wakeups"))
 {
-    if (auto *m = engine_.metrics()) {
-        c_threads_created_ = &m->counter("rt.threads_created");
-        c_wakeups_ = &m->counter("rt.wakeups");
-    }
 }
 
 PromisePtr
@@ -76,8 +75,7 @@ Scheduler::fireExpired()
             heap_->release(t.cell);
         if (!t.promise->pending())
             continue; // cancelled thread: no wakeup dispatched
-        wakeups_++;
-        trace::bump(c_wakeups_);
+        wakeups_.inc();
         if (cpu_)
             cpu_->charge(config_.perWakeup, "thread.wakeup",
                          trace::Cat::Runtime);

@@ -61,7 +61,7 @@ class Scheduler
     /** pick(p, sleep(d)): resolves or cancels p on timeout. */
     PromisePtr withTimeout(PromisePtr p, Duration d);
 
-    u64 wakeups() const { return wakeups_; }
+    u64 wakeups() const { return wakeups_.value(); }
 
     /** The engine time at which the last-created sleep will fire,
      *  including modelled dispatch latency (jitter measurements). */
@@ -98,9 +98,8 @@ class Scheduler
     sim::EventId armed_event_ = 0;
     TimePoint armed_for_;
     bool armed_ = false;
-    u64 wakeups_ = 0;
-    trace::Counter *c_threads_created_ = nullptr;
-    trace::Counter *c_wakeups_ = nullptr;
+    trace::Counter *const c_threads_created_; //!< registry total
+    trace::Counter wakeups_; //!< feeds `rt.wakeups`
 };
 
 } // namespace mirage::rt

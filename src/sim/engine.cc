@@ -146,17 +146,10 @@ Engine::cancel(EventId id)
 }
 
 Engine::Engine(trace::Telemetry *telemetry, check::Checker *checker)
-    : checker_(checker)
+    : telemetry_(telemetry), checker_(checker),
+      c_dispatched_(trace::total(metrics(), "sim.events_run")),
+      c_cancelled_(trace::total(metrics(), "sim.events_cancelled"))
 {
-    setTelemetry(telemetry);
-}
-
-void
-Engine::setTelemetry(trace::Telemetry *t)
-{
-    telemetry_ = t;
-    c_dispatched_ = t ? &t->metrics.counter("sim.events_run") : nullptr;
-    c_cancelled_ = t ? &t->metrics.counter("sim.events_cancelled") : nullptr;
 }
 
 bool

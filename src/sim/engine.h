@@ -78,6 +78,12 @@ class Engine
     /** Sentinel "no pending event" time (nextEventTime()). */
     static constexpr TimePoint kNever{INT64_MAX};
 
+    /**
+     * @param telemetry the observability bundle, fixed for the engine's
+     *        life (null: all off). Not owned; it must outlive the
+     *        engine, because every subsystem built on the engine binds
+     *        its registry counters once, at construction.
+     */
     explicit Engine(trace::Telemetry *telemetry = nullptr,
                     check::Checker *checker = nullptr);
 
@@ -187,13 +193,12 @@ class Engine
 
     // ---- Observability ----------------------------------------------
     /**
-     * Attach (or detach with nullptr) the observability bundle. Not
-     * owned. With a bundle, the ambient flow id and profiler scope are
-     * captured at schedule time and restored around dispatch, so flows
-     * and attribution follow their callbacks through timers, promises
-     * and event-channel hops without per-call plumbing.
+     * The bundle given at construction. With one, the ambient flow id
+     * and profiler scope are captured at schedule time and restored
+     * around dispatch, so flows and attribution follow their callbacks
+     * through timers, promises and event-channel hops without per-call
+     * plumbing.
      */
-    void setTelemetry(trace::Telemetry *telemetry);
     trace::Telemetry *telemetry() const { return telemetry_; }
     trace::TraceRecorder *tracer() const
     {
@@ -318,11 +323,10 @@ class Engine
     std::size_t live_ = 0;            //!< scheduled, not dispatched
     std::size_t cancelled_count_ = 0; //!< subset of live_
     ShardSet *shards_ = nullptr;
-    trace::Telemetry *telemetry_ = nullptr;
+    trace::Telemetry *const telemetry_;
     check::Checker *checker_ = nullptr;
-    // Resolved from the bundle's registry by setTelemetry().
-    trace::Counter *c_dispatched_ = nullptr;
-    trace::Counter *c_cancelled_ = nullptr;
+    trace::Counter *const c_dispatched_;
+    trace::Counter *const c_cancelled_;
 
     static thread_local Engine *current_;
 };

@@ -82,7 +82,13 @@ struct Tuning
     Duration pollIdle = Duration::micros(100);
 };
 
-/** The process-wide tuning table (simulator is single-threaded). */
+/**
+ * The process-wide tuning table. It is written only before a run
+ * (setup, tests, bench sweeps) and read by every shard during one, so
+ * sharded runs see one fixed table. Moving it into the engine or the
+ * cloud config waits for the next benchmark change (perfbench includes
+ * this header).
+ */
 inline Tuning &
 tuning()
 {

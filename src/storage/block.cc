@@ -28,13 +28,6 @@ BlkifDevice::write(u64 sector, u32 count, Cstruct buf, BlockCallback done)
 }
 
 void
-MemDevice::attachMetrics(trace::MetricsRegistry &reg)
-{
-    c_reads_ = &reg.counter("blockdev.reads");
-    c_writes_ = &reg.counter("blockdev.writes");
-}
-
-void
 MemDevice::read(u64 sector, u32 count, Cstruct buf, BlockCallback done)
 {
     if (sector + count > size_sectors_ ||
@@ -42,7 +35,6 @@ MemDevice::read(u64 sector, u32 count, Cstruct buf, BlockCallback done)
         done(boundsError("MemDevice read out of range"));
         return;
     }
-    trace::bump(c_reads_);
     std::memcpy(buf.data(), bytes_.data() + sector * sectorBytes,
                 std::size_t(count) * sectorBytes);
     done(Status::success());
@@ -57,7 +49,6 @@ MemDevice::write(u64 sector, u32 count, Cstruct buf, BlockCallback done)
         return;
     }
     writes_++;
-    trace::bump(c_writes_);
     std::memcpy(bytes_.data() + sector * sectorBytes, buf.data(),
                 std::size_t(count) * sectorBytes);
     done(Status::success());

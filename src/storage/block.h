@@ -78,15 +78,10 @@ class MemDevice : public BlockDevice
     u8 *raw() { return bytes_.data(); }
     u64 writesIssued() const { return writes_; }
 
-    /** Mirror the read/write counts into @p reg. */
-    void attachMetrics(trace::MetricsRegistry &reg);
-
   private:
     std::vector<u8> bytes_;
     u64 size_sectors_;
     u64 writes_ = 0;
-    trace::Counter *c_reads_ = nullptr;
-    trace::Counter *c_writes_ = nullptr;
 };
 
 /**

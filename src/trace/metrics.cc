@@ -7,13 +7,14 @@ namespace mirage::trace {
 // ---- MetricsRegistry -------------------------------------------------------
 
 Counter &
-MetricsRegistry::counter(const std::string &name)
+MetricsRegistry::counter(const std::string &name, Listed listed)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, std::make_unique<Counter>()).first;
-    return *it->second;
+    Entry &e = counters_[name];
+    if (!e.cell)
+        e.cell = std::make_unique<Counter>();
+    e.always |= listed == Listed::Always;
+    return *e.cell;
 }
 
 Histogram &
@@ -31,7 +32,19 @@ MetricsRegistry::findCounter(const std::string &name) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : it->second.get();
+    return it == counters_.end() || !it->second.listed()
+               ? nullptr
+               : it->second.cell.get();
+}
+
+std::size_t
+MetricsRegistry::counterCount() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    std::size_t n = 0;
+    for (const auto &[name, e] : counters_)
+        n += e.listed();
+    return n;
 }
 
 const Histogram *
@@ -58,9 +71,10 @@ MetricsRegistry::dump() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     std::string out;
-    for (const auto &[name, c] : counters_)
-        out += strprintf("%-40s %llu\n", name.c_str(),
-                         (unsigned long long)c->value());
+    for (const auto &[name, e] : counters_)
+        if (e.listed())
+            out += strprintf("%-40s %llu\n", name.c_str(),
+                             (unsigned long long)e.cell->value());
     for (const auto &[name, h] : histograms_)
         out += strprintf("%-40s %s\n", name.c_str(), h->summary().c_str());
     return out;
@@ -162,10 +176,12 @@ MetricsRegistry::toPrometheus() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     std::string out;
-    for (const auto &[name, c] : counters_) {
+    for (const auto &[name, e] : counters_) {
+        if (!e.listed())
+            continue;
         std::string p = promName(name);
         appendPromType(out, p, "counter");
-        appendPromSample(out, p, "", c->value());
+        appendPromSample(out, p, "", e.cell->value());
     }
     for (const auto &[name, h] : histograms_) {
         std::string p = promName(name);

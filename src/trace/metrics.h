@@ -5,10 +5,12 @@
  * observability: instrumentation is a library module linked into the
  * appliance, not per-subsystem bookkeeping).
  *
- * Subsystems keep their existing `stats_` structs for cheap direct
- * reads; when the engine carries a trace::Telemetry bundle they
- * additionally mirror into its registry's named counters, so one
- * dump() correlates GC, TCP, ring and block activity across layers.
+ * Each count has one cell, written by one inc(). A subsystem binds its
+ * counts once, at construction, through total(): either it keeps the
+ * returned registry pointer, or — when something reads the count per
+ * owner (a connection's retransmits, a pool's grants) — it keeps a
+ * Counter of its own that feeds that total. One dump() then correlates
+ * GC, TCP, ring and block activity across layers.
  *
  * Naming convention: `<subsystem>.<metric>`, lower_snake_case, with
  * byte counts suffixed `_bytes` and durations suffixed `_ns`
@@ -42,12 +44,25 @@ namespace mirage::trace {
  * Counters: the owning shard writes while rollups (/top, /fleet,
  * /metrics) read from another thread, and totals are exact once the
  * shards quiesce (window barriers, run end).
+ *
+ * A per-owner Counter may feed a registry total: each inc() adds to
+ * both, so the owner's count and the registry sum cannot drift.
  */
 class Counter
 {
   public:
-    void inc(u64 n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-    /** Overwrite, for gauge-style fields (live bytes after a GC). */
+    Counter() = default;
+    /** A per-owner cell feeding @p total (null: none). */
+    explicit Counter(Counter *total) : total_(total) {}
+
+    void inc(u64 n = 1)
+    {
+        value_.fetch_add(n, std::memory_order_relaxed);
+        if (total_)
+            total_->inc(n);
+    }
+    /** Overwrite, for gauge-style fields (live bytes after a GC); the
+     *  total, if any, is left alone. */
     void set(u64 v) { value_.store(v, std::memory_order_relaxed); }
     u64 value() const { return value_.load(std::memory_order_relaxed); }
     /** value() under std::atomic's name; perfbench reads
@@ -56,6 +71,7 @@ class Counter
 
   private:
     std::atomic<u64> value_{0};
+    Counter *const total_ = nullptr;
 };
 
 /** Null-safe increment for optionally-wired counter pointers. */
@@ -113,14 +129,27 @@ void appendPromSample(std::string &out, std::string_view name,
 void appendPromHistogram(std::string &out, const std::string &name,
                          const std::string &labels, const Histogram &h);
 
+/** When a registry counter shows in dump(), toPrometheus(),
+ *  findCounter() and counterCount(). */
+enum class Listed
+{
+    Always,     //!< from registration on, zero included
+    OnceCounted //!< from its first count: a rare event's series (a
+                //!< stall, a suppressed doorbell) stays out until it
+                //!< happens
+};
+
 class MetricsRegistry
 {
   public:
-    /** Find-or-create; references stay valid for the registry's life. */
-    Counter &counter(const std::string &name);
+    /** Find-or-create; references stay valid for the registry's life.
+     *  A name asked for as Listed::Always by anyone stays listed. */
+    Counter &counter(const std::string &name,
+                     Listed listed = Listed::Always);
     Histogram &histogram(const std::string &name);
 
-    /** Lookup without creating; nullptr when absent. */
+    /** Lookup without creating; nullptr when absent (or not yet
+     *  listed). */
     const Counter *findCounter(const std::string &name) const;
     const Histogram *findHistogram(const std::string &name) const;
 
@@ -129,11 +158,7 @@ class MetricsRegistry
     std::map<std::string, Histogram>
     histogramsWithPrefix(const std::string &prefix) const;
 
-    std::size_t counterCount() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return counters_.size();
-    }
+    std::size_t counterCount() const;
 
     /**
      * Text dump, one `name value` / `name summary` line per metric,
@@ -151,12 +176,33 @@ class MetricsRegistry
     std::string toPrometheus() const;
 
   private:
+    struct Entry
+    {
+        std::unique_ptr<Counter> cell;
+        bool always = false; //!< Listed::Always
+        bool listed() const { return always || cell->value() != 0; }
+    };
+
     // Guards the name maps only; Counter/Histogram are internally
     // thread-safe and references stay valid without the lock.
     mutable std::mutex mu_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
+    std::map<std::string, Entry> counters_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/**
+ * The one way a subsystem resolves a registry counter: the total @p name
+ * in @p reg (created if absent), or null when @p reg is (telemetry off).
+ * Call it once per owner, at construction — an engine's bundle is fixed
+ * for the engine's life — and keep the pointer (inc it through bump())
+ * or hand it to a per-owner Counter as the total that cell feeds.
+ */
+inline Counter *
+total(MetricsRegistry *reg, const std::string &name,
+      Listed listed = Listed::Always)
+{
+    return reg ? &reg->counter(name, listed) : nullptr;
+}
 
 } // namespace mirage::trace
 

@@ -23,9 +23,10 @@
  * *Accounting.* A DomainStats record per domain aggregates what xentop
  * would show: vCPU run/steal/blocked time, event-channel notify rates,
  * ring occupancy high-water marks and the GC's pause histograms.
- * Subsystems write the fields directly (same pattern as their `stats_`
- * structs); topJson() renders the whole host snapshot for the
- * appliance's self-served `GET /top` endpoint.
+ * Subsystems write the fields directly — per domain, beside the
+ * per-owner counts that feed the registry totals (trace/metrics.h);
+ * topJson() renders the whole host snapshot for the appliance's
+ * self-served `GET /top` endpoint.
  *
  * *Watchdogs.* Threshold alerts — long GC pause, ring at capacity,
  * request-flow stall, SLO burn — funnel through alert(), which counts,

@@ -14,6 +14,16 @@ SloTracker::setTarget(const std::string &kind, SloTarget target)
     states_[kind] = std::move(s);
 }
 
+u64
+SloTracker::alerts() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    u64 n = 0;
+    for (const auto &[kind, s] : states_)
+        n += s.alerts;
+    return n;
+}
+
 const SloTracker::State *
 SloTracker::find(const std::string &kind) const
 {
@@ -79,7 +89,6 @@ SloTracker::check(const std::string &kind, State &s, TimePoint ts,
     if (firing && !s.alerting) {
         s.alerting = true;
         s.alerts++;
-        alerts_.fetch_add(1, std::memory_order_relaxed);
         std::string detail = strprintf(
             "%s: burn rate %.1fx over %lld ms and %.1fx over %lld ms "
             "(threshold %.1fx, objective %.4f, latency target %llu us)",

@@ -30,7 +30,6 @@
 #ifndef MIRAGE_TRACE_SLO_H
 #define MIRAGE_TRACE_SLO_H
 
-#include <atomic>
 #include <deque>
 #include <map>
 // mirage-lint: allow(wall-clock-in-sim)
@@ -97,7 +96,9 @@ class SloTracker
      */
     void evaluate(TimePoint ts);
 
-    u64 alerts() const { return alerts_.load(std::memory_order_relaxed); }
+    /** Alerts raised so far: the sum of State::alerts over the
+     *  current targets (setTarget() on a kind starts it afresh). */
+    u64 alerts() const;
     const State *find(const std::string &kind) const;
 
     /**
@@ -121,7 +122,6 @@ class SloTracker
     // recorder).
     mutable std::mutex mu_;
     std::map<std::string, State> states_;
-    std::atomic<u64> alerts_{0};
 };
 
 } // namespace mirage::trace

@@ -22,7 +22,8 @@
 namespace mirage::drivers {
 namespace {
 
-/** DriversTest-style rig that also restores the tuning table. */
+/** DriversTest-style rig with a telemetry bundle that also restores
+ *  the tuning table. */
 class DatapathTest : public ::testing::Test
 {
   protected:
@@ -37,11 +38,21 @@ class DatapathTest : public ::testing::Test
     ~DatapathTest() override { sim::tuning() = saved_tuning_; }
 
     sim::Tuning saved_tuning_;
-    sim::Engine engine;
+    trace::Telemetry telemetry;
+    sim::Engine engine{&telemetry};
     xen::Hypervisor hv;
     xen::Bridge bridge;
     xen::Domain &dom0;
     xen::Netback netback;
+
+    /** notify() calls so far: the registry total. */
+    u64
+    notifications() const
+    {
+        const trace::Counter *c =
+            telemetry.metrics.findCounter("evtchn.notifications");
+        return c ? c->value() : 0;
+    }
 
     static xen::MacBytes
     mac(u8 last)
@@ -286,22 +297,22 @@ TEST_F(DatapathTest, PollingSendsFewerDoorbellsThanPerPushNotify)
 
     // Baseline: every ring push rings its doorbell.
     sim::tuning().doorbellBatching = false;
-    u64 before = hv.events().notifications();
+    u64 before = notifications();
     for (int i = 0; i < burst; i++)
         nif_a.writeFrame(frameTo(nif_b, nif_a, "x"));
     engine.run();
-    u64 unbatched = hv.events().notifications() - before;
+    u64 unbatched = notifications() - before;
     ASSERT_EQ(nif_b.rxDelivered(), u64(burst));
 
     // Batched: consumers park the producers' events and poll, so a
     // steady burst costs almost no notifies — and strictly fewer than
     // one per frame (the tentpole's notifies/packet < 1 criterion).
     sim::tuning().doorbellBatching = true;
-    before = hv.events().notifications();
+    before = notifications();
     for (int i = 0; i < burst; i++)
         nif_a.writeFrame(frameTo(nif_b, nif_a, "x"));
     engine.run();
-    u64 batched = hv.events().notifications() - before;
+    u64 batched = notifications() - before;
     ASSERT_EQ(nif_b.rxDelivered(), 2u * burst);
 
     EXPECT_LT(batched, u64(burst));
@@ -316,7 +327,7 @@ TEST_F(DatapathTest, BlkBurstCompletesWithFewDoorbells)
     xen::Blkback back(dom0, disk);
     Blkif blk(boot, back);
 
-    u64 before = hv.events().notifications();
+    u64 before = notifications();
     std::vector<rt::PromisePtr> ps;
     std::vector<Cstruct> pages;
     for (u32 i = 0; i < xen::RingLayout::slotCount; i++) {
@@ -329,7 +340,7 @@ TEST_F(DatapathTest, BlkBurstCompletesWithFewDoorbells)
         ASSERT_TRUE(p->resolvedOk());
     // Unbatched, the burst would cost two notifies per request (one
     // per ring push each way); parked events cut that far down.
-    EXPECT_LT(hv.events().notifications() - before,
+    EXPECT_LT(notifications() - before,
               u64(xen::RingLayout::slotCount));
 }
 
@@ -511,10 +522,8 @@ TEST_F(DatapathTest, OversizedTxChainAbortsAndReleasesEveryLease)
 
 TEST_F(DatapathTest, FlowRidesEveryDerivedTsoSegment)
 {
-    trace::Telemetry telemetry;
     trace::FlowTracker &fl = telemetry.flows;
     fl.enable();
-    engine.setTelemetry(&telemetry);
     xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
     xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
     pvboot::PVBoot boot_a(da), boot_b(db);
@@ -574,7 +583,6 @@ TEST_F(DatapathTest, FlowRidesEveryDerivedTsoSegment)
                     EXPECT_EQ(s.count, 1u);
                 }
     EXPECT_TRUE(found) << "flow never crossed the netback_tx stage";
-    engine.setTelemetry(nullptr);
 }
 
 // ---- Checker-audited teardown -----------------------------------------------

@@ -235,5 +235,140 @@ TEST(IntegrationTest, PingFloodLatencyProfile)
     EXPECT_GE(report.p99.ns(), report.p50.ns());
 }
 
+/**
+ * One count, one cell: each registry total is fed by exactly its
+ * owners' own counters, so the per-owner reads and the registry sums
+ * cannot drift. One cloud drives TCP both ways, both netifs' grant
+ * pools and netback map caches, event channels and blkif traffic
+ * (errors included), then checks every total against its owners' sum.
+ */
+TEST(MetricsTest, RegistryTotalsEqualOwnerSums)
+{
+    core::Cloud cloud;
+    xen::VirtualDisk &disk = cloud.addDisk("ssd", 4096);
+    xen::Blkback &back = cloud.blkbackFor(disk);
+    core::Guest &server =
+        cloud.startUnikernel("srv", net::Ipv4Addr(10, 0, 0, 2));
+    core::Guest &client =
+        cloud.startUnikernel("cli", net::Ipv4Addr(10, 0, 0, 3));
+    drivers::Blkif blkif(server.boot, back);
+
+    // An echo server; every connection stays open to the end.
+    std::vector<net::TcpConnPtr> conns;
+    ASSERT_TRUE(server.stack.tcp()
+                    .listen(7,
+                            [&](net::TcpConnPtr c) {
+                                conns.push_back(c);
+                                net::TcpConnection *raw = c.get();
+                                c->onData([raw](Cstruct d) {
+                                    raw->write(std::move(d));
+                                });
+                            })
+                    .ok());
+    u64 echoed = 0;
+    client.stack.tcp().connect(
+        net::Ipv4Addr(10, 0, 0, 2), 7, [&](Result<net::TcpConnPtr> r) {
+            ASSERT_TRUE(r.ok());
+            conns.push_back(r.value());
+            r.value()->onData([&](Cstruct d) { echoed += d.length(); });
+            r.value()->write(Cstruct::ofString(std::string(64 * 1024, 'x')));
+        });
+
+    std::vector<rt::PromisePtr> io;
+    for (u32 i = 0; i < 8; i++) {
+        Cstruct page = blkif.allocPage().value();
+        io.push_back(blkif.write(u64(i) * 8, 8, page));
+        io.push_back(blkif.read(u64(i) * 8, 8, page));
+    }
+    // Past the end of the device: the backend answers with an error.
+    io.push_back(blkif.read(4095, 8, blkif.allocPage().value()));
+    cloud.run();
+    ASSERT_EQ(echoed, 64u * 1024);
+    ASSERT_EQ(conns.size(), 2u);
+
+    const trace::MetricsRegistry &reg = cloud.metrics();
+    auto total = [&](const std::string &name) {
+        const trace::Counter *c = reg.findCounter(name);
+        return c ? c->value() : u64(0);
+    };
+
+    // Event channels: the hub's two series and the per-domain senders.
+    u64 sent = 0;
+    for (const auto &[name, d] : cloud.profiler().domainStats())
+        sent += d->notifies_sent.value();
+    EXPECT_GT(sent, 0u);
+    EXPECT_EQ(total("evtchn.notifications"), sent);
+    EXPECT_EQ(total("notify.sent"), sent);
+
+    // Grant pools: both netifs and the blkif.
+    const drivers::GrantPool *pools[] = {&server.nif.grantPool(),
+                                         &client.nif.grantPool(),
+                                         &blkif.grantPool()};
+    u64 issued = 0, reused = 0;
+    for (const drivers::GrantPool *p : pools) {
+        issued += p->issued();
+        reused += p->reused();
+    }
+    EXPECT_GT(issued, 0u);
+    EXPECT_GT(reused, 0u);
+    EXPECT_EQ(total("grant.issued"), issued);
+    EXPECT_EQ(total("grant.reused"), reused);
+
+    // Map caches: one netback vif per guest, and the blkback.
+    u64 hits = 0, misses = 0, evictions = 0;
+    for (core::Guest *g : {&server, &client}) {
+        const xen::Netback::Vif *vif = cloud.netback().vifFor(g->dom);
+        ASSERT_NE(vif, nullptr);
+        hits += vif->mapCache().hits();
+        misses += vif->mapCache().misses();
+        evictions += vif->mapCache().evictions();
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(total("netback.pmap.hits"), hits);
+    EXPECT_EQ(total("netback.pmap.misses"), misses);
+    EXPECT_EQ(total("netback.pmap.evictions"), evictions);
+    EXPECT_GT(back.mapCache().misses(), 0u);
+    EXPECT_EQ(total("blkback.pmap.hits"), back.mapCache().hits());
+    EXPECT_EQ(total("blkback.pmap.misses"), back.mapCache().misses());
+    EXPECT_EQ(total("blkback.pmap.evictions"),
+              back.mapCache().evictions());
+
+    // TCP: the two ends of the one connection.
+    u64 tcp[8] = {};
+    for (const net::TcpConnPtr &c : conns) {
+        const net::TcpConnection::Stats &s = c->stats();
+        tcp[0] += s.bytesSent.value();
+        tcp[1] += s.bytesReceived.value();
+        tcp[2] += s.segmentsSent.value();
+        tcp[3] += s.segmentsReceived.value();
+        tcp[4] += s.retransmits.value();
+        tcp[5] += s.fastRetransmits.value();
+        tcp[6] += s.rtoFires.value();
+        tcp[7] += s.dupAcksSeen.value();
+    }
+    EXPECT_EQ(tcp[0], 2u * 64 * 1024);
+    EXPECT_EQ(total("tcp.bytes_sent"), tcp[0]);
+    EXPECT_EQ(total("tcp.bytes_received"), tcp[1]);
+    EXPECT_EQ(total("tcp.segments_sent"), tcp[2]);
+    EXPECT_EQ(total("tcp.segments_received"), tcp[3]);
+    EXPECT_EQ(total("tcp.retransmits"), tcp[4]);
+    EXPECT_EQ(total("tcp.fast_retransmits"), tcp[5]);
+    EXPECT_EQ(total("tcp.rto_fires"), tcp[6]);
+    EXPECT_EQ(total("tcp.dup_acks"), tcp[7]);
+
+    // Block: the one frontend and the one disk.
+    EXPECT_EQ(blkif.requestsCompleted(), 16u);
+    EXPECT_GE(blkif.requestErrors(), 1u);
+    EXPECT_EQ(total("blk.completed"), blkif.requestsCompleted());
+    EXPECT_EQ(total("blk.errors"), blkif.requestErrors());
+    EXPECT_EQ(total("disk.requests"), disk.requestsServed());
+
+    // The transmit path of both stacks.
+    EXPECT_EQ(total("net.tx.bytes"),
+              server.stack.txBytes() + client.stack.txBytes());
+    EXPECT_EQ(total("net.tx.copy_bytes"),
+              server.stack.txCopyBytes() + client.stack.txCopyBytes());
+}
+
 } // namespace
 } // namespace mirage

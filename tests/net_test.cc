@@ -374,7 +374,7 @@ TEST_F(NetTest, TcpRecoversFromLoss)
     EXPECT_EQ(received, total);
     EXPECT_FALSE(mismatch);
     ASSERT_TRUE(client_conn != nullptr);
-    EXPECT_GT(client_conn->stats().retransmits, 0u)
+    EXPECT_GT(client_conn->stats().retransmits.value(), 0u)
         << "loss must actually have exercised recovery";
     EXPECT_GT(bridge.framesDropped(), 0u);
 }
@@ -411,7 +411,7 @@ TEST_F(NetTest, TcpFastRetransmitOnIsolatedLoss)
     engine.run();
     EXPECT_EQ(received, total);
     ASSERT_TRUE(client_conn != nullptr);
-    EXPECT_GE(client_conn->stats().fastRetransmits, 1u);
+    EXPECT_GE(client_conn->stats().fastRetransmits.value(), 1u);
 }
 
 TEST_F(NetTest, TcpSegOffloadBulkTransferIsByteExact)
@@ -458,7 +458,7 @@ TEST_F(NetTest, TcpSegOffloadBulkTransferIsByteExact)
     ASSERT_TRUE(client_conn != nullptr);
     // 512 KiB / 1460 B/MSS is ~359 packets; multi-MSS chains (ACK
     // clocking keeps them ~2-3 MSS here) must at least halve that.
-    EXPECT_LT(client_conn->stats().segmentsSent, total / 1460 / 2)
+    EXPECT_LT(client_conn->stats().segmentsSent.value(), total / 1460 / 2)
         << "segment count says TSO chains never formed";
 }
 
@@ -509,7 +509,7 @@ TEST_F(NetTest, TcpRetransmitUnderOffloadResegments)
     EXPECT_GT(bridge.framesDropped(), 0u)
         << "the drop filter never fired: no segmented frame appeared";
     ASSERT_TRUE(client_conn != nullptr);
-    EXPECT_GE(client_conn->stats().retransmits, 1u);
+    EXPECT_GE(client_conn->stats().retransmits.value(), 1u);
     EXPECT_EQ(stack_b.tcp().checksumErrors(), 0u)
         << "retransmits must carry a software checksum";
 }
@@ -611,7 +611,7 @@ TEST_F(NetTest, TcpCloseInSynSentAbortsConnect)
     EXPECT_EQ(conn->state(), TcpConnection::State::Closed);
     EXPECT_EQ(stack_a.tcp().connectionCount(), 0u);
     engine.run(); // an orphaned RTO timer would never let this return
-    EXPECT_EQ(conn->stats().rtoFires, 0u);
+    EXPECT_EQ(conn->stats().rtoFires.value(), 0u);
 }
 
 TEST_F(NetTest, TcpWriteAfterCloseRefused)

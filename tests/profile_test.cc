@@ -313,20 +313,20 @@ TEST(GcHeapProfileTest, PauseHistogramsAndAttributionMatch)
         live.push_back(heap.alloc(1024)); // triggers collections
     heap.collectMinor();
 
-    EXPECT_GT(heap.stats().minorCollections, 0u);
-    EXPECT_GT(heap.stats().promotedBytes, 0u);
-    EXPECT_EQ(d.gc_minor.value(), heap.stats().minorCollections)
+    EXPECT_GT(heap.stats().minorCollections.value(), 0u);
+    EXPECT_GT(heap.stats().promotedBytes.value(), 0u);
+    EXPECT_EQ(d.gc_minor.value(), heap.stats().minorCollections.value())
         << "DomainStats must mirror the heap's own counters";
-    EXPECT_EQ(d.gc_promoted_bytes.value(), heap.stats().promotedBytes);
+    EXPECT_EQ(d.gc_promoted_bytes.value(), heap.stats().promotedBytes.value());
     EXPECT_EQ(d.gc_minor_pause_ns.count(),
-              heap.stats().minorCollections);
+              heap.stats().minorCollections.value());
     EXPECT_GT(d.gc_minor_pause_ns.max(), 0u);
 
     // Attribution: the pause time charged under rt/gc must equal the
     // pauses the histogram saw, to the nanosecond.
     EXPECT_EQ(p.selfNs("rt/gc;gc.minor"), d.gc_minor_pause_ns.sum());
     EXPECT_EQ(p.samples("rt/gc;gc.minor"),
-              heap.stats().minorCollections);
+              heap.stats().minorCollections.value());
     for (rt::CellRef ref : live)
         heap.release(ref);
 }

@@ -263,7 +263,7 @@ TEST_F(GcHeapTest, MinorCollectionTriggersOnPressure)
                 16 * 1024); // small minor heap for testing
     for (int i = 0; i < 100; i++)
         heap.alloc(1024);
-    EXPECT_GT(heap.stats().minorCollections, 0u);
+    EXPECT_GT(heap.stats().minorCollections.value(), 0u);
     EXPECT_EQ(heap.stats().liveBytes, 100u * 1024);
 }
 
@@ -276,7 +276,7 @@ TEST_F(GcHeapTest, DeadCellsAreNotPromoted)
     for (CellRef r : refs)
         heap.release(r);
     heap.collectMinor();
-    EXPECT_EQ(heap.stats().promotedBytes, 0u)
+    EXPECT_EQ(heap.stats().promotedBytes.value(), 0u)
         << "garbage must not be promoted";
     EXPECT_EQ(heap.stats().liveBytes, 0u);
 }
@@ -286,9 +286,9 @@ TEST_F(GcHeapTest, SurvivorsPromoteOnce)
     GcHeap heap(cpu, pvboot::MemoryBackend::xenExtent(), 16 * 1024);
     CellRef r = heap.alloc(2048);
     heap.collectMinor();
-    EXPECT_EQ(heap.stats().promotedBytes, 2048u);
+    EXPECT_EQ(heap.stats().promotedBytes.value(), 2048u);
     heap.collectMinor();
-    EXPECT_EQ(heap.stats().promotedBytes, 2048u)
+    EXPECT_EQ(heap.stats().promotedBytes.value(), 2048u)
         << "major-heap cells are not re-promoted";
     heap.release(r);
 }
@@ -301,7 +301,7 @@ TEST_F(GcHeapTest, MajorHeapGrowsByBackend)
         heap.alloc(1024);
     heap.collectMinor();
     EXPECT_GE(heap.stats().majorHeapBytes, 8u * 1024 * 1024);
-    EXPECT_GT(heap.stats().growEvents, 0u);
+    EXPECT_GT(heap.stats().growEvents.value(), 0u);
 }
 
 TEST_F(GcHeapTest, ExtentBackendCheaperThanPvMalloc)

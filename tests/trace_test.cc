@@ -38,6 +38,20 @@ TEST(CounterTest, BumpIsNullSafe)
     EXPECT_EQ(c.value(), 7u);
 }
 
+TEST(CounterTest, OwnerCellFeedsItsTotal)
+{
+    MetricsRegistry reg;
+    Counter a(total(&reg, "grant.issued"));
+    Counter b(total(&reg, "grant.issued"));
+    a.inc(3);
+    b.inc();
+    EXPECT_EQ(a.value(), 3u);
+    EXPECT_EQ(b.value(), 1u);
+    EXPECT_EQ(reg.findCounter("grant.issued")->value(), 4u);
+    EXPECT_EQ(total(nullptr, "grant.issued"), nullptr)
+        << "no registry: no total";
+}
+
 TEST(HistogramTest, EmptyIsAllZero)
 {
     Histogram h;
@@ -117,6 +131,28 @@ TEST(MetricsRegistryTest, FindOrCreateReturnsStableRefs)
     Histogram &h = reg.histogram("gc.pause_ns");
     h.record(5);
     EXPECT_EQ(reg.findHistogram("gc.pause_ns")->count(), 1u);
+}
+
+TEST(MetricsRegistryTest, OnceCountedSeriesIsListedFromItsFirstCount)
+{
+    MetricsRegistry reg;
+    Counter *stalls = total(&reg, "netif.rx.stalls", Listed::OnceCounted);
+    ASSERT_NE(stalls, nullptr);
+    EXPECT_EQ(reg.findCounter("netif.rx.stalls"), nullptr);
+    EXPECT_EQ(reg.counterCount(), 0u);
+    EXPECT_EQ(reg.dump().find("netif.rx.stalls"), std::string::npos);
+    EXPECT_EQ(reg.toPrometheus().find("netif_rx_stalls"),
+              std::string::npos);
+    stalls->inc();
+    ASSERT_NE(reg.findCounter("netif.rx.stalls"), nullptr);
+    EXPECT_EQ(reg.counterCount(), 1u);
+    EXPECT_NE(reg.dump().find("netif.rx.stalls"), std::string::npos);
+    EXPECT_NE(reg.toPrometheus().find("netif_rx_stalls 1"),
+              std::string::npos);
+    // Anyone asking for the name as Listed::Always lists it at zero.
+    total(&reg, "notify.suppressed", Listed::OnceCounted);
+    reg.counter("notify.suppressed");
+    EXPECT_NE(reg.findCounter("notify.suppressed"), nullptr);
 }
 
 TEST(MetricsRegistryTest, DumpListsMetricsSortedByName)

@@ -2,7 +2,7 @@
  * @file
  * mirage-lint's analysis passes: light structural recovery (functions,
  * lambdas, call contexts) over the token stream, a global symbol table
- * of shared_ptr-typed names, and the five project-specific checks.
+ * of shared_ptr-typed names, and the project-specific checks.
  *
  * Check catalog (see DESIGN.md "Static analysis" for the rationale):
  *
@@ -54,6 +54,15 @@
  *      bookkeeping. Such hops break causal request attribution (the
  *      PR 5 polled-consumer bug class); flow-less rings document the
  *      invariant with an allow() comment.
+ *
+ *  model-mutex-order  in src/{hypervisor,core,drivers,net}, a member
+ *      container appended to (push_back/emplace_back/...) under a
+ *      lock and iterated by another function of the same file, with
+ *      no sort of it and no causal key in the appended element. Shard
+ *      threads take the lock in host order, so the walk's order — and
+ *      whatever it schedules — stops being a pure function of the seed
+ *      (the Bridge::attach flood-order bug). Containers whose order
+ *      reaches no schedule carry an allow() comment with the reason.
  */
 
 #ifndef MIRAGE_LINT_ANALYZER_H
@@ -126,6 +135,9 @@ class Analyzer
     void checkRingIndex(const LexedFile &f,
                         std::vector<Finding> &out) const;
     void checkCrossShard(const LexedFile &f,
+                         std::vector<Finding> &out) const;
+    void checkMutexOrder(const LexedFile &f,
+                         const std::vector<Function> &fns,
                          std::vector<Finding> &out) const;
 
     bool isShared(const std::string &name) const;
