@@ -110,6 +110,9 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<http::HttpServer>> servers;
     servers.resize(std::size_t(domains));
     std::vector<core::Guest *> appliances(std::size_t(domains), nullptr);
+    // Printed in index order after the run: ready callbacks run on
+    // whichever shard homes the appliance, in host-thread order.
+    std::vector<xen::BootBreakdown> breakdowns(appliances.size());
     std::atomic<int> ready{0};
     bool fleet_ok = false, metrics_ok = false;
     std::atomic<u64> served{0};
@@ -125,12 +128,7 @@ main(int argc, char **argv)
             name, ip, 32,
             [&, i, name, stalled](core::Guest &g, xen::BootBreakdown b) {
                 appliances[std::size_t(i)] = &g;
-                std::printf("%-8s ready at %.1f ms (toolstack %.1f + "
-                            "build %.1f + init %.1f)\n",
-                            name.c_str(), b.total().toSecondsF() * 1e3,
-                            b.toolstack.toSecondsF() * 1e3,
-                            b.build.toSecondsF() * 1e3,
-                            b.guestInit.toSecondsF() * 1e3);
+                breakdowns[std::size_t(i)] = std::move(b);
                 core::Guest *gp = &g;
                 servers[std::size_t(i)] =
                     std::make_unique<http::HttpServer>(
@@ -261,6 +259,18 @@ main(int argc, char **argv)
     };
 
     cloud.run();
+
+    for (int i = 0; i < domains; i++) {
+        if (!appliances[std::size_t(i)])
+            continue;
+        const xen::BootBreakdown &b = breakdowns[std::size_t(i)];
+        std::printf("web%-5d ready at %.1f ms (toolstack %.1f + build %.1f "
+                    "+ init %.1f)\n",
+                    i, b.total().toSecondsF() * 1e3,
+                    b.toolstack.toSecondsF() * 1e3,
+                    b.build.toSecondsF() * 1e3,
+                    b.guestInit.toSecondsF() * 1e3);
+    }
 
     // ---- Verdict ------------------------------------------------------
     u64 slo_alerts =

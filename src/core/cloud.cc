@@ -24,8 +24,6 @@ Cloud::Cloud(const Config &cfg)
       netback_(dom0_, bridge_),
       toolstack_(hv_, xen::Toolstack::Mode::Parallel)
 {
-    telemetry_.flows.enable();
-    telemetry_.boots.enable();
     // The wall profiler rides on the ShardSet (it observes the worker
     // threads); the hub only renders it, so a const borrow suffices.
     telemetry_.wall = &shards_.wallprof();

@@ -94,9 +94,9 @@ class Cloud
     trace::MetricsRegistry &metrics() { return telemetry_.metrics; }
 
     /**
-     * Request-flow tracker, enabled by default (its histograms cost
-     * nothing until a flow begins, and flows only begin in instrumented
-     * servers). Disable with `flows().enable(false)` for microbenches.
+     * Request-flow tracker. It records whenever the engine carries the
+     * bundle (its series cost nothing until a flow begins, and flows
+     * begin only in instrumented servers, through trace::LayerTrace).
      */
     trace::FlowTracker &flows() { return telemetry_.flows; }
 
@@ -118,7 +118,7 @@ class Cloud
     trace::Profiler &profiler() { return telemetry_.profiler; }
 
     /**
-     * The boot-phase tracker, enabled by default: every toolstack boot
+     * The boot-phase tracker: every toolstack boot
      * decomposes into named phase spans and `boot.<phase>_ns`
      * histograms, and the serving stack closes the loop with the
      * first-request phase.

@@ -18,7 +18,9 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
       size_sectors_(backend.disk().sizeSectors()),
       completed_(trace::total(boot.domain().engine().metrics(),
                               "blk.completed")),
-      errors_(trace::total(boot.domain().engine().metrics(), "blk.errors"))
+      errors_(trace::total(boot.domain().engine().metrics(), "blk.errors")),
+      trace_(boot.domain().engine().telemetry(), boot.domain().name(),
+             "/blkif")
 {
     xen::Domain &dom = boot_.domain();
     xen::Domain &back_dom = backend.backendDomain();
@@ -60,17 +62,6 @@ Blkif::allocPage()
     return boot_.ioPages().allocPage();
 }
 
-u32
-Blkif::blkTrack()
-{
-    if (trace_track_ == 0) {
-        if (auto *tr = boot_.domain().engine().tracer();
-            tr && tr->enabled())
-            trace_track_ = tr->track(boot_.domain().name() + "/blkif");
-    }
-    return trace_track_;
-}
-
 rt::PromisePtr
 Blkif::submit(u8 op, u64 sector, u32 count, Cstruct page)
 {
@@ -85,20 +76,13 @@ Blkif::submit(u8 op, u64 sector, u32 count, Cstruct page)
         return p;
     }
     sim::Engine &engine = dom.engine();
-    u64 flow = 0;
-    if (auto *fl = engine.flows();
-        fl && fl->enabled() && fl->current()) {
-        flow = fl->current();
-        fl->stageBegin(flow, "blkif", engine.now(), blkTrack());
-    }
+    u64 flow = trace_.stageBegin("blkif", engine.now());
     // Ring full (or earlier waiters): park in the driver queue, as a
     // real blkfront parks bios.
     if (!wait_queue_.empty() || ring_->freeRequests() == 0) {
         if (wait_queue_.size() >= waitQueueLimit) {
             errors_.inc();
-            if (flow)
-                engine.flows()->stageEnd(flow, "blkif", engine.now(),
-                                         blkTrack());
+            trace_.stageEnd(flow, "blkif", engine.now());
             p->cancel();
             return p;
         }
@@ -219,13 +203,10 @@ Blkif::drainResponses(bool park)
             Pending pending = std::move(it->second);
             pending_.erase(it);
             sim::Engine &eng = boot_.domain().engine();
-            if (auto *tr = eng.tracer(); tr && tr->enabled()) {
-                if (trace_track_ == 0)
-                    trace_track_ =
-                        tr->track(boot_.domain().name() + "/blkif");
+            if (auto *tr = trace_.recorder()) {
                 tr->span(trace::Cat::Storage, "blk.request",
                          pending.submitted,
-                         eng.now() - pending.submitted, trace_track_,
+                         eng.now() - pending.submitted, trace_.track(),
                          trace::jsonObject(
                              "op",
                              pending.op == xen::BlkifWire::opWrite
@@ -233,14 +214,9 @@ Blkif::drainResponses(bool park)
                                  : "read",
                              "sectors", pending.count));
             }
-            if (pending.flow) {
-                if (auto *fl = eng.flows())
-                    fl->stageEnd(pending.flow, "blkif", eng.now(),
-                                 blkTrack());
-            }
+            trace_.stageEnd(pending.flow, "blkif", eng.now());
             // Completion continuations belong to the I/O's flow.
-            trace::FlowScope scope(pending.flow ? eng.flows() : nullptr,
-                                   pending.flow);
+            trace::FlowScope scope = trace_.enter(pending.flow);
             if (status == xen::BlkifWire::statusOk) {
                 completed_.inc();
                 pending.promise->resolve();

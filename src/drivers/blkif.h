@@ -21,6 +21,7 @@
 #include "pvboot/pvboot.h"
 #include "runtime/promise.h"
 #include "sim/poller.h"
+#include "trace/layer.h"
 
 namespace mirage::drivers {
 
@@ -85,7 +86,6 @@ class Blkif
     void drainWaitQueue();
     void onEvent();
     bool drainResponses(bool park);
-    u32 blkTrack();
 
     pvboot::PVBoot &boot_;
     xen::DomId backend_domid_;
@@ -102,7 +102,7 @@ class Blkif
     u64 next_id_ = 0;
     trace::Counter completed_; //!< feeds `blk.completed`
     trace::Counter errors_;    //!< feeds `blk.errors`
-    u32 trace_track_ = 0;
+    trace::LayerTrace trace_;  //!< the "<dom>/blkif" track and stage
 };
 
 } // namespace mirage::drivers

@@ -17,7 +17,8 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
              xen::MacBytes mac)
     : boot_(boot), engine_(boot.domain().engine()), mac_(mac),
       rx_stalls_(trace::total(engine_.metrics(), "netif.rx.stalls",
-                              trace::Listed::OnceCounted))
+                              trace::Listed::OnceCounted)),
+      trace_(engine_.telemetry(), boot.domain().name(), "/netif")
 {
     xen::Domain &dom = boot_.domain();
     xen::Domain &back_dom = backend.backendDomain();
@@ -122,16 +123,6 @@ Netif::writeFrame(Cstruct frame)
     return writeFrameV({std::move(frame)});
 }
 
-u32
-Netif::flowTrack()
-{
-    if (track_ == 0) {
-        if (auto *tr = engine_.tracer(); tr && tr->enabled())
-            track_ = tr->track(boot_.domain().name() + "/netif");
-    }
-    return track_;
-}
-
 rt::PromisePtr
 Netif::writeFrameV(const std::vector<Cstruct> &frags, TxOffload offload)
 {
@@ -141,11 +132,7 @@ Netif::writeFrameV(const std::vector<Cstruct> &frags, TxOffload offload)
         p->cancel();
         return p;
     }
-    u64 flow = 0;
-    if (auto *fl = engine_.flows(); fl && fl->enabled() && fl->current()) {
-        flow = fl->current();
-        fl->stageBegin(flow, "netif_tx", engine_.now(), flowTrack());
-    }
+    u64 flow = trace_.stageBegin("netif_tx", engine_.now());
     // A chain longer than the whole ring can never be enqueued: fail
     // it now instead of parking it at the head of the wait queue,
     // where it would wedge every later frame forever.
@@ -174,10 +161,7 @@ Netif::abortTx(const std::vector<Cstruct> &frags, const rt::PromisePtr &p,
                u64 flow)
 {
     tx_errors_++;
-    if (flow) {
-        if (auto *fl = engine_.flows())
-            fl->stageEnd(flow, "netif_tx", engine_.now(), flowTrack());
-    }
+    trace_.stageEnd(flow, "netif_tx", engine_.now());
     // Chain-abort invariant: dropping the chain must return every
     // grant-pool lease its fragments held. The caller's frags vector
     // is still alive during this call, so the check runs after the
@@ -430,15 +414,10 @@ Netif::drainTxResponses(bool park)
             // non-final one.
             if (--frame.remaining > 0)
                 continue;
-            if (frame.flow) {
-                if (auto *fl = engine_.flows())
-                    fl->stageEnd(frame.flow, "netif_tx", engine_.now(),
-                                 flowTrack());
-            }
+            trace_.stageEnd(frame.flow, "netif_tx", engine_.now());
             // Continuations of the resolve belong to the frame's flow,
             // not to whatever flow the backend's notify carried.
-            trace::FlowScope scope(frame.flow ? engine_.flows() : nullptr,
-                                   frame.flow);
+            trace::FlowScope scope = trace_.enter(frame.flow);
             if (!frame.failed) {
                 tx_completed_++;
                 if (frame.promise)
@@ -490,8 +469,7 @@ Netif::drainRxResponses(bool park)
                 // no flow of its own, so the stamp is the only tie
                 // between the frame and its request.
                 u64 flow = rsp.getLe32(xen::NetifWire::rxrspFlow);
-                trace::FlowScope scope(flow ? engine_.flows() : nullptr,
-                                       flow);
+                trace::FlowScope scope = trace_.enter(flow);
                 // Zero-copy delivery: the stack gets a view of the
                 // pool page; the page recycles when all views drop.
                 rx_handler_(posted.page.sub(0, len));

@@ -26,6 +26,7 @@
 #include "pvboot/pvboot.h"
 #include "runtime/promise.h"
 #include "sim/poller.h"
+#include "trace/layer.h"
 
 namespace mirage::drivers {
 
@@ -140,7 +141,6 @@ class Netif
                        xen::DoorbellBatch *batch = nullptr);
     void abortTx(const std::vector<Cstruct> &frags,
                  const rt::PromisePtr &p, u64 flow);
-    u32 flowTrack();
 
     pvboot::PVBoot &boot_;
     sim::Engine &engine_; //!< the domain's home shard
@@ -167,7 +167,7 @@ class Netif
     u64 rx_delivered_ = 0;
     u64 tx_errors_ = 0;
     trace::Counter rx_stalls_; //!< feeds `netif.rx.stalls`
-    u32 track_ = 0; //!< lazily interned "<dom>/netif" trace track
+    trace::LayerTrace trace_; //!< the "<dom>/netif" track and netif_tx
     //! I/O page pool recycle subscription (rx restock after a stall).
     u64 recycle_listener_ = 0;
     //! Grant-pool recycle subscription (pooled pages bypass ioPages).

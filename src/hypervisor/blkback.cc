@@ -124,7 +124,9 @@ VirtualDisk::writeAsync(u64 sector, u32 count, Cstruct src,
 // ---- Blkback ---------------------------------------------------------------
 
 Blkback::Blkback(Domain &backend_dom, VirtualDisk &disk)
-    : dom_(backend_dom), disk_(disk), pmap_(backend_dom, "blkback")
+    : dom_(backend_dom), disk_(disk), pmap_(backend_dom, "blkback"),
+      trace_(backend_dom.engine().telemetry(), backend_dom.name(),
+             "/blkback")
 {
 }
 
@@ -188,17 +190,6 @@ Blkback::complete(u64 id, u8 status)
     }
 }
 
-u32
-Blkback::flowTrack()
-{
-    if (track_ == 0) {
-        if (auto *tr = dom_.engine().tracer();
-            tr && tr->enabled())
-            track_ = tr->track(dom_.name() + "/blkback");
-    }
-    return track_;
-}
-
 void
 Blkback::onEvent()
 {
@@ -212,9 +203,6 @@ Blkback::onEvent()
             s->noteRing("blkback", ring_->unconsumedRequests(),
                         RingLayout::slotCount);
     }
-    trace::FlowTracker *fl = dom_.engine().flows();
-    if (fl && !fl->enabled())
-        fl = nullptr;
     do {
         while (ring_->unconsumedRequests() > 0) {
             Cstruct req = ring_->takeRequest().value();
@@ -227,17 +215,13 @@ Blkback::onEvent()
             std::size_t offset = req.getLe32(BlkifWire::reqOffset);
             u64 sector = req.getLe64(BlkifWire::reqSector);
             GrantRef gref = req.getLe32(BlkifWire::reqGrant);
-            u64 flow = fl ? req.getLe32(BlkifWire::reqFlow) : 0;
+            u64 flow = req.getLe32(BlkifWire::reqFlow);
             dom_.vcpu().charge(c.backendPerRequest, "blkback.request",
                                trace::Cat::Hypervisor);
-            if (flow)
-                fl->stageBegin(flow, "blkback", dom_.engine().now(),
-                               flowTrack());
+            trace_.stageBegin(flow, "blkback", dom_.engine().now());
 
             if (sectors == 0 || sectors > BlkifWire::maxSectors) {
-                if (flow)
-                    fl->stageEnd(flow, "blkback", dom_.engine().now(),
-                                 flowTrack());
+                trace_.stageEnd(flow, "blkback", dom_.engine().now());
                 complete(id, BlkifWire::statusError);
                 continue;
             }
@@ -257,9 +241,7 @@ Blkback::onEvent()
                     boundsError("blk request outside granted region"));
             }
             if (!page.ok()) {
-                if (flow)
-                    fl->stageEnd(flow, "blkback", dom_.engine().now(),
-                                 flowTrack());
+                trace_.stageEnd(flow, "blkback", dom_.engine().now());
                 complete(id, BlkifWire::statusError);
                 continue;
             }
@@ -269,12 +251,7 @@ Blkback::onEvent()
             inflight_++;
             auto finish = [this, id, gref, persistent, flow](Status st) {
                 inflight_--;
-                sim::Engine &eng = dom_.engine();
-                if (flow) {
-                    if (auto *f = eng.flows())
-                        f->stageEnd(flow, "blkback", eng.now(),
-                                    flowTrack());
-                }
+                trace_.stageEnd(flow, "blkback", dom_.engine().now());
                 if (!frontend_)
                     return; // disconnect() already unmapped everything
                 if (!persistent) {
@@ -292,7 +269,7 @@ Blkback::onEvent()
             };
             // The disk service chain (and ultimately finish) runs
             // under the request's flow via engine ambient propagation.
-            trace::FlowScope scope(fl, flow);
+            trace::FlowScope scope(dom_.engine().flows(), flow);
             if (write)
                 disk_.writeAsync(sector, sectors, data, finish);
             else

@@ -19,6 +19,7 @@
 #include "hypervisor/grant_map_cache.h"
 #include "hypervisor/ring.h"
 #include "sim/cpu.h"
+#include "trace/layer.h"
 
 namespace mirage::xen {
 
@@ -120,7 +121,6 @@ class Blkback
   private:
     void onEvent();
     void complete(u64 id, u8 status);
-    u32 flowTrack();
 
     Domain &dom_;
     VirtualDisk &disk_;
@@ -138,7 +138,7 @@ class Blkback
      *  ring, so frontend pushes need no doorbell; the last completion
      *  re-arms it. */
     u64 inflight_ = 0;
-    u32 track_ = 0; //!< lazily interned "<dom>/blkback" track
+    trace::LayerTrace trace_; //!< the "<dom>/blkback" track and stage
 };
 
 } // namespace mirage::xen

@@ -12,7 +12,7 @@ Domain::Domain(Hypervisor &hv, DomId id, std::string name, GuestKind kind,
                std::size_t memory_mib, unsigned vcpus, sim::Engine *home)
     : hv_(hv), engine_(home ? *home : hv.engine()), id_(id),
       name_(std::move(name)), kind_(kind), memory_mib_(memory_mib),
-      grants_(id)
+      grants_(id), poll_trace_(engine_.telemetry(), name_, "/domainpoll")
 {
     if (vcpus == 0)
         fatal("domain %s: at least one vCPU required", name_.c_str());
@@ -146,11 +146,9 @@ Domain::finishPoll(WakeReason reason)
         stats_->blocked_ns.inc(u64((engine_.now() - poll_started_).ns()));
         stats_->polls.inc();
     }
-    if (auto *tr = engine_.tracer(); tr && tr->enabled()) {
-        if (trace_track_ == 0)
-            trace_track_ = tr->track(name_ + "/domainpoll");
+    if (auto *tr = poll_trace_.recorder()) {
         tr->span(trace::Cat::Hypervisor, "domainpoll", poll_started_,
-                 engine_.now() - poll_started_, trace_track_,
+                 engine_.now() - poll_started_, poll_trace_.track(),
                  trace::jsonObject("wake", reason == WakeReason::Event
                                                ? "event"
                                                : "timeout"));

@@ -19,6 +19,7 @@
 #include "hypervisor/grant_table.h"
 #include "hypervisor/paging.h"
 #include "sim/cpu.h"
+#include "trace/layer.h"
 
 namespace mirage::trace {
 class Profiler;
@@ -145,7 +146,7 @@ class Domain
     std::function<void(Domain::WakeReason)> poll_wake_;
     sim::EventId poll_timer_ = 0;
     TimePoint poll_started_;
-    u32 trace_track_ = 0; //!< interned lazily on first traced poll
+    trace::LayerTrace poll_trace_; //!< the "<dom>/domainpoll" track
 
     void finishPoll(WakeReason reason);
 };

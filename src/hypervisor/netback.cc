@@ -211,7 +211,9 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
       tx_port_(info.backendTxPort), rx_port_(info.backendRxPort),
       tx_ring_grant_(info.txRingGrant), rx_ring_grant_(info.rxRingGrant),
       pmap_(owner.dom_, "netback"), feature_gso_(info.featureGso),
-      feature_csum_(info.featureCsumOffload)
+      feature_csum_(info.featureCsumOffload),
+      trace_(owner.dom_.engine().telemetry(), owner.dom_.name(),
+             "/netback")
 {
     Hypervisor &hv = owner_.dom_.hypervisor();
     pmap_.bind(&frontend_);
@@ -264,17 +266,6 @@ Netback::Vif::disconnect()
     hv.grantUnmap(owner_.dom_, frontend_, rx_ring_grant_);
 }
 
-u32
-Netback::Vif::flowTrack()
-{
-    if (track_ == 0) {
-        if (auto *tr = owner_.dom_.engine().tracer();
-            tr && tr->enabled())
-            track_ = tr->track(owner_.dom_.name() + "/netback");
-    }
-    return track_;
-}
-
 void
 Netback::Vif::onTxEvent()
 {
@@ -297,9 +288,6 @@ Netback::Vif::drainTx(bool park)
     if (auto *s = frontend_.stats())
         s->noteRing("netback.tx", tx_ring_->unconsumedRequests(),
                     RingLayout::slotCount);
-    trace::FlowTracker *fl = owner_.dom_.engine().flows();
-    if (fl && !fl->enabled())
-        fl = nullptr;
     bool any = false;
     do {
         while (tx_ring_->unconsumedRequests() > 0) {
@@ -327,21 +315,15 @@ Netback::Vif::drainTx(bool park)
                     pending_gso_ = req.getLe16(NetifWire::txreqGsoSize);
                     pending_csum_blank_ =
                         (flags & NetifWire::txflagCsumBlank) != 0;
-                    if (fl) {
-                        pending_flow_ =
-                            req.getLe32(NetifWire::txreqFlow);
-                        if (pending_flow_) {
-                            fl->stageBegin(pending_flow_, "netback_tx",
-                                           owner_.dom_.engine().now(),
-                                           flowTrack());
-                            // Baseline of dom0's CPU backlog, so the
-                            // stage charges only this packet's own
-                            // modeled work.
-                            pending_busy0_ =
-                                owner_.dom_.vcpu().freeAt();
-                            if (pending_busy0_ < owner_.dom_.engine().now())
-                                pending_busy0_ = owner_.dom_.engine().now();
-                        }
+                    pending_flow_ = req.getLe32(NetifWire::txreqFlow);
+                    if (pending_flow_) {
+                        trace_.stageBegin(pending_flow_, "netback_tx",
+                                          owner_.dom_.engine().now());
+                        // Baseline of dom0's CPU backlog, so the stage
+                        // charges only this packet's own modeled work.
+                        pending_busy0_ = owner_.dom_.vcpu().freeAt();
+                        if (pending_busy0_ < owner_.dom_.engine().now())
+                            pending_busy0_ = owner_.dom_.engine().now();
                     }
                     // A frontend must not use offloads it never
                     // advertised (it has no way to know we honour
@@ -351,12 +333,9 @@ Netback::Vif::drainTx(bool park)
                         status = NetifWire::statusError;
                         if (more)
                             discard_chain_ = true;
-                        if (fl && pending_flow_) {
-                            fl->stageEnd(pending_flow_, "netback_tx",
-                                         owner_.dom_.engine().now(),
-                                         flowTrack());
-                            pending_flow_ = 0;
-                        }
+                        trace_.stageEnd(pending_flow_, "netback_tx",
+                                        owner_.dom_.engine().now());
+                        pending_flow_ = 0;
                     }
                 }
 
@@ -392,12 +371,9 @@ Netback::Vif::drainTx(bool park)
                         pending_bytes_ = 0;
                         if (more)
                             discard_chain_ = true;
-                        if (fl && pending_flow_) {
-                            fl->stageEnd(pending_flow_, "netback_tx",
-                                         owner_.dom_.engine().now(),
-                                         flowTrack());
-                            pending_flow_ = 0;
-                        }
+                        trace_.stageEnd(pending_flow_, "netback_tx",
+                                        owner_.dom_.engine().now());
+                        pending_flow_ = 0;
                     }
                     if (!persistent && page.ok())
                         hv.grantUnmap(owner_.dom_, frontend_, gref);
@@ -408,7 +384,7 @@ Netback::Vif::drainTx(bool park)
                 discard_chain_ = false;
             if (!more && status == NetifWire::statusOk &&
                 !pending_frags_.empty())
-                forwardChain(fl);
+                forwardChain();
 
             Cstruct rsp = tx_ring_->startResponse().value();
             rsp.setLe16(NetifWire::txrspId, id);
@@ -429,9 +405,10 @@ Netback::Vif::drainTx(bool park)
 }
 
 void
-Netback::Vif::forwardChain(trace::FlowTracker *fl)
+Netback::Vif::forwardChain()
 {
     const auto &c = sim::costs();
+    trace::FlowTracker *fl = owner_.dom_.engine().flows();
     std::vector<Cstruct> frags = std::move(pending_frags_);
     std::size_t total = pending_bytes_;
     u16 gso = pending_gso_;
@@ -572,7 +549,7 @@ Netback::Vif::forwardChain(trace::FlowTracker *fl)
         }
     }
 
-    if (fl && pending_flow_) {
+    if (pending_flow_) {
         // The stage covers the backend's modeled CPU work for this
         // packet (map, copy-out/segment, switch): the growth of dom0's
         // vCPU backlog since the first fragment, not the whole
@@ -582,8 +559,8 @@ Netback::Vif::forwardChain(trace::FlowTracker *fl)
         i64 work_ns = busy.ns() - pending_busy0_.ns();
         if (work_ns < 0)
             work_ns = 0;
-        fl->stageEnd(pending_flow_, "netback_tx",
-                     TimePoint(now.ns() + work_ns), flowTrack());
+        trace_.stageEnd(pending_flow_, "netback_tx",
+                        TimePoint(now.ns() + work_ns));
     }
     pending_flow_ = 0;
 }
@@ -677,7 +654,7 @@ Netback::Vif::deliverFrame(const Cstruct &frame)
     // bridge hop) so the frontend can restore it per drained slot —
     // its rx ring may be drained by a flow-less poll timer.
     trace::FlowTracker *fl = owner_.dom_.engine().flows();
-    u64 flow = (fl && fl->enabled()) ? fl->current() : 0;
+    u64 flow = fl ? fl->current() : 0;
 
     Cstruct rsp = rx_ring_->startResponse().value();
     rsp.setLe16(NetifWire::rxrspId, post.id);

@@ -31,6 +31,7 @@
 #include "hypervisor/ring.h"
 #include "sim/cpu.h"
 #include "sim/poller.h"
+#include "trace/layer.h"
 
 namespace mirage::xen {
 
@@ -233,8 +234,7 @@ class Netback
         void deliverFrame(const Cstruct &frame);
         /** Coalesce/segment the completed pending chain and switch the
          *  resulting frame(s) onto the bridge. */
-        void forwardChain(trace::FlowTracker *fl);
-        u32 flowTrack();
+        void forwardChain();
 
         /** Frames parked while the frontend owes rx buffers. */
         static constexpr std::size_t rxBacklogLimit = 256;
@@ -291,7 +291,7 @@ class Netback
         /** dom0 vCPU backlog when the packet's stage opened. */
         TimePoint pending_busy0_;
         u64 dropped_ = 0;
-        u32 track_ = 0; //!< lazily interned "<dom>/netback" track
+        trace::LayerTrace trace_; //!< "<dom>/netback" and netback_tx
     };
 
     Vif &connect(const NetConnectInfo &info);

@@ -26,7 +26,9 @@ TcpConnection::TcpConnection(NetworkStack &stack, Tcp &tcp,
     : stack_(stack), tcp_(tcp), local_port_(local_port),
       peer_ip_(peer_ip), peer_port_(peer_port),
       cwnd_(u32(defaultMss) * 10), // RFC 6928 initial window
-      stats_(stack.scheduler().engine().metrics())
+      stats_(stack.scheduler().engine().metrics()),
+      trace_(stack.scheduler().engine().telemetry(),
+             stack.domain().name(), "/tcp")
 {
 }
 
@@ -40,17 +42,6 @@ TcpConnection::Stats::Stats(trace::MetricsRegistry *m)
       rtoFires(trace::total(m, "tcp.rto_fires")),
       dupAcksSeen(trace::total(m, "tcp.dup_acks"))
 {
-}
-
-u32
-TcpConnection::tcpTrack()
-{
-    if (trace_track_ == 0) {
-        if (auto *tr = stack_.scheduler().engine().tracer();
-            tr && tr->enabled())
-            trace_track_ = tr->track(stack_.domain().name() + "/tcp");
-    }
-    return trace_track_;
 }
 
 u32
@@ -126,13 +117,8 @@ TcpConnection::write(Cstruct data)
         p->cancel(); // write after close
         return p;
     }
-    u64 flow = 0;
-    if (auto *fl = stack_.scheduler().engine().flows();
-        fl && fl->enabled() && fl->current()) {
-        flow = fl->current();
-        fl->stageBegin(flow, "tcp_tx",
-                       stack_.scheduler().engine().now(), tcpTrack());
-    }
+    u64 flow =
+        trace_.stageBegin("tcp_tx", stack_.scheduler().engine().now());
     tx_queue_.push_back(TxChunk{std::move(data), 0, p, flow});
     trySend();
     return p;
@@ -174,13 +160,9 @@ void
 TcpConnection::segmentInput(const TcpSegment &seg)
 {
     stats_.segmentsReceived.inc();
-    if (auto *tr = stack_.scheduler().engine().tracer();
-        tr && tr->enabled()) {
-        if (trace_track_ == 0)
-            trace_track_ =
-                tr->track(stack_.domain().name() + "/tcp");
+    if (auto *tr = trace_.recorder()) {
         tr->instant(trace::Cat::Net, "tcp.rx",
-                    stack_.scheduler().engine().now(), trace_track_,
+                    stack_.scheduler().engine().now(), trace_.track(),
                     trace::jsonObject("port", local_port_, "seq", seg.seq,
                                       "flags", seg.flags, "len",
                                       seg.payload.length()));
@@ -273,10 +255,8 @@ TcpConnection::handleAck(const TcpSegment &seg)
                seqLe(tx_flow_marks_.front().first, snd_una_)) {
             u64 flow = tx_flow_marks_.front().second;
             tx_flow_marks_.pop_front();
-            if (auto *fl = stack_.scheduler().engine().flows())
-                fl->stageEnd(flow, "tcp_tx",
-                             stack_.scheduler().engine().now(),
-                             tcpTrack());
+            trace_.stageEnd(flow, "tcp_tx",
+                            stack_.scheduler().engine().now());
         }
 
         if (in_recovery_) {
@@ -564,13 +544,9 @@ TcpConnection::sendSegment(u8 flags, u32 seq,
     }
     std::size_t total = hdr_len + payload_len;
     stats_.segmentsSent.inc();
-    if (auto *tr = stack_.scheduler().engine().tracer();
-        tr && tr->enabled()) {
-        if (trace_track_ == 0)
-            trace_track_ =
-                tr->track(stack_.domain().name() + "/tcp");
+    if (auto *tr = trace_.recorder()) {
         tr->instant(trace::Cat::Net, "tcp.tx",
-                    stack_.scheduler().engine().now(), trace_track_,
+                    stack_.scheduler().engine().now(), trace_.track(),
                     trace::jsonObject("port", local_port_, "seq", seq,
                                       "flags", flags, "len",
                                       total - hdr_len));
@@ -691,15 +667,9 @@ TcpConnection::becomeClosed()
     unacked_.clear();
     // Close any tcp_tx stages still waiting on ACKs so their flows
     // can finalise (the connection will never deliver them now).
-    if (!tx_flow_marks_.empty()) {
-        if (auto *fl = stack_.scheduler().engine().flows()) {
-            for (auto &[seq_end, flow] : tx_flow_marks_)
-                fl->stageEnd(flow, "tcp_tx",
-                             stack_.scheduler().engine().now(),
-                             tcpTrack());
-        }
-        tx_flow_marks_.clear();
-    }
+    for (auto &[seq_end, flow] : tx_flow_marks_)
+        trace_.stageEnd(flow, "tcp_tx", stack_.scheduler().engine().now());
+    tx_flow_marks_.clear();
     failConnect("connection closed");
     if (time_wait_event_)
         stack_.scheduler().engine().cancel(time_wait_event_);

@@ -21,6 +21,7 @@
 #include "net/flow.h"
 #include "net/tcp_wire.h"
 #include "sim/engine.h"
+#include "trace/layer.h"
 
 namespace mirage::net {
 
@@ -144,7 +145,6 @@ class TcpConnection : public Flow,
     u32 flightSize() const { return snd_nxt_ - snd_una_; }
     u32 effectiveWindow() const;
     u16 mss() const { return mss_; }
-    u32 tcpTrack();
 
     NetworkStack &stack_;
     Tcp &tcp_;
@@ -223,7 +223,7 @@ class TcpConnection : public Flow,
     std::function<void(Result<bool>)> connect_cb_;
     bool close_signalled_ = false;
     Stats stats_;
-    u32 trace_track_ = 0;
+    trace::LayerTrace trace_; //!< the "<dom>/tcp" track and tcp_tx stages
 };
 
 using TcpConnPtr = std::shared_ptr<TcpConnection>;

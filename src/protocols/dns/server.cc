@@ -1,8 +1,7 @@
 #include "protocols/dns/server.h"
 
 #include "hypervisor/xen.h"
-#include "trace/flow.h"
-#include "trace/trace.h"
+#include "trace/layer.h"
 
 namespace mirage::dns {
 
@@ -82,32 +81,18 @@ DnsServer::answer(const Cstruct &query)
     return out;
 }
 
-u32
-DnsServer::flowTrack(net::NetworkStack &stack)
-{
-    if (track_ == 0) {
-        if (auto *tr = stack.scheduler().engine().tracer();
-            tr && tr->enabled())
-            track_ = tr->track(stack.domain().name() + "/dns");
-    }
-    return track_;
-}
-
 Status
 DnsServer::attachUdp(net::NetworkStack &stack)
 {
+    // One flow per query, on the stack's "<dom>/dns" track.
+    trace::LayerTrace tr(stack.scheduler().engine().telemetry(),
+                         stack.domain().name(), "/dns");
     return stack.udp().listen(
-        53, [this, &stack](const net::UdpDatagram &dgram) {
+        53, [this, &stack, tr](const net::UdpDatagram &dgram) mutable {
             sim::Engine &engine = stack.scheduler().engine();
-            trace::FlowTracker *fl = engine.flows();
-            if (fl && !fl->enabled())
-                fl = nullptr;
-            trace::FlowId flow = 0;
-            if (fl)
-                flow = fl->begin("dns", engine.now(),
-                                 flowTrack(stack), "udp query",
-                                 stack.domain().name());
-            trace::FlowScope scope(fl, flow);
+            trace::FlowId flow = tr.begin("dns", engine.now(), "udp query",
+                                          stack.domain().name());
+            trace::FlowScope scope = tr.enter(flow);
             auto rsp = answer(dgram.payload);
             if (rsp.ok())
                 stack.udp().sendTo(dgram.srcIp, dgram.srcPort, 53,
@@ -115,8 +100,7 @@ DnsServer::attachUdp(net::NetworkStack &stack)
             // The reply datagram is fire-and-forget: the flow ends
             // once the answer has been handed to the stack (any
             // netif_tx stage it opened defers the finalize).
-            if (fl)
-                fl->end(flow, engine.now(), flowTrack(stack));
+            tr.end(flow, engine.now());
         });
 }
 

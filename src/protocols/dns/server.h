@@ -55,13 +55,11 @@ class DnsServer
 
   private:
     Cstruct buildResponse(const DnsMessage &query);
-    u32 flowTrack(net::NetworkStack &stack);
 
     Zone zone_;
     Config config_;
     storage::Memoizer<std::string, Cstruct> memo_;
     Stats stats_;
-    u32 track_ = 0; //!< lazily interned "<dom>/dns" trace track
 };
 
 } // namespace mirage::dns

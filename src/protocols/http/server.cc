@@ -11,7 +11,9 @@ namespace mirage::http {
 
 HttpServer::HttpServer(net::NetworkStack &stack, u16 port,
                        Handler handler)
-    : stack_(stack), handler_(std::move(handler))
+    : stack_(stack), handler_(std::move(handler)),
+      trace_(stack.scheduler().engine().telemetry(), stack.domain().name(),
+             "/http")
 {
     Status st = stack_.tcp().listen(
         port, [this](net::TcpConnPtr conn) { onAccept(conn); });
@@ -40,17 +42,6 @@ HttpServer::onAccept(net::TcpConnPtr conn)
     });
 }
 
-u32
-HttpServer::flowTrack()
-{
-    if (track_ == 0) {
-        if (auto *tr = stack_.scheduler().engine().tracer();
-            tr && tr->enabled())
-            track_ = tr->track(stack_.domain().name() + "/http");
-    }
-    return track_;
-}
-
 void
 HttpServer::pump(std::shared_ptr<ConnState> st)
 {
@@ -76,45 +67,32 @@ HttpServer::pump(std::shared_ptr<ConnState> st)
     // at true completion). The handler runs inside the flow, so any
     // block I/O it issues inherits the id through the engine.
     sim::Engine &engine = stack_.scheduler().engine();
-    trace::FlowTracker *flows = engine.flows();
-    trace::FlowId flow = 0;
-    if (flows && flows->enabled()) {
-        flow = flows->begin("http", engine.now(), flowTrack(),
-                            req.method + " " + req.path,
-                            stack_.domain().name());
-        flows->stageBegin(flow, "handler", engine.now(), flowTrack());
-    }
+    trace::FlowId flow = trace_.begin("http", engine.now(),
+                                      req.method + " " + req.path,
+                                      stack_.domain().name());
+    trace_.stageBegin(flow, "handler", engine.now());
 
     // The handler (and everything it schedules) is the application's
     // CPU time; the stack's own tx/rx leaves land under net/*.
     trace::ProfScope pscope(engine.profiler(), "app/http");
     handler_(req, [this, st, keep, flow](HttpResponse rsp) {
+        sim::Engine &eng = stack_.scheduler().engine();
+        trace_.stageEnd(flow, "handler", eng.now());
         net::TcpConnPtr conn = st->conn.lock();
         if (st->closed || !conn) {
-            if (flow)
-                if (auto *fl = stack_.scheduler().engine().flows()) {
-                    sim::Engine &eng = stack_.scheduler().engine();
-                    fl->stageEnd(flow, "handler", eng.now(),
-                                 flowTrack());
-                    fl->end(flow, eng.now(), flowTrack());
-                }
+            trace_.end(flow, eng.now());
             return;
         }
         if (!keep)
             rsp.headers["Connection"] = "close";
-        sim::Engine &eng = stack_.scheduler().engine();
-        trace::FlowTracker *fl = flow ? eng.flows() : nullptr;
-        if (fl) {
-            fl->stageEnd(flow, "handler", eng.now(), flowTrack());
-            // Server errors count against the availability SLO; the
-            // flow still completes and records its latency.
-            if (rsp.status >= 500)
-                fl->markFailed(flow);
-        }
+        // Server errors count against the availability SLO; the flow
+        // still completes and records its latency.
+        if (flow && rsp.status >= 500)
+            eng.flows()->markFailed(flow);
         {
             // The response write belongs to this flow even when the
             // handler answered from a different ambient context.
-            trace::FlowScope scope(fl, flow);
+            trace::FlowScope scope = trace_.enter(flow);
             // Head and body go down separately so a view body never
             // touches an intermediate string: only the serialised head
             // (and a string body, when that's all the handler gave us)
@@ -131,8 +109,7 @@ HttpServer::pump(std::shared_ptr<ConnState> st)
                 conn->write(b);
             }
         }
-        if (fl)
-            fl->end(flow, eng.now(), flowTrack());
+        trace_.end(flow, eng.now());
         // Close the cold-boot loop: the first response this domain
         // serves ends its boot record (no-op for instantly-provisioned
         // guests, which never open one).

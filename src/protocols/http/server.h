@@ -14,6 +14,7 @@
 
 #include "net/stack.h"
 #include "protocols/http/message.h"
+#include "trace/layer.h"
 
 namespace mirage::http {
 
@@ -45,14 +46,13 @@ class HttpServer
 
     void onAccept(net::TcpConnPtr conn);
     void pump(std::shared_ptr<ConnState> st);
-    u32 flowTrack();
 
     net::NetworkStack &stack_;
     Handler handler_;
     u64 connections_ = 0;
     u64 requests_ = 0;
     u64 parse_failures_ = 0;
-    u32 track_ = 0; //!< lazily interned "<dom>/http" trace track
+    trace::LayerTrace trace_; //!< "<dom>/http": request flows, handler
 };
 
 } // namespace mirage::http

@@ -163,7 +163,6 @@ GcHeap::collectMinor()
     cpu_.charge(pause, "gc.minor", trace::Cat::Runtime);
     trace::observe(h_minor_pause_ns_, u64(pause.ns()));
     if (dstats) {
-        dstats->gc_minor.inc();
         dstats->gc_minor_pause_ns.record(u64(pause.ns()));
         dstats->gc_promoted_bytes.inc(promoted);
     }
@@ -187,7 +186,6 @@ GcHeap::collectMinor()
                     trace::Cat::Runtime);
         trace::observe(h_major_pause_ns_, u64(mark_ns));
         if (dstats) {
-            dstats->gc_major.inc();
             dstats->gc_major_pause_ns.record(u64(mark_ns));
             dstats->gc_live_after_major_bytes.set(live_major_bytes_);
         }

@@ -7,7 +7,8 @@
 namespace mirage::sim {
 
 Cpu::Cpu(Engine &engine, std::string name)
-    : engine_(engine), name_(std::move(name))
+    : engine_(engine), name_(std::move(name)),
+      trace_(engine.telemetry(), name_)
 {
 }
 
@@ -24,11 +25,8 @@ Cpu::submit(Duration cost, std::function<void()> done, const char *what,
     }
     if (auto *p = engine_.profiler(); p && p->enabled())
         p->charge(what, u64(cost.ns()), start.ns());
-    if (auto *tr = engine_.tracer(); tr && tr->enabled()) {
-        if (trace_track_ == 0)
-            trace_track_ = tr->track(name_);
-        tr->span(cat, what, start, cost, trace_track_);
-    }
+    if (auto *tr = trace_.recorder())
+        tr->span(cat, what, start, cost, trace_.track());
     if (done)
         engine_.at(free_at_, std::move(done));
 }

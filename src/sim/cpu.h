@@ -17,7 +17,7 @@
 
 #include "base/time.h"
 #include "sim/engine.h"
-#include "trace/trace.h"
+#include "trace/layer.h"
 
 namespace mirage::trace {
 struct DomainStats;
@@ -29,6 +29,9 @@ class Cpu
 {
   public:
     Cpu(Engine &engine, std::string name);
+    // The trace handle borrows name_.
+    Cpu(const Cpu &) = delete;
+    Cpu &operator=(const Cpu &) = delete;
 
     /**
      * Charge @p cost of CPU work and run @p done when it completes.
@@ -82,7 +85,7 @@ class Cpu
     std::string name_;
     TimePoint free_at_;
     Duration busy_;
-    u32 trace_track_ = 0; //!< interned lazily on first traced span
+    trace::LayerTrace trace_; //!< this vCPU's track, named name_
     trace::DomainStats *stats_ = nullptr;
 };
 

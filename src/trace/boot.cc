@@ -28,8 +28,6 @@ BootTracker::bootTrack(const std::string &domain)
 BootId
 BootTracker::begin(const std::string &domain, TimePoint ts)
 {
-    if (!enabled_)
-        return 0;
     BootId id;
     {
         std::lock_guard<std::mutex> lk(mu_);

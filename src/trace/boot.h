@@ -83,13 +83,10 @@ class BootTracker
 
     explicit BootTracker(Telemetry &t) : t_(t) {}
 
-    void enable(bool on = true) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
     // ---- Boot lifecycle ---------------------------------------------
     /**
      * Open a boot for @p domain, submitted at @p ts, and make it
-     * current. Returns 0 while disabled.
+     * current.
      */
     BootId begin(const std::string &domain, TimePoint ts);
 
@@ -162,7 +159,6 @@ class BootTracker
     u32 bootTrack(const std::string &domain);
 
     Telemetry &t_;
-    bool enabled_ = false;
     BootId next_id_ = 1;
     std::atomic<u64> started_{0};
     // Guards records_/open_by_domain_/next_id_; toolstack boots land on

@@ -41,8 +41,6 @@ FlowId
 FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
                    std::string detail, std::string domain)
 {
-    if (!enabled_)
-        return 0;
     // The id source reads the engine's ambient dispatch context; call
     // it before taking the lock so it never nests under mu_.
     FlowId id = id_source_ ? id_source_() : 0;
@@ -156,15 +154,8 @@ FlowTracker::finalize(Flow &f, u32 tid)
     // Every sibling is internally thread-safe, and the SLO tracker and
     // hub take their own locks.
     f.done = true;
-    completed_.fetch_add(1, std::memory_order_relaxed);
     t_.tracer.asyncEnd(Cat::Flow, f.kind, f.id, TimePoint(f.end_ns), tid);
-    std::string prefix = strprintf("flow.%s.", f.kind);
-    t_.metrics.counter(prefix + "completed").inc();
-    t_.metrics.histogram(prefix + "total_ns")
-        .record(u64(f.end_ns - f.start_ns));
-    for (const Stage &s : f.stages)
-        t_.metrics.histogram(prefix + "stage." + s.name + "_ns")
-            .record(s.total_ns);
+    recordSeries(f);
     t_.slo.record(f.kind, u64(f.end_ns - f.start_ns), f.failed,
                   TimePoint(f.end_ns));
     t_.hub.onFlowDone(f);
@@ -174,6 +165,42 @@ FlowTracker::finalize(Flow &f, u32 tid)
     recent_.push_back(std::move(f));
     while (recent_.size() > recent_capacity_)
         recent_.pop_front();
+}
+
+void
+FlowTracker::recordSeries(const Flow &f)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = series_.find(std::string_view(f.kind));
+    if (it == series_.end()) {
+        std::string prefix = strprintf("flow.%s.", f.kind);
+        it = series_
+                 .emplace(f.kind,
+                          Series{&t_.metrics.counter(prefix + "completed"),
+                                 &t_.metrics.histogram(prefix + "total_ns"),
+                                 {}})
+                 .first;
+    }
+    Series &s = it->second;
+    s.completed->inc();
+    s.total_ns->record(u64(f.end_ns - f.start_ns));
+    for (const Stage &st : f.stages) {
+        Histogram *&h = s.stages[st.name];
+        if (!h)
+            h = &t_.metrics.histogram(strprintf(
+                "flow.%s.stage.%s_ns", f.kind, st.name.c_str()));
+        h->record(st.total_ns);
+    }
+}
+
+u64
+FlowTracker::completed() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    u64 n = 0;
+    for (const auto &[kind, s] : series_)
+        n += s.completed->value();
+    return n;
 }
 
 void

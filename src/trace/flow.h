@@ -9,7 +9,8 @@
  * layers it traverses open and close named *stages* against that id,
  * and the tracker emits Chrome nestable-async events ('b'/'e' sharing
  * the flow's id) so Perfetto draws the whole request as one arrowed
- * flow spanning all its tracks.
+ * flow spanning all its tracks. Model code opens and closes stages
+ * through its layer's trace::LayerTrace (trace/layer.h).
  *
  * Propagation is ambient: sim::Engine captures `current()` when work is
  * scheduled and restores it around dispatch, so a flow follows its own
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <map>
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
 #include <optional>
@@ -51,6 +53,7 @@
 
 #include "base/time.h"
 #include "base/types.h"
+#include "trace/metrics.h"
 #include "trace/scope.h"
 
 namespace mirage::trace {
@@ -89,13 +92,10 @@ class FlowTracker
 
     explicit FlowTracker(Telemetry &t) : t_(t) {}
 
-    void enable(bool on = true) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
     // ---- Flow lifecycle ---------------------------------------------
     /**
-     * Open a new flow of @p kind and make it current. Returns 0 when
-     * disabled (all other entry points ignore id 0).
+     * Open a new flow of @p kind and make it current. Returns its
+     * nonzero id (all other entry points ignore id 0).
      */
     FlowId begin(const char *kind, TimePoint ts, u32 tid = 0,
                  std::string detail = {}, std::string domain = {});
@@ -138,11 +138,11 @@ class FlowTracker
         id_source_ = std::move(source);
     }
 
-    // ---- Introspection (lock-free: watchdog hooks read these) -------
-    u64 completed() const
-    {
-        return completed_.load(std::memory_order_relaxed);
-    }
+    // ---- Introspection (watchdog hooks read these) -----------------
+    /** Flows finalized so far: the sum of the `flow.<kind>.completed`
+     *  counters. */
+    u64 completed() const;
+    /** Lock-free. */
     std::size_t liveCount() const
     {
         return live_count_.load(std::memory_order_relaxed);
@@ -166,22 +166,32 @@ class FlowTracker
     }
 
   private:
+    /** One kind's registry series, resolved on its first completion
+     *  (each stage's on the first completion that has it). */
+    struct Series
+    {
+        Counter *completed;
+        Histogram *total_ns;
+        std::map<std::string, Histogram *> stages;
+    };
+
     Flow *find(FlowId id);
     static Stage *stageOf(Flow &f, const char *name);
     /** Remove live flow @p id for finalize(). */
     Flow take(FlowId id);
     void finalize(Flow &f, u32 tid);
+    /** Record finished flow @p f into its kind's series. */
+    void recordSeries(const Flow &f);
 
     Telemetry &t_;
-    bool enabled_ = false;
     std::function<FlowId()> id_source_;
     FlowId next_id_ = 1;
-    std::atomic<u64> completed_{0};
     std::atomic<std::size_t> live_count_{0};
-    // Guards live_/recent_/next_id_; shard workers begin and finalize
-    // flows concurrently. The counters above stay lock-free so the
-    // stall watchdog's hooks can read them from any shard.
+    // Guards live_/recent_/series_/next_id_; shard workers begin and
+    // finalize flows concurrently. live_count_ stays lock-free so the
+    // stall watchdog's hooks can read it from any shard.
     mutable std::mutex mu_;
+    std::map<std::string, Series, std::less<>> series_;
     std::unordered_map<FlowId, Flow> live_;
     static constexpr std::size_t liveCapacity = 1024;
     std::deque<Flow> recent_;

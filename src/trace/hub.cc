@@ -74,8 +74,8 @@ TelemetryHub::fleetJson() const
             w.key("cpu").beginObject().fields("run_ns", run, "steal_ns",
                                               steal, "blocked_ns", blocked);
             w.endObject().key("gc").beginObject();
-            w.fields("minor", ds->gc_minor.value(), "major",
-                     ds->gc_major.value());
+            w.fields("minor", ds->gc_minor_pause_ns.count(), "major",
+                     ds->gc_major_pause_ns.count());
             w.endObject();
         }
         w.endObject();

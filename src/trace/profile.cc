@@ -273,7 +273,8 @@ Profiler::topJson() const
         }
         w.endObject();
         w.key("gc").beginObject().fields(
-            "minor", d->gc_minor.value(), "major", d->gc_major.value(),
+            "minor", d->gc_minor_pause_ns.count(), "major",
+            d->gc_major_pause_ns.count(),
             "promoted_bytes", d->gc_promoted_bytes.value(),
             "live_after_major_bytes", d->gc_live_after_major_bytes.value());
         d->gc_minor_pause_ns.json(w.key("minor_pause"));
@@ -304,8 +305,8 @@ Profiler::topText() const
             (unsigned long long)d->polls.value(),
             (unsigned long long)d->notifies_sent.value(),
             (unsigned long long)d->notifies_received.value(),
-            (unsigned long long)d->gc_minor.value(),
-            (unsigned long long)d->gc_major.value(),
+            (unsigned long long)d->gc_minor_pause_ns.count(),
+            (unsigned long long)d->gc_major_pause_ns.count(),
             double(d->gc_minor_pause_ns.quantile(0.99)) / 1e3);
         std::lock_guard<std::mutex> rlk(d->rings_mu_);
         for (const auto &[rname, ring] : d->rings)

@@ -97,9 +97,7 @@ struct DomainStats
     mutable std::mutex rings_mu_;
     std::map<std::string, Ring> rings;
 
-    // ---- GC ----------------------------------------------------------
-    Counter gc_minor;
-    Counter gc_major;
+    // ---- GC (a pause histogram's count() is its collection count) ----
     Counter gc_promoted_bytes;
     Counter gc_live_after_major_bytes;
     Histogram gc_minor_pause_ns;

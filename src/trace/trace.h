@@ -10,10 +10,10 @@
  * and a predictable branch, so benches run untraced at full speed.
  *
  * Tracks (Chrome "threads") model the simulation's parallel timelines:
- * track 0 is the event loop, and every Cpu / domain / driver interns
- * its own named track on first use, so one web-appliance boot shows
- * dom0, each guest vCPU, the disk server and the TCP flows side by
- * side on a shared virtual-time axis.
+ * track 0 is the event loop, and every instrumented layer interns its
+ * own named track on first traced use (trace/layer.h), so one
+ * web-appliance boot shows dom0, each guest vCPU, the disk server and
+ * the TCP flows side by side on a shared virtual-time axis.
  *
  * Two recording modes:
  *  - unbounded (default): every event is kept until clear();

@@ -523,7 +523,6 @@ TEST_F(DatapathTest, OversizedTxChainAbortsAndReleasesEveryLease)
 TEST_F(DatapathTest, FlowRidesEveryDerivedTsoSegment)
 {
     trace::FlowTracker &fl = telemetry.flows;
-    fl.enable();
     xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
     xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
     pvboot::PVBoot boot_a(da), boot_b(db);

@@ -172,7 +172,6 @@ TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
 {
     Telemetry t;
     BootTracker &boots = t.boots;
-    boots.enable();
     sim::Engine engine(&t);
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);
@@ -228,7 +227,6 @@ TEST(BootTrackerTest, LinuxModelBootsReportCoarsePhases)
 {
     Telemetry t;
     BootTracker &boots = t.boots;
-    boots.enable();
     sim::Engine engine(&t);
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);

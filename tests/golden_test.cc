@@ -8,8 +8,11 @@
  * renders `/fleet`, `/top`, `/flows` and `/metrics` both in-sim (the
  * bodies a simulated client receives, so equal bytes also mean equal
  * packetisation and equal virtual time) and after the run, along with
- * the folded profile, the Chrome trace and the registry dump. A
- * standalone WallProfiler driven with synthetic host stamps renders
+ * the folded profile, the Chrome trace and the registry dump. A second
+ * 1-shard scenario (an HTTP handler that writes and reads a block
+ * through blkif/blkback, one DNS query, one domainpoll) pins the
+ * storage, DNS and domainpoll tracks, their flow stages and `/flows`.
+ * A standalone WallProfiler driven with synthetic host stamps renders
  * its three exports. Each body must equal `tests/golden/<name>` byte
  * for byte.
  *
@@ -32,6 +35,8 @@
 #include <vector>
 
 #include "core/cloud.h"
+#include "drivers/blkif.h"
+#include "protocols/dns/server.h"
 #include "protocols/http/client.h"
 #include "protocols/http/server.h"
 #include "protocols/http/telemetry.h"
@@ -154,6 +159,83 @@ renderCloud(const std::string &second)
     out["trace.json"] = t.tracer.toChromeJson();
     out["registry_dump.txt"] = t.metrics.dump();
     return out;
+}
+
+/**
+ * The storage and DNS scenario: the client blocks in one domainpoll
+ * until its timeout, then GETs a page whose handler writes a block and
+ * reads it back; the answer sends one DNS query.
+ */
+Bodies
+renderStorageDns()
+{
+    core::Cloud cloud;
+    cloud.tracer().enable();
+
+    xen::VirtualDisk &disk = cloud.addDisk("vol", 1u << 12);
+    core::Guest &store =
+        cloud.startUnikernel("store", net::Ipv4Addr(10, 0, 0, 1), 32);
+    drivers::Blkif blkif(store.boot, cloud.blkbackFor(disk));
+    http::HttpServer srv(
+        store.stack, 80,
+        [&blkif](const http::HttpRequest &,
+                 http::HttpServer::Responder respond) {
+            Cstruct page = blkif.allocPage().value();
+            page.setU8(0, 42);
+            blkif.write(8, 8, page)->onComplete(
+                [&blkif, page, respond](rt::Promise &) {
+                    blkif.read(8, 8, page)->onComplete(
+                        [respond](rt::Promise &) {
+                            respond(http::HttpResponse::text(200, "ok\n"));
+                        });
+                });
+        });
+
+    core::Guest &ns =
+        cloud.startUnikernel("ns", net::Ipv4Addr(10, 0, 0, 53), 32);
+    dns::DnsServer dns_srv(dns::syntheticZone("golden.example.", 4),
+                           dns::DnsServer::Config{});
+    EXPECT_TRUE(dns_srv.attachUdp(ns.stack).ok());
+
+    core::Guest &client =
+        cloud.startUnikernel("client", net::Ipv4Addr(10, 0, 0, 9));
+    auto query = [&] {
+        dns::DnsMessage q;
+        q.header = dns::DnsHeader{};
+        q.header.id = 7;
+        q.header.qdcount = 1;
+        q.questions.push_back(dns::Question{
+            dns::nameFromString("host000001.golden.example").value(), 1,
+            1});
+        client.stack.udp().sendTo(
+            net::Ipv4Addr(10, 0, 0, 53), 53, 5353,
+            {dns::MessageWriter(dns::CompressionImpl::None).write(q)});
+    };
+    int answers = 0;
+    client.stack.udp().listen(5353,
+                              [&](const net::UdpDatagram &) { answers++; });
+    std::shared_ptr<http::HttpSession> session;
+    client.boot.domainpoll({}, Duration::micros(100), [&](auto) {
+        session = http::HttpSession::open(
+            client.stack, net::Ipv4Addr(10, 0, 0, 1), 80, [&](Status st) {
+                ASSERT_TRUE(st.ok());
+                http::HttpRequest req;
+                req.method = "GET";
+                req.path = "/store";
+                session->request(req, [&](Result<http::HttpResponse> r) {
+                    ASSERT_TRUE(r.ok());
+                    query();
+                });
+            });
+    });
+    cloud.run();
+    EXPECT_EQ(answers, 1);
+    EXPECT_EQ(blkif.requestsCompleted(), 2u);
+
+    trace::Telemetry &t = cloud.telemetry();
+    return {{"storage_trace.json", t.tracer.toChromeJson()},
+            {"storage_flows.json", t.flows.recentJson()},
+            {"storage_metrics.txt", t.metrics.toPrometheus()}};
 }
 
 /** The wall profiler's exports over a synthetic two-worker run. */
@@ -337,6 +419,20 @@ TEST(GoldenTest, CloudDocumentsAreByteIdentical)
     expectGolden(bodies);
 }
 
+TEST(GoldenTest, StorageAndDnsDocumentsAreByteIdentical)
+{
+    Bodies bodies = renderStorageDns();
+    const std::string &trace = bodies["storage_trace.json"];
+    for (const char *track : {"store/blkif", "dom0/blkback", "ns/dns",
+                              "client/domainpoll"})
+        EXPECT_NE(trace.find(track), std::string::npos) << track;
+    for (const char *stage : {"\"blkif\":", "\"blkback\":"})
+        EXPECT_NE(bodies["storage_flows.json"].find(stage),
+                  std::string::npos)
+            << stage;
+    expectGolden(bodies);
+}
+
 TEST(GoldenTest, WallProfilerExportsAreByteIdentical)
 {
     expectGolden(renderWall());
@@ -345,6 +441,7 @@ TEST(GoldenTest, WallProfilerExportsAreByteIdentical)
 TEST(GoldenTest, JsonDocumentsAreWellFormed)
 {
     Bodies all = renderCloud("web1");
+    all.merge(renderStorageDns());
     all.merge(renderWall());
     for (const auto &[name, body] : all) {
         if (name.ends_with(".json")) {

@@ -258,8 +258,8 @@ TEST(ProfilerTopTest, TopJsonHasPerDomainSections)
     d.notifies_sent.set(5);
     d.notifies_received.set(6);
     d.noteRing("blkback", 2, 32);
-    d.gc_minor.set(3);
-    d.gc_minor_pause_ns.record(1000);
+    for (int i = 0; i < 3; i++)
+        d.gc_minor_pause_ns.record(1000);
 
     std::string json = p.topJson();
     for (const char *key :
@@ -315,8 +315,6 @@ TEST(GcHeapProfileTest, PauseHistogramsAndAttributionMatch)
 
     EXPECT_GT(heap.stats().minorCollections.value(), 0u);
     EXPECT_GT(heap.stats().promotedBytes.value(), 0u);
-    EXPECT_EQ(d.gc_minor.value(), heap.stats().minorCollections.value())
-        << "DomainStats must mirror the heap's own counters";
     EXPECT_EQ(d.gc_promoted_bytes.value(), heap.stats().promotedBytes.value());
     EXPECT_EQ(d.gc_minor_pause_ns.count(),
               heap.stats().minorCollections.value());

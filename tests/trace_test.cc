@@ -16,6 +16,7 @@
 #include "check/check.h"
 #include "core/cloud.h"
 #include "sim/engine.h"
+#include "trace/layer.h"
 #include "trace/telemetry.h"
 
 namespace mirage::trace {
@@ -407,7 +408,6 @@ TEST(FlowTrackerTest, StagesMergeAndFinalizeIsDeferred)
     t.tracer.enable();
     MetricsRegistry &reg = t.metrics;
     FlowTracker &fl = t.flows;
-    fl.enable();
 
     FlowId id = fl.begin("http", TimePoint(100), 0, "GET /x");
     ASSERT_NE(id, 0u);
@@ -447,7 +447,6 @@ TEST(FlowTrackerTest, NestedStageOpensAreUnionMerged)
 {
     Telemetry t;
     FlowTracker &fl = t.flows;
-    fl.enable();
     FlowId id = fl.begin("http", TimePoint(0));
     fl.stageBegin(id, "netif_tx", TimePoint(0));
     fl.stageBegin(id, "netif_tx", TimePoint(10)); // overlapping open
@@ -462,11 +461,74 @@ TEST(FlowTrackerTest, NestedStageOpensAreUnionMerged)
     EXPECT_EQ(f.stages.front().count, 2u);
 }
 
+TEST(FlowTrackerTest, EachSeriesAppearsOnItsFirstCompletion)
+{
+    Telemetry t;
+    MetricsRegistry &reg = t.metrics;
+    FlowTracker &fl = t.flows;
+    FlowId a = fl.begin("http", TimePoint(0));
+    EXPECT_EQ(reg.findCounter("flow.http.completed"), nullptr);
+    fl.end(a, TimePoint(10));
+    ASSERT_NE(reg.findCounter("flow.http.completed"), nullptr);
+    EXPECT_EQ(reg.findHistogram("flow.http.stage.blkif_ns"), nullptr);
+
+    // A later flow of the same kind brings a new stage series; another
+    // kind brings its own, and completed() sums every kind.
+    FlowId b = fl.begin("http", TimePoint(20));
+    fl.stageBegin(b, "blkif", TimePoint(20));
+    fl.stageEnd(b, "blkif", TimePoint(25));
+    fl.end(b, TimePoint(30));
+    fl.end(fl.begin("dns", TimePoint(40)), TimePoint(41));
+    ASSERT_NE(reg.findHistogram("flow.http.stage.blkif_ns"), nullptr);
+    EXPECT_EQ(reg.findHistogram("flow.http.stage.blkif_ns")->sum(), 5u);
+    EXPECT_EQ(reg.findCounter("flow.http.completed")->value(), 2u);
+    EXPECT_EQ(reg.findCounter("flow.dns.completed")->value(), 1u);
+    EXPECT_EQ(fl.completed(), 3u);
+}
+
+TEST(LayerTraceTest, InternsOnFirstTracedUseAndNoOpsWithoutAFlow)
+{
+    const std::string owner = "web0";
+    LayerTrace bare(nullptr, owner, "/tcp");
+    EXPECT_EQ(bare.recorder(), nullptr);
+    EXPECT_EQ(bare.track(), 0u);
+    EXPECT_EQ(bare.begin("http", TimePoint(0), "", ""), 0u);
+    EXPECT_EQ(bare.stageBegin("tcp_tx", TimePoint(0)), 0u);
+
+    Telemetry t;
+    LayerTrace lt(&t, owner, "/tcp");
+    EXPECT_EQ(lt.track(), 0u) << "nothing is interned while off";
+    t.tracer.enable();
+    u32 tid = lt.track();
+    EXPECT_NE(tid, 0u);
+    EXPECT_EQ(t.tracer.track("web0/tcp"), tid);
+
+    // No ambient flow: no stage opens.
+    EXPECT_EQ(lt.stageBegin("tcp_tx", TimePoint(0)), 0u);
+    FlowId id = lt.begin("http", TimePoint(0), "GET /", owner);
+    ASSERT_NE(id, 0u);
+    EXPECT_EQ(lt.stageBegin("tcp_tx", TimePoint(5)), id);
+    lt.end(id, TimePoint(6));
+    EXPECT_EQ(t.flows.completed(), 0u) << "tcp_tx is still open";
+    lt.stageEnd(id, "tcp_tx", TimePoint(9));
+    EXPECT_EQ(t.flows.completed(), 1u);
+
+    // enter(0) leaves the ambient flow as it is.
+    t.flows.setCurrent(7);
+    {
+        FlowScope none = lt.enter(0);
+        EXPECT_EQ(t.flows.current(), 7u);
+        FlowScope other = lt.enter(3);
+        EXPECT_EQ(t.flows.current(), 3u);
+    }
+    EXPECT_EQ(t.flows.current(), 7u);
+    t.flows.setCurrent(0);
+}
+
 TEST(FlowTrackerTest, EngineCarriesAmbientFlowAcrossEvents)
 {
     Telemetry t;
     FlowTracker &fl = t.flows;
-    fl.enable();
     sim::Engine e(&t);
 
     FlowId id = fl.begin("http", TimePoint(0));
@@ -493,7 +555,6 @@ TEST(TelemetryTest, CompletedFlowReachesEverySiblingWithoutWiring)
     // The bundle is the wiring: nothing here connects the flow tracker
     // to the registry, the SLO tracker, the hub or the alert path.
     Telemetry t;
-    t.flows.enable();
     SloTarget target;
     target.latencyTargetNs = 1000; // 1 us
     t.slo.setTarget("http", target);
