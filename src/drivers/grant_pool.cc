@@ -1,5 +1,8 @@
 #include "drivers/grant_pool.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "base/logging.h"
 #include "hypervisor/domain.h"
 #include "sim/cost_model.h"
@@ -176,9 +179,16 @@ GrantPool::regionFor(const Cstruct &view)
                       true};
     }
     if (auto it = regions_.find(buf); it != regions_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        // Move the entry to the hot end; hot entries sit near it, so
+        // search from there.
+        xen::GrantRef gref = it->second;
+        auto hit = std::find_if(
+            lru_.rbegin(), lru_.rend(),
+            [gref](const Registered &r) { return r.gref == gref; });
+        CHECK(hit != lru_.rend());
+        std::rotate(std::prev(hit.base()), hit.base(), lru_.end());
         chargeReuse();
-        return Region{it->second.gref, view.bufferOffset(), true};
+        return Region{gref, view.bufferOffset(), true};
     }
     // First sight of this buffer. Make room if the registry is at its
     // cap; when every resident entry is still live (in-flight request,
@@ -197,8 +207,8 @@ GrantPool::regionFor(const Cstruct &view)
     boot_.domain().vcpu().charge(sim::costs().grantIssue, "grant.issue",
                                  trace::Cat::Hypervisor);
     issued_.inc();
-    lru_.push_front(buf);
-    regions_.emplace(buf, Registered{whole, gref, lru_.begin()});
+    lru_.push_back(Registered{std::move(whole), gref});
+    regions_.emplace(buf, gref);
     return Region{gref, view.bufferOffset(), true};
 }
 
@@ -206,34 +216,28 @@ void
 GrantPool::evictRegistryIfNeeded()
 {
     std::size_t cap = sim::tuning().frontendRegistryCap;
-    if (regions_.size() < cap)
-        return;
     xen::GrantTable &gt = boot_.domain().grantTable();
-    // Walk from the cold end, revoking fully idle entries: no backend
-    // mapping (revoke-while-mapped is a checker violation) and no
-    // reference besides ours and the grant table's — an enqueued
+    // Scan from the cold end, revoking fully idle entries: no
+    // reference besides ours and the grant table's (an enqueued
     // request the backend has not mapped yet still holds the fragment
-    // view, so in-flight buffers never qualify.
-    for (auto it = lru_.end();
-         it != lru_.begin() && regions_.size() >= cap;) {
-        --it;
-        auto rit = regions_.find(*it);
-        if (rit == regions_.end()) {
-            it = lru_.erase(it);
+    // view, so in-flight buffers never qualify) and no backend mapping
+    // (revoke-while-mapped is a checker violation). Neither test has
+    // a side effect; the refcount goes first because it rejects most
+    // entries without a grant-table lookup.
+    for (std::size_t i = 0; i < lru_.size() && lru_.size() >= cap;) {
+        const Registered &r = lru_[i];
+        if (r.whole.buffer().use_count() > 2 || gt.mapCountOf(r.gref) > 0) {
+            i++;
             continue;
         }
-        if (gt.mapCountOf(rit->second.gref) > 0)
-            continue;
-        if (rit->second.whole.buffer().use_count() > 2)
-            continue;
-        Status st = gt.endAccess(rit->second.gref);
-        if (!st.ok()) {
+        if (Status st = gt.endAccess(r.gref); !st.ok()) {
             warn("grant pool: evict endAccess: %s",
                  st.error().message.c_str());
+            i++;
             continue;
         }
-        regions_.erase(rit);
-        it = lru_.erase(it);
+        regions_.erase(r.whole.buffer().get());
+        lru_.erase(lru_.begin() + long(i));
     }
 }
 
@@ -270,10 +274,10 @@ GrantPool::drain()
             warn("grant pool: drain endAccess: %s",
                  st.error().message.c_str());
     }
-    for (const auto &[buf, reg] : regions_) {
-        if (gt.mapCountOf(reg.gref) > 0)
+    for (const auto &[buf, gref] : regions_) {
+        if (gt.mapCountOf(gref) > 0)
             continue;
-        if (Status st = gt.endAccess(reg.gref); !st.ok())
+        if (Status st = gt.endAccess(gref); !st.ok())
             warn("grant pool: drain endAccess: %s",
                  st.error().message.c_str());
     }

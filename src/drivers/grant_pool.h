@@ -29,7 +29,6 @@
 #define MIRAGE_DRIVERS_GRANT_POOL_H
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -134,7 +133,6 @@ class GrantPool
     {
         Cstruct whole; //!< keeps the buffer alive while registered
         xen::GrantRef gref;
-        std::list<const Buffer *>::iterator lru_it;
     };
 
     struct Lease;
@@ -151,8 +149,11 @@ class GrantPool
     std::size_t scan_hint_ = 0; //!< round-robin start of the free scan
     //! buffer identity → index in pages_ (regionFor on tier-A pages)
     std::unordered_map<const Buffer *, std::size_t> page_index_;
-    std::unordered_map<const Buffer *, Registered> regions_;
-    std::list<const Buffer *> lru_; //!< front = most recently used
+    //! Registered buffers, coldest first: a hit rotates its entry to
+    //! the back, eviction scans from the front.
+    std::vector<Registered> lru_;
+    //! buffer identity → its registered grant (regionFor hits)
+    std::unordered_map<const Buffer *, xen::GrantRef> regions_;
     bool drained_ = false;
     trace::Counter issued_; //!< feeds `grant.issued`
     trace::Counter reused_; //!< feeds `grant.reused`

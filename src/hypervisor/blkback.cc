@@ -43,13 +43,15 @@ VirtualDisk::readSync(u64 sector, u32 count, Cstruct dst)
         return boundsError("read past end of disk");
     if (dst.length() < std::size_t(count) * BlkifWire::sectorBytes)
         return boundsError("read buffer too small");
-    for (u32 i = 0; i < count; i++) {
+    // One chunk lookup per run of sectors that share a chunk.
+    for (u32 i = 0; i < count;) {
         u64 s = sector + i;
-        std::vector<u8> &chunk = chunkFor(s);
-        std::size_t in_chunk =
-            std::size_t(s % chunkSectors) * BlkifWire::sectorBytes;
+        std::size_t in_chunk = std::size_t(s % chunkSectors);
+        u32 n = u32(std::min<u64>(count - i, chunkSectors - in_chunk));
         std::memcpy(dst.data() + std::size_t(i) * BlkifWire::sectorBytes,
-                    chunk.data() + in_chunk, BlkifWire::sectorBytes);
+                    chunkFor(s).data() + in_chunk * BlkifWire::sectorBytes,
+                    std::size_t(n) * BlkifWire::sectorBytes);
+        i += n;
     }
     return Status::success();
 }
@@ -61,14 +63,14 @@ VirtualDisk::writeSync(u64 sector, u32 count, const Cstruct &src)
         return boundsError("write past end of disk");
     if (src.length() < std::size_t(count) * BlkifWire::sectorBytes)
         return boundsError("write buffer too small");
-    for (u32 i = 0; i < count; i++) {
+    for (u32 i = 0; i < count;) {
         u64 s = sector + i;
-        std::vector<u8> &chunk = chunkFor(s);
-        std::size_t in_chunk =
-            std::size_t(s % chunkSectors) * BlkifWire::sectorBytes;
-        std::memcpy(chunk.data() + in_chunk,
+        std::size_t in_chunk = std::size_t(s % chunkSectors);
+        u32 n = u32(std::min<u64>(count - i, chunkSectors - in_chunk));
+        std::memcpy(chunkFor(s).data() + in_chunk * BlkifWire::sectorBytes,
                     src.data() + std::size_t(i) * BlkifWire::sectorBytes,
-                    BlkifWire::sectorBytes);
+                    std::size_t(n) * BlkifWire::sectorBytes);
+        i += n;
     }
     return Status::success();
 }

@@ -94,12 +94,23 @@ DnsServer::attachUdp(net::NetworkStack &stack)
                                           stack.domain().name());
             trace::FlowScope scope = tr.enter(flow);
             auto rsp = answer(dgram.payload);
-            if (rsp.ok())
+            if (rsp.ok()) {
+                // The stack hands the reply to the netif only after
+                // its vCPU work, in a later event. A udp_tx stage
+                // holds the flow open across that hop and closes just
+                // behind it (same instant, scheduled later), so the
+                // frame's netif_tx stage opens inside the flow and the
+                // finalize waits for the frame to leave.
+                tr.stageBegin(flow, "udp_tx", engine.now());
                 stack.udp().sendTo(dgram.srcIp, dgram.srcPort, 53,
                                    {rsp.value()});
-            // The reply datagram is fire-and-forget: the flow ends
-            // once the answer has been handed to the stack (any
-            // netif_tx stage it opened defers the finalize).
+                if (flow)
+                    engine.at(stack.domain().vcpu().freeAt(),
+                              [tr, flow, &engine]() mutable {
+                                  tr.stageEnd(flow, "udp_tx",
+                                              engine.now());
+                              });
+            }
             tr.end(flow, engine.now());
         });
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "base/checksum.h"
 #include "base/cstruct.h"
 #include "base/rand.h"
@@ -150,6 +153,66 @@ TEST(ChecksumTest, ScatterEqualsContiguous)
     // Split at an odd boundary: the accumulator must stitch the halves.
     u16 split = internetChecksum({c.sub(0, 13), c.sub(13, 20)});
     EXPECT_EQ(whole, split);
+}
+
+/** RFC 1071 the slow way: one big-endian byte pair at a time over the
+ *  concatenated bytes, a trailing odd byte padded with zero. */
+u16
+bytePairChecksum(u16 first_word, const std::vector<u8> &bytes)
+{
+    u64 sum = first_word;
+    for (std::size_t i = 0; i < bytes.size(); i += 2) {
+        u64 lo = i + 1 < bytes.size() ? bytes[i + 1] : 0;
+        sum += (u64(bytes[i]) << 8) | lo;
+    }
+    while (sum >> 16)
+        sum = (sum & 0xffff) + (sum >> 16);
+    return u16(~sum & 0xffff);
+}
+
+TEST(ChecksumTest, MatchesBytePairReferenceOverAnySplit)
+{
+    // Random, all-zero and all-0xff contents at every length up to
+    // 2000, viewed from a random (often odd) buffer offset and added
+    // as random fragments: finish() must equal the reference,
+    // including which encoding of zero it picks (0x0000 for a nonzero
+    // sum of all-ones, 0xffff for all zeros).
+    Rng rng(1071);
+    for (std::size_t len = 0; len <= 2000; len++) {
+        for (int fill : {-1, 0x00, 0xff}) {
+            std::size_t start = rng.below(8);
+            Cstruct buf = Cstruct::create(start + len);
+            std::vector<u8> bytes(len);
+            for (std::size_t i = 0; i < len; i++) {
+                bytes[i] = fill < 0 ? u8(rng.next()) : u8(fill);
+                buf.setU8(start + i, bytes[i]);
+            }
+            Cstruct view = buf.sub(start, len);
+            // A pseudo-header word ahead of the data, as UDP and TCP
+            // add one; zero half the time.
+            u16 word = rng.below(2) ? u16(rng.next()) : 0;
+            ChecksumAccumulator acc;
+            acc.addWord(word);
+            for (std::size_t at = 0; at < len;) {
+                u64 most = rng.below(2) ? 9 : 600;
+                std::size_t n = 1 + rng.below(std::min<u64>(most, len - at));
+                acc.add(view.sub(at, n));
+                at += n;
+                if (rng.below(8) == 0)
+                    acc.add(view.sub(at, 0));
+            }
+            u16 want = bytePairChecksum(word, bytes);
+            ASSERT_EQ(acc.finish(), want)
+                << "len " << len << " fill " << fill << " start " << start;
+            if (word == 0)
+                ASSERT_EQ(internetChecksum(view), want) << "len " << len;
+        }
+    }
+    std::vector<u8> zeros(64, 0x00), ones(64, 0xff);
+    EXPECT_EQ(internetChecksum(Cstruct(Buffer::fromBytes(zeros.data(), 64))),
+              0xffff);
+    EXPECT_EQ(internetChecksum(Cstruct(Buffer::fromBytes(ones.data(), 64))),
+              0x0000);
 }
 
 TEST(ResultTest, ValueAndError)

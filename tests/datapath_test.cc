@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the persistent-grant, batched-doorbell datapath: grant pool
- * reuse and exhaustion fallback, backend map-cache eviction, doorbell
- * suppression under polling, ring event suppression across counter
- * wraparound, rx-stall accounting, tx chain abort, and a checker-audited
- * teardown with persistent grants live.
+ * reuse and exhaustion fallback, registry eviction at its cap, backend
+ * map-cache eviction, doorbell suppression under polling, ring event
+ * suppression across counter wraparound, rx-stall accounting, tx chain
+ * abort, and a checker-audited teardown with persistent grants live.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "base/rand.h"
@@ -217,6 +218,77 @@ TEST_F(DatapathTest, PooledPageIsReusableOnceItsLastViewDrops)
     Cstruct again = pool.acquirePage().value();
     EXPECT_EQ(again.buffer().get(), b_buf);
     EXPECT_EQ(pool.issued(), 2u);
+}
+
+TEST_F(DatapathTest, RegistryEvictsColdestIdleEntryAtCap)
+{
+    sim::tuning().frontendRegistryCap = 4;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+    xen::GrantTable &gt = uk.grantTable();
+
+    // Four app buffers fill the registry in order a, b, c, d. The
+    // registry and the grant table then hold each buffer, so a buffer
+    // is freed exactly when its entry is evicted.
+    Cstruct a = Cstruct::create(256), b = Cstruct::create(256),
+            c = Cstruct::create(256), d = Cstruct::create(256);
+    std::weak_ptr<Buffer> wa = a.buffer(), wc = c.buffer(),
+                          wd = d.buffer();
+    GrantPool::Region ra = pool.regionFor(a.sub(16, 32));
+    GrantPool::Region rc = pool.regionFor(c);
+    for (const Cstruct *v : {&b, &c, &d})
+        EXPECT_TRUE(pool.regionFor(*v).persistent);
+    EXPECT_TRUE(ra.persistent);
+    EXPECT_EQ(ra.offset, 16u);
+    EXPECT_EQ(pool.issued(), 4u);
+
+    // a: the backend keeps a mapping but no view, so only the grant
+    // table's map count says it is busy. b: the app still holds it.
+    ASSERT_TRUE(gt.mapFor(dom0.id(), ra.gref, true).ok());
+    a = Cstruct();
+
+    // Re-registering c is a hit: same grant, nothing issued, and c
+    // becomes the most recently used entry.
+    GrantPool::Region hit = pool.regionFor(c.sub(8, 8));
+    EXPECT_TRUE(hit.persistent);
+    EXPECT_EQ(hit.gref, rc.gref);
+    EXPECT_EQ(hit.offset, 8u);
+    EXPECT_EQ(pool.issued(), 4u);
+    c = Cstruct();
+    d = Cstruct();
+
+    // Recency, coldest first: a, b, d, c. A fifth buffer evicts d, the
+    // coldest idle entry: a is mapped and b is held.
+    Cstruct e = Cstruct::create(256);
+    EXPECT_TRUE(pool.regionFor(e).persistent);
+    EXPECT_EQ(pool.issued(), 5u);
+    EXPECT_TRUE(wd.expired()) << "d, the coldest idle entry, is evicted";
+    EXPECT_FALSE(wc.expired()) << "the hit kept c warm";
+    EXPECT_FALSE(wa.expired());
+    EXPECT_EQ(gt.activeGrants(), 4u);
+
+    // Next the idle c goes; then a, b, e, f are all busy.
+    Cstruct f = Cstruct::create(256);
+    EXPECT_TRUE(pool.regionFor(f).persistent);
+    EXPECT_TRUE(wc.expired());
+    EXPECT_EQ(pool.issued(), 6u);
+
+    // A registry full of busy entries refuses: no grant is issued and
+    // no entry is revoked; the caller falls back to a one-shot grant.
+    Cstruct g = Cstruct::create(256);
+    GrantPool::Region refused = pool.regionFor(g);
+    EXPECT_FALSE(refused.persistent);
+    EXPECT_EQ(pool.issued(), 6u);
+    EXPECT_EQ(gt.activeGrants(), 4u);
+    EXPECT_FALSE(wa.expired());
+
+    // Once the backend unmaps a, it is the coldest idle entry.
+    ASSERT_TRUE(gt.unmapFor(dom0.id(), ra.gref).ok());
+    EXPECT_TRUE(pool.regionFor(g).persistent);
+    EXPECT_TRUE(wa.expired());
+    EXPECT_EQ(pool.issued(), 7u);
+    EXPECT_EQ(gt.activeGrants(), 4u);
 }
 
 TEST_F(DatapathTest, TrafficFallsBackToOneShotGrantsWithoutPool)

@@ -430,6 +430,15 @@ TEST(GoldenTest, StorageAndDnsDocumentsAreByteIdentical)
         EXPECT_NE(bodies["storage_flows.json"].find(stage),
                   std::string::npos)
             << stage;
+    // The DNS reply reaches the netif a vCPU hop after the handler
+    // returns; its netif_tx stage must still land inside the flow.
+    const std::string &flows = bodies["storage_flows.json"];
+    std::size_t dns = flows.find("\"kind\":\"dns\"");
+    ASSERT_NE(dns, std::string::npos);
+    std::string dns_flow = flows.substr(dns, flows.find("}}", dns) - dns);
+    EXPECT_NE(dns_flow.find("\"netif_tx\":"), std::string::npos) << dns_flow;
+    EXPECT_EQ(dns_flow.find("\"total_ns\":0,"), std::string::npos)
+        << dns_flow;
     expectGolden(bodies);
 }
 
