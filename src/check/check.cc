@@ -1,5 +1,7 @@
 #include "check/check.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 #include "trace/metrics.h"
 
@@ -95,7 +97,7 @@ bool
 Checker::wasRevoked(u32 owner, u32 ref) const
 {
     auto d = doms_.find(owner);
-    return d != doms_.end() && d->second.revoked.count(ref);
+    return d != doms_.end() && ref != 0 && ref <= d->second.max_ref;
 }
 
 void
@@ -115,7 +117,9 @@ void
 Checker::grantCreated(u32 owner, u32 ref, u32 peer)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    if (!doms_[owner].grants.try_emplace(ref, GrantShadow{peer, 0}).second)
+    DomainShadow &d = doms_[owner];
+    d.max_ref = std::max(d.max_ref, ref);
+    if (!d.grants.try_emplace(ref, GrantShadow{peer, 0}).second)
         violation(Subsystem::Grant, "ref_reused",
                   strprintf("dom%u re-issued active ref %u", owner, ref));
 }
@@ -140,11 +144,8 @@ Checker::grantEndAccess(u32 owner, u32 ref, bool table_ok)
         // The table refuses this too; the grant stays active.
         return;
     }
-    if (table_ok) {
-        DomainShadow &d = doms_[owner];
-        d.grants.erase(ref);
-        d.revoked.insert(ref);
-    }
+    if (table_ok)
+        doms_[owner].grants.erase(ref);
 }
 
 void

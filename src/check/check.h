@@ -193,7 +193,11 @@ class Checker
     struct DomainShadow
     {
         std::unordered_map<u32, GrantShadow> grants; //!< live refs issued
-        std::unordered_set<u32> revoked;             //!< refs revoked
+        //! Highest ref issued. GrantTable hands out refs 1, 2, … from a
+        //! counter and never reuses one, so a ref at or below this mark
+        //! that is not in `grants` was issued and has been revoked: O(1)
+        //! memory where a set of revoked refs grows with every revoke.
+        u32 max_ref = 0;
         //! grantKey()s of peers' grants this domain holds mapped
         std::unordered_set<u64> mapped;
     };
@@ -221,7 +225,8 @@ class Checker
 
     /** The live shadow of @p owner's @p ref, or null. Holds mu_. */
     GrantShadow *findGrant(u32 owner, u32 ref);
-    /** Whether @p owner revoked @p ref (and has not torn down). */
+    /** Whether @p owner revoked @p ref (and has not torn down), given
+     *  that @p ref is not live: it is at or below the issued mark. */
     bool wasRevoked(u32 owner, u32 ref) const;
     /** Move @p g's mapping count to @p n, keeping `mapped` in step. */
     void setMapCount(u32 owner, u32 ref, GrantShadow &g, u32 n);

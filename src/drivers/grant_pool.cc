@@ -126,13 +126,12 @@ GrantPool::pageFree(const PooledPage &p) const
     // borrower — a tx fragment awaiting its ack, a posted rx buffer, a
     // stack-held rx view, an in-flight block request — adds a
     // reference and keeps the page busy.
-    long expected =
-        2 + long(boot_.domain().grantTable().mapCountOf(p.gref));
+    long expected = 2 + long(boot_.domain().grantTable().mapCount(p.grant));
     return p.page.buffer().use_count() == expected;
 }
 
-Result<Cstruct>
-GrantPool::acquirePage()
+Result<std::size_t>
+GrantPool::acquireIndex()
 {
     std::size_t n = pages_.size();
     std::size_t start = n ? scan_hint_ % n : 0;
@@ -144,27 +143,48 @@ GrantPool::acquirePage()
         if (pages_[at].leased || !pageFree(pages_[at]))
             continue;
         scan_hint_ = at + 1 == n ? 0 : at + 1;
-        // The grant-op saving is counted at regionFor(), once per wire
-        // operation; here we only pay the pool scan.
+        // The grant-op saving is counted at regionFor() (or
+        // acquireGranted()), once per wire operation; here we only pay
+        // the pool scan.
         boot_.domain().vcpu().charge(sim::costs().grantReuse,
                                      "grant.reuse", trace::Cat::Hypervisor);
-        return leased(at);
+        return at;
     }
     if (pages_.size() >= sim::tuning().frontendPoolPages)
         return exhaustedError("grant pool at capacity, no free page");
     auto page = boot_.ioPages().allocPage();
     if (!page.ok())
-        return page;
+        return page.error();
     // Writable grant: the same pooled page may carry a tx frame now
     // and an rx fill or block read later.
-    xen::GrantRef gref = boot_.domain().grantTable().grantAccess(
-        backend_, page.value(), false);
+    xen::GrantTable &gt = boot_.domain().grantTable();
+    xen::GrantRef gref = gt.grantAccess(backend_, page.value(), false);
     boot_.domain().vcpu().charge(sim::costs().grantIssue, "grant.issue",
                                  trace::Cat::Hypervisor);
     issued_.inc();
     page_index_.emplace(page.value().buffer().get(), pages_.size());
-    pages_.push_back(PooledPage{page.value(), gref});
-    return leased(pages_.size() - 1);
+    pages_.push_back(PooledPage{page.value(), gt.handleOf(gref)});
+    return pages_.size() - 1;
+}
+
+Result<Cstruct>
+GrantPool::acquirePage()
+{
+    auto at = acquireIndex();
+    if (!at.ok())
+        return at.error();
+    return leased(at.value());
+}
+
+Result<GrantPool::Granted>
+GrantPool::acquireGranted()
+{
+    auto at = acquireIndex();
+    if (!at.ok())
+        return at.error();
+    Cstruct page = leased(at.value());
+    chargeReuse(); // what regionFor() charges for a tier-A page
+    return Granted{std::move(page), pages_[at.value()].grant.ref};
 }
 
 GrantPool::Region
@@ -175,7 +195,7 @@ GrantPool::regionFor(const Cstruct &view)
         return Region{};
     if (auto it = page_index_.find(buf); it != page_index_.end()) {
         chargeReuse();
-        return Region{pages_[it->second].gref, view.bufferOffset(),
+        return Region{pages_[it->second].grant.ref, view.bufferOffset(),
                       true};
     }
     if (auto it = regions_.find(buf); it != regions_.end()) {
@@ -268,9 +288,9 @@ GrantPool::drain()
     drained_ = true;
     xen::GrantTable &gt = boot_.domain().grantTable();
     for (const PooledPage &p : pages_) {
-        if (gt.mapCountOf(p.gref) > 0)
+        if (gt.mapCount(p.grant) > 0)
             continue; // backend never disconnected; releaseAll handles it
-        if (Status st = gt.endAccess(p.gref); !st.ok())
+        if (Status st = gt.endAccess(p.grant.ref); !st.ok())
             warn("grant pool: drain endAccess: %s",
                  st.error().message.c_str());
     }

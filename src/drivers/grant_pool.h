@@ -77,6 +77,20 @@ class GrantPool
      */
     Result<Cstruct> acquirePage();
 
+    /** A leased pooled page and the grant that names it. */
+    struct Granted
+    {
+        Cstruct page;
+        xen::GrantRef gref = 0;
+    };
+
+    /**
+     * acquirePage() for a caller that names the page on a wire slot at
+     * once (an rx post): also returns the page's grant, charged and
+     * counted as regionFor() on the page would be, without its lookup.
+     */
+    Result<Granted> acquireGranted();
+
     /**
      * Subscribe to pooled-page returns (a leased page's last borrower
      * view dropped, so acquirePage can hand it out again). Fired from a
@@ -122,7 +136,9 @@ class GrantPool
     struct PooledPage
     {
         Cstruct page;
-        xen::GrantRef gref;
+        //! The page's grant, taken at issue: pageFree() reads its map
+        //! count through it instead of looking the ref up.
+        xen::GrantTable::Handle grant;
         //! A lease is live. Its keep reference makes pageFree() false,
         //! so the free scan skips the page without asking the grant
         //! table.
@@ -138,6 +154,9 @@ class GrantPool
     struct Lease;
 
     bool pageFree(const PooledPage &p) const;
+    /** Index of a free (or newly issued) page, charged as acquirePage
+     *  documents; the caller leases it. */
+    Result<std::size_t> acquireIndex();
     Cstruct leased(std::size_t at);
     void leaseDied(std::size_t at, const Buffer *buf);
     void evictRegistryIfNeeded();

@@ -143,8 +143,7 @@ Netif::writeFrameV(const std::vector<Cstruct> &frags, TxOffload offload)
     // Preserve ordering: queue behind earlier waiters, then behind a
     // full ring. Frames stay queued in the driver exactly as real
     // netfront holds skbs when the ring is full.
-    if (!tx_wait_queue_.empty() ||
-        tx_ring_->freeRequests() < frags.size()) {
+    if (!tx_wait_queue_.empty() || txRoom() < frags.size()) {
         if (tx_wait_queue_.size() >= txQueueLimit) {
             abortTx(frags, p, flow);
             return p;
@@ -195,7 +194,7 @@ Netif::enqueueOnRing(const std::vector<Cstruct> &frags,
                      TxOffload offload, xen::DoorbellBatch *batch)
 {
     xen::Domain &dom = boot_.domain();
-    if (tx_ring_->freeRequests() < frags.size())
+    if (txRoom() < frags.size())
         return false;
     auto frame = std::make_shared<TxFrame>();
     frame->promise = p;
@@ -204,7 +203,6 @@ Netif::enqueueOnRing(const std::vector<Cstruct> &frags,
     for (std::size_t i = 0; i < frags.size(); i++) {
         bool last = i + 1 == frags.size();
         Cstruct slot = tx_ring_->startRequest().value();
-        u16 id = next_id_++;
 
         // Persistent path: name a region of a pooled/registered grant.
         // One-shot fallback: grant the fragment view itself (offset 0).
@@ -229,6 +227,8 @@ Netif::enqueueOnRing(const std::vector<Cstruct> &frags,
                               trace::Cat::Hypervisor);
         }
 
+        u16 id = tx_pending_.add(
+            TxPending{frame, gref, frags[i], persistent});
         u16 flags = last ? 0 : xen::NetifWire::txflagMoreData;
         if (persistent)
             flags |= xen::NetifWire::txflagPersistent;
@@ -244,8 +244,6 @@ Netif::enqueueOnRing(const std::vector<Cstruct> &frags,
         slot.setLe32(xen::NetifWire::txreqFlow, u32(flow));
         slot.setLe16(xen::NetifWire::txreqGsoSize,
                      i == 0 ? offload.gsoSize : 0);
-        tx_pending_.emplace(id,
-                            TxPending{frame, gref, frags[i], persistent});
     }
 
     if (tx_ring_->pushRequests()) {
@@ -277,7 +275,7 @@ Netif::drainTxQueue()
             abortTx(dead.frags, dead.promise, dead.flow);
             continue;
         }
-        if (tx_ring_->freeRequests() < head.frags.size())
+        if (txRoom() < head.frags.size())
             break;
         enqueueOnRing(head.frags, head.promise, head.flow, head.offload,
                       batch ? &*batch : nullptr);
@@ -311,8 +309,7 @@ Netif::postRxBuffers()
     bool posted = false;
     bool starved = false;
     for (;;) {
-        if (rx_posted_.size() >= xen::RingLayout::slotCount ||
-            rx_ring_->freeRequests() == 0)
+        if (rx_posted_.room() == 0 || rx_ring_->freeRequests() == 0)
             break;
         // Find a page before claiming the ring slot — an abandoned
         // startRequest() would publish a garbage slot on the next push.
@@ -321,11 +318,10 @@ Netif::postRxBuffers()
         bool persistent = false;
         bool have_page = false;
         if (sim::tuning().persistentGrants) {
-            if (auto pooled = pool_->acquirePage(); pooled.ok()) {
-                page = pooled.value();
-                GrantPool::Region region = pool_->regionFor(page);
-                gref = region.gref;
-                persistent = region.persistent;
+            if (auto pooled = pool_->acquireGranted(); pooled.ok()) {
+                page = std::move(pooled.value().page);
+                gref = pooled.value().gref;
+                persistent = true;
                 have_page = true;
             }
         }
@@ -346,16 +342,15 @@ Netif::postRxBuffers()
         // rxrspFlow stamp), not when the empty buffer is offered.
         // mirage-lint: allow(flow-scope-hop) rx post is pre-flow
         Cstruct slot = rx_ring_->startRequest().value();
-        u16 id = next_id_++;
+        // Audited lease holder: rx_posted_ keeps the lease only until
+        // the backend fills the buffer and deliverRx recycles it; the
+        // shadow checker verifies the recycle at runtime.
+        // mirage-lint: allow(lease-escape) audited rx_posted_ holder
+        u16 id = rx_posted_.add(RxPosted{page, gref, persistent});
         slot.setLe16(xen::NetifWire::rxreqId, id);
         slot.setLe32(xen::NetifWire::rxreqGrant, gref);
         slot.setLe16(xen::NetifWire::rxreqFlags,
                      persistent ? xen::NetifWire::rxflagPersistent : 0);
-        // Audited lease holder: rx_posted_ keeps the lease only until
-        // the backend fills the buffer and deliverRx recycles it; the
-        // PR 6 shadow checker verifies the recycle at runtime.
-        // mirage-lint: allow(lease-escape) audited rx_posted_ holder
-        rx_posted_.emplace(id, RxPosted{page, gref, persistent});
         posted = true;
     }
     if (starved) {
@@ -394,11 +389,10 @@ Netif::drainTxResponses(bool park)
             any = true;
             u16 id = rsp.getLe16(xen::NetifWire::txrspId);
             u8 status = rsp.getU8(xen::NetifWire::txrspStatus);
-            auto it = tx_pending_.find(id);
-            if (it == tx_pending_.end())
-                continue;
-            TxPending pending = std::move(it->second);
-            tx_pending_.erase(it);
+            std::optional<TxPending> taken = tx_pending_.take(id);
+            if (!taken)
+                continue; // a free or out-of-range id: not ours
+            TxPending &pending = *taken;
             if (!pending.persistent) {
                 Status end =
                     boot_.domain().grantTable().endAccess(pending.gref);
@@ -448,11 +442,10 @@ Netif::drainRxResponses(bool park)
             u16 id = rsp.getLe16(xen::NetifWire::rxrspId);
             u16 len = rsp.getLe16(xen::NetifWire::rxrspLen);
             u8 status = rsp.getU8(xen::NetifWire::rxrspStatus);
-            auto it = rx_posted_.find(id);
-            if (it == rx_posted_.end())
-                continue;
-            RxPosted posted = std::move(it->second);
-            rx_posted_.erase(it);
+            std::optional<RxPosted> taken = rx_posted_.take(id);
+            if (!taken)
+                continue; // a free or out-of-range id: not ours
+            RxPosted &posted = *taken;
             if (!posted.persistent) {
                 Status end =
                     boot_.domain().grantTable().endAccess(posted.gref);

@@ -12,11 +12,12 @@
 #ifndef MIRAGE_DRIVERS_NETIF_H
 #define MIRAGE_DRIVERS_NETIF_H
 
+#include <algorithm>
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "drivers/grant_pool.h"
@@ -109,7 +110,7 @@ class Netif
     struct TxPending
     {
         std::shared_ptr<TxFrame> frame;
-        xen::GrantRef gref;
+        xen::GrantRef gref = 0;
         Cstruct page;            //!< keeps the frame page alive until acked
         bool persistent = false; //!< gref belongs to the pool: no endAccess
     };
@@ -117,9 +118,67 @@ class Netif
     struct RxPosted
     {
         Cstruct page;
-        xen::GrantRef gref;
+        xen::GrantRef gref = 0;
         bool persistent = false;
     };
+
+    /**
+     * One ring's in-flight requests, indexed by the id each request
+     * slot carries. A ring never has more than slotCount requests
+     * outstanding, so the ids come from a free list over that many
+     * entries, as netfront's do. Freed ids queue behind every other
+     * free id, so a stale response names a free id for as long as it
+     * can. A response naming a free or out-of-range id finds nothing.
+     */
+    template <typename T>
+    class InFlight
+    {
+      public:
+        static constexpr u32 capacity = xen::RingLayout::slotCount;
+
+        InFlight()
+        {
+            for (u32 i = 0; i < capacity; i++)
+                free_[i] = u8(i);
+        }
+
+        std::size_t room() const { return free_count_; }
+
+        /** Store @p v under a free id (room() must be nonzero). */
+        u16
+        add(T v)
+        {
+            u8 id = free_[free_head_];
+            free_head_ = (free_head_ + 1) % capacity;
+            free_count_--;
+            slots_[id] = std::move(v);
+            used_[id] = true;
+            return id;
+        }
+
+        /** Remove and return the entry @p id names; nullopt when the
+         *  id is free or out of range. */
+        std::optional<T>
+        take(u16 id)
+        {
+            if (id >= capacity || !used_[id])
+                return std::nullopt;
+            std::optional<T> out(std::move(slots_[id]));
+            slots_[id] = T{};
+            used_[id] = false;
+            free_[(free_head_ + free_count_) % capacity] = u8(id);
+            free_count_++;
+            return out;
+        }
+
+      private:
+        std::array<T, capacity> slots_{};
+        std::array<bool, capacity> used_{};
+        std::array<u8, capacity> free_{}; //!< FIFO from free_head_
+        u32 free_head_ = 0;
+        u32 free_count_ = capacity;
+    };
+    static_assert(xen::RingLayout::slotCount <= 256, "ids are u8 here");
 
     struct QueuedTx
     {
@@ -129,6 +188,12 @@ class Netif
         TxOffload offload;
     };
 
+    /** Tx slots a chain may claim now: ring space and free ids. */
+    std::size_t txRoom() const
+    {
+        return std::min<std::size_t>(tx_ring_->freeRequests(),
+                                     tx_pending_.room());
+    }
     void postRxBuffers();
     void scheduleRxRepost();
     void onEvent();
@@ -158,10 +223,9 @@ class Netif
     /** Parks both rings' rsp_event and drains on a timer while the
      *  device is busy, so backend pushes stop costing doorbells. */
     std::optional<sim::Poller> poller_;
-    std::unordered_map<u16, TxPending> tx_pending_;
-    std::unordered_map<u16, RxPosted> rx_posted_;
+    InFlight<TxPending> tx_pending_;
+    InFlight<RxPosted> rx_posted_;
     std::deque<QueuedTx> tx_wait_queue_;
-    u16 next_id_ = 0;
     std::function<void(Cstruct)> rx_handler_;
     u64 tx_completed_ = 0;
     u64 rx_delivered_ = 0;

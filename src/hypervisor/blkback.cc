@@ -141,6 +141,8 @@ Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
         fatal("blkback: cannot map ring grant for %s",
               frontend.name().c_str());
     frontend_ = &frontend;
+    if (trace::DomainStats *s = frontend.stats())
+        mark_ = &s->ring("blkback");
     port_ = backend_port;
     ring_grant_ = ring_grant;
     pmap_.bind(&frontend);
@@ -171,6 +173,7 @@ Blkback::disconnect()
     ring_.reset();
     hv.grantUnmap(dom_, *frontend_, ring_grant_);
     frontend_ = nullptr;
+    mark_ = nullptr;
 }
 
 void
@@ -200,11 +203,9 @@ Blkback::onEvent()
     Hypervisor &hv = dom_.hypervisor();
     const auto &c = sim::costs();
     trace::ProfScope pscope(dom_.engine().profiler(), "hyp/blkback");
-    if (frontend_) {
-        if (auto *s = frontend_->stats())
-            s->noteRing("blkback", ring_->unconsumedRequests(),
-                        RingLayout::slotCount);
-    }
+    if (mark_)
+        frontend_->stats()->noteRing(*mark_, ring_->unconsumedRequests(),
+                                     RingLayout::slotCount);
     do {
         while (ring_->unconsumedRequests() > 0) {
             Cstruct req = ring_->takeRequest().value();

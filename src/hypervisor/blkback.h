@@ -128,6 +128,7 @@ class Blkback
     Port port_ = 0;
     GrantRef ring_grant_ = 0;
     std::optional<BackRing> ring_; //!< inline: read every drain
+    trace::RingMark *mark_ = nullptr; //!< the frontend's "blkback" mark
     std::vector<GrantRef> mapped_grefs_; //!< one-shot data grants in flight
     /** gref → page cache for persistent data grants. */
     GrantMapCache pmap_;

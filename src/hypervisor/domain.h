@@ -24,6 +24,7 @@
 namespace mirage::trace {
 class Profiler;
 struct DomainStats;
+struct RingMark;
 } // namespace mirage::trace
 
 namespace mirage::xen {

@@ -10,14 +10,19 @@
  * until teardown, the frontend's GrantPool must drain *after* the
  * backend disconnects (shutdown hooks run LIFO; the pool registers
  * first), keeping the checker's revoke-while-mapped audit clean.
+ *
+ * Every persistent tx fragment and rx fill asks the cache, so a hit is
+ * kept to one index probe and one entry: entries sit in one contiguous
+ * vector, found through an open-addressed gref index sized to the
+ * entries (not to the cap), and recency is a stamp rather than a list
+ * position. Only an eviction walks the entries, for the oldest stamp.
  */
 
 #ifndef MIRAGE_HYPERVISOR_GRANT_MAP_CACHE_H
 #define MIRAGE_HYPERVISOR_GRANT_MAP_CACHE_H
 
-#include <list>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "base/cstruct.h"
 #include "base/result.h"
@@ -60,16 +65,34 @@ class GrantMapCache
   private:
     struct Entry
     {
+        GrantRef gref;
         Cstruct page;
-        std::list<GrantRef>::iterator lru_it;
+        u64 used; //!< stamp of the last map(): least is least recent
     };
 
+    /** An index slot: the gref and its entry's position + 1 (0 when
+     *  the slot is empty), so a probe reads no entry. */
+    struct Slot
+    {
+        GrantRef gref = 0;
+        u32 pos = 0;
+    };
+
+    /** Slot in index_ holding @p gref, or the empty slot ending its
+     *  probe run. */
+    std::size_t probe(GrantRef gref) const;
+    /** Rebuild index_ with @p slots slots (a power of two). */
+    void reindex(std::size_t slots);
+    /** Drop entries_[at], keeping index_ and the vector dense. */
+    void erase(std::size_t at);
     void evictIfNeeded();
 
     Domain &dom_;
     Domain *frontend_ = nullptr;
-    std::unordered_map<GrantRef, Entry> entries_;
-    std::list<GrantRef> lru_; //!< front = most recently used
+    std::vector<Entry> entries_;
+    //! Linear-probing gref index, kept at least twice the entry count.
+    std::vector<Slot> index_;
+    u64 clock_ = 0; //!< last stamp handed out
     // Each feeds `<prefix>.pmap.{hits,misses,evictions}`.
     trace::Counter hits_;
     trace::Counter misses_;

@@ -10,6 +10,7 @@
 #define MIRAGE_HYPERVISOR_GRANT_TABLE_H
 
 #include <unordered_map>
+#include <vector>
 
 #include "base/cstruct.h"
 #include "base/result.h"
@@ -35,6 +36,18 @@ using GrantRef = u32;
 class GrantTable
 {
   public:
+    /**
+     * A grant's place in the table's flat storage. A long-lived holder
+     * (the grant pool) takes one when it issues the grant, so reading
+     * the grant's map count on a hot path is an index, not a ref
+     * lookup. A handle whose grant has ended reads as unmapped.
+     */
+    struct Handle
+    {
+        u32 slot = 0;
+        GrantRef ref = 0; //!< 0: no grant
+    };
+
     explicit GrantTable(DomId owner) : owner_(owner) {}
 
     /**
@@ -58,7 +71,7 @@ class GrantTable
     Status unmapFor(DomId peer, GrantRef ref);
 
     /** Number of currently active (not ended) grants. */
-    std::size_t activeGrants() const { return entries_.size(); }
+    std::size_t activeGrants() const { return index_.size(); }
 
     /**
      * Times @p ref is currently mapped by its peer (0 when unknown).
@@ -68,13 +81,26 @@ class GrantTable
      */
     u32 mapCountOf(GrantRef ref) const;
 
+    /** The handle of active grant @p ref (an empty one when unknown). */
+    Handle handleOf(GrantRef ref) const;
+
+    /** mapCountOf() the grant @p h names, without the ref lookup. */
+    u32
+    mapCount(Handle h) const
+    {
+        if (h.slot >= slots_.size())
+            return 0;
+        const Entry &e = slots_[h.slot];
+        return e.ref == h.ref ? e.mapCount : 0;
+    }
+
     /**
      * Drop every entry, releasing the page views they hold. Called at
      * domain teardown (after the checker's leak audit): entries keep
      * guest pages alive, and their deleters live in the guest, so they
      * must not outlive it.
      */
-    void releaseAll() { entries_.clear(); }
+    void releaseAll();
 
     /**
      * Bind the engine whose checker (if any, and enabled) audits this
@@ -89,16 +115,24 @@ class GrantTable
 
     struct Entry
     {
-        DomId peer;
+        GrantRef ref = 0; //!< 0 marks a free slot
+        DomId peer = 0;
         Cstruct page;
-        bool readonly;
+        bool readonly = false;
         u32 mapCount = 0;
     };
+
+    /** The active entry for @p ref, or nullptr. */
+    Entry *find(GrantRef ref);
 
     DomId owner_;
     GrantRef next_ref_ = 1;
     const sim::Engine *engine_ = nullptr;
-    std::unordered_map<GrantRef, Entry> entries_;
+    //! Entries in stable slots; an ended grant's slot is reused.
+    std::vector<Entry> slots_;
+    std::vector<u32> free_slots_;
+    //! Active ref → its slot.
+    std::unordered_map<GrantRef, u32> index_;
     //! `gnttab.ops`: one tick per grantAccess, endAccess, map or unmap
     //! in any table; the datapath benches compare it per packet.
     trace::Counter *c_ops_ = nullptr;

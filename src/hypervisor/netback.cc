@@ -217,6 +217,10 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
 {
     Hypervisor &hv = owner_.dom_.hypervisor();
     pmap_.bind(&frontend_);
+    if (trace::DomainStats *s = frontend_.stats()) {
+        tx_mark_ = &s->ring("netback.tx");
+        rx_mark_ = &s->ring("netback.rx");
+    }
     rx_bell_ = std::make_unique<LazyDoorbell>(hv.events(), owner_.dom_,
                                               rx_port_);
     tx_poller_.emplace(
@@ -285,9 +289,10 @@ Netback::Vif::drainTx(bool park)
     Hypervisor &hv = owner_.dom_.hypervisor();
     const auto &c = sim::costs();
     trace::ProfScope pscope(owner_.dom_.engine().profiler(), "hyp/netback/tx");
-    if (auto *s = frontend_.stats())
-        s->noteRing("netback.tx", tx_ring_->unconsumedRequests(),
-                    RingLayout::slotCount);
+    if (tx_mark_)
+        frontend_.stats()->noteRing(*tx_mark_,
+                                    tx_ring_->unconsumedRequests(),
+                                    RingLayout::slotCount);
     bool any = false;
     do {
         while (tx_ring_->unconsumedRequests() > 0) {
@@ -572,9 +577,10 @@ Netback::Vif::onRxEvent()
         return; // event raced with disconnect
     // rx requests are *posted buffers*: a full ring means spare
     // capacity, so the HWM is informational only (no full alert).
-    if (auto *s = frontend_.stats())
-        s->noteRing("netback.rx", rx_ring_->unconsumedRequests(),
-                    RingLayout::slotCount, false);
+    if (rx_mark_)
+        frontend_.stats()->noteRing(*rx_mark_,
+                                    rx_ring_->unconsumedRequests(),
+                                    RingLayout::slotCount, false);
     // The frontend posted fresh rx buffers; harvest them.
     do {
         while (rx_ring_->unconsumedRequests() > 0) {

@@ -292,6 +292,9 @@ class Netback
         TimePoint pending_busy0_;
         u64 dropped_ = 0;
         trace::LayerTrace trace_; //!< "<dom>/netback" and netback_tx
+        //! The frontend's ring marks (null without telemetry).
+        trace::RingMark *tx_mark_ = nullptr;
+        trace::RingMark *rx_mark_ = nullptr;
     };
 
     Vif &connect(const NetConnectInfo &info);

@@ -46,12 +46,6 @@ SharedRing::slot(u32 index) const
 
 FrontRing::FrontRing(Cstruct page) : ring_(std::move(page)) {}
 
-u32
-FrontRing::freeRequests() const
-{
-    return RingLayout::slotCount - (req_prod_pvt_ - rsp_cons_);
-}
-
 Result<Cstruct>
 FrontRing::startRequest()
 {
@@ -78,12 +72,6 @@ FrontRing::pushRequests()
         ck->ringPublishRequests(check_id_, old, now);
     // Notify iff the consumer's req_event lies in (old, now].
     return (now - ring_.reqEvent()) < (now - old);
-}
-
-u32
-FrontRing::unconsumedResponses() const
-{
-    return ring_.rspProd() - rsp_cons_;
 }
 
 Result<Cstruct>
@@ -143,12 +131,6 @@ FrontRing::suppressResponseEvents()
 // ---- BackRing ------------------------------------------------------------
 
 BackRing::BackRing(Cstruct page) : ring_(std::move(page)) {}
-
-u32
-BackRing::unconsumedRequests() const
-{
-    return ring_.reqProd() - req_cons_;
-}
 
 Result<Cstruct>
 BackRing::takeRequest()

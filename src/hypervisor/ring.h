@@ -96,7 +96,10 @@ class FrontRing
     explicit FrontRing(Cstruct page);
 
     /** Slots available for new requests under flow control. */
-    u32 freeRequests() const;
+    u32 freeRequests() const
+    {
+        return RingLayout::slotCount - (req_prod_pvt_ - rsp_cons_);
+    }
 
     /**
      * Claim the next request slot. Fails with Exhausted when the ring
@@ -110,8 +113,8 @@ class FrontRing
      */
     bool pushRequests();
 
-    /** Responses published but not yet consumed. */
-    u32 unconsumedResponses() const;
+    /** Responses published but not yet consumed (read on every poll). */
+    u32 unconsumedResponses() const { return ring_.rspProd() - rsp_cons_; }
 
     /** Consume the next response slot. */
     Result<Cstruct> takeResponse();
@@ -172,7 +175,8 @@ class BackRing
   public:
     explicit BackRing(Cstruct page);
 
-    u32 unconsumedRequests() const;
+    /** Requests published but not yet consumed (read on every poll). */
+    u32 unconsumedRequests() const { return ring_.reqProd() - req_cons_; }
     Result<Cstruct> takeRequest();
 
     Result<Cstruct> startResponse();

@@ -11,14 +11,20 @@ thread_local Profiler::ScopeId Profiler::current_tls_ = 0;
 
 // ---- DomainStats -----------------------------------------------------------
 
+RingMark &
+DomainStats::ring(const std::string &name)
+{
+    std::lock_guard<std::mutex> lk(rings_mu_);
+    return rings.try_emplace(name, name).first->second;
+}
+
 void
-DomainStats::noteRing(const std::string &ring, u32 occupancy,
-                      u32 capacity, bool alert_on_full)
+DomainStats::noteRing(RingMark &r, u32 occupancy, u32 capacity,
+                      bool alert_on_full)
 {
     bool raise = false;
     {
         std::lock_guard<std::mutex> lk(rings_mu_);
-        Ring &r = rings[ring];
         r.capacity = capacity;
         if (occupancy > r.hwm)
             r.hwm = occupancy;
@@ -31,7 +37,7 @@ DomainStats::noteRing(const std::string &ring, u32 occupancy,
         owner->alert("ring_full",
                      strprintf("%s: ring %s observed full "
                                "(%u/%u slots)",
-                               name.c_str(), ring.c_str(), occupancy,
+                               name.c_str(), r.name.c_str(), occupancy,
                                capacity));
 }
 
@@ -266,6 +272,8 @@ Profiler::topJson() const
         {
             std::lock_guard<std::mutex> rlk(d->rings_mu_);
             for (const auto &[rname, ring] : d->rings) {
+                if (ring.capacity == 0)
+                    continue; // resolved but never noted
                 w.key(rname).beginObject();
                 w.fields("hwm", ring.hwm, "capacity", ring.capacity);
                 w.endObject();
@@ -309,10 +317,13 @@ Profiler::topText() const
             (unsigned long long)d->gc_major_pause_ns.count(),
             double(d->gc_minor_pause_ns.quantile(0.99)) / 1e3);
         std::lock_guard<std::mutex> rlk(d->rings_mu_);
-        for (const auto &[rname, ring] : d->rings)
+        for (const auto &[rname, ring] : d->rings) {
+            if (ring.capacity == 0)
+                continue; // resolved but never noted
             out += strprintf("  ring %-20s hwm %2u / %u%s\n",
                              rname.c_str(), ring.hwm, ring.capacity,
                              ring.full_alerted ? "  [was full]" : "");
+        }
     }
     out += strprintf("charged %.2f ms, %.1f%% attributed, %llu alert(s)\n",
                      double(totalNs()) / 1e6,

@@ -41,7 +41,6 @@
 #ifndef MIRAGE_TRACE_PROFILE_H
 #define MIRAGE_TRACE_PROFILE_H
 
-#include <atomic>
 #include <map>
 #include <memory>
 // mirage-lint: allow(wall-clock-in-sim)
@@ -61,6 +60,25 @@ class Profiler;
 struct Telemetry;
 
 /**
+ * One ring's occupancy mark in a DomainStats record. Its owner (a
+ * backend) resolves it once with DomainStats::ring() and notes through
+ * it, so a drain builds no string and walks no map. The fields are
+ * guarded by the record's rings_mu_: the owning shard notes while /top
+ * renders from another thread.
+ */
+struct RingMark
+{
+    explicit RingMark(std::string n) : name(std::move(n)) {}
+
+    const std::string name;
+    u32 hwm = 0; //!< occupancy high-water mark (slots)
+    //! Slot count, for full detection; 0 until first noted (such a mark
+    //! is not listed by /top).
+    u32 capacity = 0;
+    bool full_alerted = false;
+};
+
+/**
  * Per-domain resource accounting — one record per domain, owned by the
  * Profiler, written directly by sim::Cpu (run/steal), xen::Domain
  * (blocked time), the event-channel hub (notify rates), the backends
@@ -71,13 +89,6 @@ struct Telemetry;
  */
 struct DomainStats
 {
-    struct Ring
-    {
-        u32 hwm = 0;      //!< occupancy high-water mark (slots)
-        u32 capacity = 0; //!< slot count, for full detection
-        bool full_alerted = false;
-    };
-
     std::string name;
     Profiler *owner = nullptr; //!< for ring-full alerts
 
@@ -95,13 +106,17 @@ struct DomainStats
     // Guarded by rings_mu_: the owning shard updates marks while /top
     // renders from another thread.
     mutable std::mutex rings_mu_;
-    std::map<std::string, Ring> rings;
+    std::map<std::string, RingMark> rings;
 
     // ---- GC (a pause histogram's count() is its collection count) ----
     Counter gc_promoted_bytes;
     Counter gc_live_after_major_bytes;
     Histogram gc_minor_pause_ns;
     Histogram gc_major_pause_ns;
+
+    /** The mark for ring @p name, created on first use; the reference
+     *  stays valid for the record's life. */
+    RingMark &ring(const std::string &name);
 
     /**
      * Record @p occupancy slots outstanding on @p ring (of @p capacity
@@ -111,7 +126,7 @@ struct DomainStats
      * state (an RX ring full of posted buffers has spare capacity, not
      * backlog).
      */
-    void noteRing(const std::string &ring, u32 occupancy, u32 capacity,
+    void noteRing(RingMark &ring, u32 occupancy, u32 capacity,
                   bool alert_on_full = true);
 };
 

@@ -87,6 +87,42 @@ TEST_F(CheckedHvTest, GrantLeakAtTeardownCaught)
         << "teardown must drop the domain's shadow entries";
 }
 
+TEST_F(CheckedHvTest, RevokeClassificationHoldsAfterManyCycles)
+{
+    // The checker tells a revoked ref from one never issued by the
+    // table's issue counter, not by remembering each revoke, so a long
+    // run of grant/revoke cycles leaves nothing behind to grow.
+    xen::Domain &a = hv.createDomain("a", xen::GuestKind::Unikernel, 32);
+    xen::Domain &b = hv.createDomain("b", xen::GuestKind::Unikernel, 32);
+    Cstruct page = Cstruct::create(mirage::pageSize);
+    xen::GrantRef first = 0, last = 0;
+    for (int i = 0; i < 100000; i++) {
+        last = a.grantTable().grantAccess(b.id(), page, false);
+        if (i == 0)
+            first = last;
+        ASSERT_TRUE(a.grantTable().endAccess(last).ok());
+    }
+    ASSERT_EQ(ck.violations(), 0u);
+    EXPECT_EQ(a.grantTable().activeGrants(), 0u);
+
+    auto classify = [&](auto &&op) {
+        u64 before = ck.violations(Subsystem::Grant);
+        op();
+        EXPECT_EQ(ck.violations(Subsystem::Grant), before + 1);
+        std::string v = ck.lastViolation();
+        return v.substr(0, v.find(':'));
+    };
+    xen::GrantRef never = last + 1000;
+    EXPECT_EQ(classify([&] { (void)a.grantTable().endAccess(first); }),
+              "grant.double_revoke");
+    EXPECT_EQ(classify([&] { (void)a.grantTable().endAccess(never); }),
+              "grant.revoke_unknown_ref");
+    EXPECT_EQ(classify([&] { (void)hv.grantMap(b, a, last, false); }),
+              "grant.use_after_revoke");
+    EXPECT_EQ(classify([&] { (void)hv.grantMap(b, a, never, false); }),
+              "grant.map_unknown_ref");
+}
+
 TEST(CheckerTeardownTest, EachDomainReportsItsOwnGrantsAndMappings)
 {
     Checker ck{Checker::Mode::Count};

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "base/rand.h"
@@ -354,6 +357,74 @@ TEST_F(DatapathTest, BackendMapCacheEvictsLruAtCap)
     EXPECT_GT(back.mapCache().hits(), hits_before);
 }
 
+TEST_F(DatapathTest, BackendMapCacheMatchesListLruReference)
+{
+    // Differential test: the flat, stamp-ordered cache against a plain
+    // list LRU (front = most recent) over a seeded random gref stream.
+    constexpr std::size_t cap = 8, nrefs = 24;
+    sim::tuning().backendMapCacheCap = cap;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    std::vector<Cstruct> pages;
+    std::vector<xen::GrantRef> grefs;
+    for (std::size_t i = 0; i < nrefs; i++) {
+        pages.push_back(Cstruct::create(mirage::pageSize));
+        grefs.push_back(
+            uk.grantTable().grantAccess(dom0.id(), pages.back(), false));
+    }
+    xen::GrantMapCache cache(dom0, "difftest");
+    cache.bind(&uk);
+
+    std::list<std::size_t> lru;
+    u64 hits = 0, misses = 0, evictions = 0;
+    Rng rng(20);
+    for (int step = 0; step < 4000; step++) {
+        std::size_t k = rng.below(nrefs);
+        std::optional<std::size_t> victim;
+        if (auto it = std::find(lru.begin(), lru.end(), k);
+            it != lru.end()) {
+            lru.splice(lru.begin(), lru, it);
+            hits++;
+        } else {
+            misses++;
+            lru.push_front(k);
+            if (lru.size() > cap) {
+                victim = lru.back();
+                lru.pop_back();
+                evictions++;
+            }
+        }
+
+        std::vector<u32> before(nrefs);
+        for (std::size_t i = 0; i < nrefs; i++)
+            before[i] = uk.grantTable().mapCountOf(grefs[i]);
+        auto page = cache.map(grefs[k]);
+        ASSERT_TRUE(page.ok()) << "step " << step;
+        EXPECT_EQ(page.value().buffer(), pages[k].buffer());
+        ASSERT_EQ(cache.hits(), hits) << "step " << step;
+        ASSERT_EQ(cache.misses(), misses) << "step " << step;
+        ASSERT_EQ(cache.evictions(), evictions) << "step " << step;
+        ASSERT_EQ(cache.size(), lru.size());
+        // The victim is the one mapping whose count dropped to 0.
+        std::optional<std::size_t> dropped;
+        for (std::size_t i = 0; i < nrefs; i++)
+            if (before[i] > 0 &&
+                uk.grantTable().mapCountOf(grefs[i]) == 0) {
+                ASSERT_FALSE(dropped) << "two unmaps in step " << step;
+                dropped = i;
+            }
+        ASSERT_EQ(dropped, victim) << "step " << step;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(evictions, 0u);
+
+    cache.unmapAll();
+    EXPECT_EQ(cache.size(), 0u);
+    for (xen::GrantRef g : grefs) {
+        EXPECT_EQ(uk.grantTable().mapCountOf(g), 0u);
+        EXPECT_TRUE(uk.grantTable().endAccess(g).ok());
+    }
+}
+
 // ---- Doorbell batching / polling --------------------------------------------
 
 TEST_F(DatapathTest, PollingSendsFewerDoorbellsThanPerPushNotify)
@@ -588,6 +659,133 @@ TEST_F(DatapathTest, OversizedTxChainAbortsAndReleasesEveryLease)
     EXPECT_TRUE(q->resolvedOk());
     EXPECT_EQ(nif_b.rxDelivered(), 1u);
     engine.setChecker(nullptr);
+}
+
+// ---- Hostile backend ---------------------------------------------------------
+
+TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
+{
+    // dom0 turns hostile: the real vif lets go of the rings and the
+    // test answers them itself, naming ids the frontend never issued,
+    // ids already completed and ids past the ring. Each must be
+    // ignored: no promise settles twice, no lease is lost or released
+    // twice.
+    xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
+    // Fewer I/O pages than rx slots: the rx ring stays partly unposted,
+    // so some rx ids are never issued either.
+    pvboot::LayoutSpec small;
+    small.ioPages = 20;
+    pvboot::PVBoot boot(da, small);
+    Netif nif(boot, netback, mac(1));
+    u64 frames = 0;
+    nif.onFrame([&](Cstruct) { frames++; });
+    netback.vifFor(da)->disconnect();
+    engine.run();
+
+    // The guest grants its tx ring page, then its rx ring page, before
+    // anything else; the rx ring is the one with buffers posted.
+    std::optional<xen::BackRing> tx, rx;
+    for (xen::GrantRef ref : {1u, 2u}) {
+        auto page = hv.grantMap(dom0, da, ref, true);
+        ASSERT_TRUE(page.ok());
+        ASSERT_EQ(page.value().length(), xen::RingLayout::pageBytes());
+        (xen::SharedRing(page.value()).reqProd() == 0 ? tx : rx)
+            .emplace(page.value());
+    }
+    ASSERT_TRUE(tx && rx);
+    // This bare guest's only bound ports are the netif's two, and
+    // either one drains both rings.
+    auto doorbell = [&] {
+        for (xen::Port p = 0; p < 4; p++)
+            da.deliverEvent(p);
+        engine.run();
+    };
+    auto respond = [](xen::BackRing &ring, u16 id, bool is_rx) {
+        Cstruct r = ring.startResponse().value();
+        r.setLe16(is_rx ? xen::NetifWire::rxrspId : xen::NetifWire::txrspId,
+                  id);
+        r.setU8(is_rx ? xen::NetifWire::rxrspStatus
+                      : xen::NetifWire::txrspStatus,
+                xen::NetifWire::statusOk);
+        if (is_rx) {
+            r.setLe16(xen::NetifWire::rxrspLen, 60);
+            r.setLe32(xen::NetifWire::rxrspFlow, 0);
+        }
+    };
+
+    // ---- rx: every pooled page is either posted or free.
+    std::set<u16> rx_ids;
+    while (rx->unconsumedRequests() > 0)
+        rx_ids.insert(
+            rx->takeRequest().value().getLe16(xen::NetifWire::rxreqId));
+    ASSERT_GT(rx_ids.size(), 0u);
+    ASSERT_LT(rx_ids.size(), std::size_t(xen::RingLayout::slotCount));
+    GrantPool &pool = nif.grantPool();
+    EXPECT_EQ(pool.freePages() + rx_ids.size(), pool.pooledPages());
+    u16 never_rx = 0;
+    while (rx_ids.count(never_rx))
+        never_rx++;
+    ASSERT_LT(never_rx, xen::RingLayout::slotCount);
+    u16 r0 = *rx_ids.begin(), r1 = *std::next(rx_ids.begin());
+    for (u16 id : {never_rx, u16(32), u16(0xffff), r0, r0, r1, r1})
+        respond(*rx, id, true);
+    rx->pushResponses();
+    doorbell();
+    EXPECT_EQ(frames, 2u) << "only the two posted buffers deliver";
+    EXPECT_EQ(nif.rxDelivered(), 2u);
+    // The two filled buffers were reposted from the pool.
+    std::size_t reposted = 0;
+    while (rx->unconsumedRequests() > 0) {
+        rx->takeRequest();
+        reposted++;
+    }
+    EXPECT_EQ(reposted, 2u);
+    EXPECT_EQ(pool.freePages() + rx_ids.size(), pool.pooledPages());
+
+    // ---- tx: two frames in flight.
+    int settled = 0;
+    auto send = [&] {
+        Cstruct page = Cstruct::create(mirage::pageSize);
+        auto p = nif.writeFrame(page.sub(0, 60));
+        p->onComplete([&](rt::Promise &) { settled++; });
+        return p;
+    };
+    auto pa = send();
+    auto pb = send();
+    std::vector<u16> tx_ids;
+    while (tx->unconsumedRequests() > 0)
+        tx_ids.push_back(
+            tx->takeRequest().value().getLe16(xen::NetifWire::txreqId));
+    ASSERT_EQ(tx_ids.size(), 2u);
+    u16 never_tx = 0;
+    while (never_tx == tx_ids[0] || never_tx == tx_ids[1])
+        never_tx++;
+    for (u16 id : {never_tx, u16(32), u16(0xffff)})
+        respond(*tx, id, false);
+    tx->pushResponses();
+    doorbell();
+    EXPECT_EQ(settled, 0) << "no response named a frame in flight";
+
+    respond(*tx, tx_ids[0], false);
+    respond(*tx, tx_ids[0], false); // completed a moment ago
+    tx->pushResponses();
+    doorbell();
+    EXPECT_TRUE(pa->resolvedOk());
+    EXPECT_FALSE(pb->resolvedOk() || pb->cancelled());
+    EXPECT_EQ(settled, 1);
+
+    respond(*tx, tx_ids[1], false);
+    respond(*tx, tx_ids[0], false); // completed earlier
+    tx->pushResponses();
+    doorbell();
+    EXPECT_TRUE(pb->resolvedOk());
+    EXPECT_EQ(settled, 2) << "each frame settles exactly once";
+    EXPECT_EQ(nif.txCompleted(), 2u);
+    EXPECT_EQ(nif.txErrors(), 0u);
+    EXPECT_EQ(pool.freePages() + rx_ids.size(), pool.pooledPages());
+
+    EXPECT_TRUE(hv.grantUnmap(dom0, da, 1).ok());
+    EXPECT_TRUE(hv.grantUnmap(dom0, da, 2).ok());
 }
 
 // ---- Flow tracing across backend segmentation -------------------------------

@@ -193,14 +193,16 @@ TEST(DomainStatsTest, NoteRingTracksHwmAndAlertsOnce)
     Telemetry t;
     Profiler &p = t.profiler;
     DomainStats &d = p.domain("guest");
-    d.noteRing("netback.tx", 3, 32);
-    d.noteRing("netback.tx", 7, 32);
-    d.noteRing("netback.tx", 5, 32);
-    EXPECT_EQ(d.rings.at("netback.tx").hwm, 7u);
+    RingMark &tx = d.ring("netback.tx");
+    EXPECT_EQ(&d.ring("netback.tx"), &tx) << "one mark per ring name";
+    d.noteRing(tx, 3, 32);
+    d.noteRing(tx, 7, 32);
+    d.noteRing(tx, 5, 32);
+    EXPECT_EQ(tx.hwm, 7u);
     EXPECT_EQ(p.alerts(), 0u);
 
-    d.noteRing("netback.tx", 32, 32);
-    d.noteRing("netback.tx", 32, 32);
+    d.noteRing(tx, 32, 32);
+    d.noteRing(tx, 32, 32);
     EXPECT_EQ(p.alerts(), 1u) << "full alert must be one-shot";
     ASSERT_EQ(p.alertLog().size(), 1u);
     EXPECT_NE(p.alertLog()[0].find("ring_full"), std::string::npos);
@@ -213,7 +215,7 @@ TEST(DomainStatsTest, PostedBufferRingsDoNotAlertOnFull)
     Profiler &p = t.profiler;
     DomainStats &d = p.domain("guest");
     // An rx ring full of posted buffers is the healthy state.
-    d.noteRing("netback.rx", 32, 32, false);
+    d.noteRing(d.ring("netback.rx"), 32, 32, false);
     EXPECT_EQ(d.rings.at("netback.rx").hwm, 32u);
     EXPECT_EQ(p.alerts(), 0u);
 }
@@ -257,7 +259,8 @@ TEST(ProfilerTopTest, TopJsonHasPerDomainSections)
     d.polls.set(4);
     d.notifies_sent.set(5);
     d.notifies_received.set(6);
-    d.noteRing("blkback", 2, 32);
+    d.noteRing(d.ring("blkback"), 2, 32);
+    d.ring("netback.tx"); // resolved, never noted: not listed
     for (int i = 0; i < 3; i++)
         d.gc_minor_pause_ns.record(1000);
 
@@ -272,9 +275,12 @@ TEST(ProfilerTopTest, TopJsonHasPerDomainSections)
         EXPECT_NE(json.find(key), std::string::npos)
             << "missing " << key << " in " << json;
 
+    EXPECT_EQ(json.find("netback.tx"), std::string::npos) << json;
+
     std::string text = p.topText();
     EXPECT_NE(text.find("guest"), std::string::npos);
     EXPECT_NE(text.find("blkback"), std::string::npos);
+    EXPECT_EQ(text.find("netback.tx"), std::string::npos) << text;
 }
 
 TEST(ProfilerCounterTrackTest, ChargesEmitCounterEvents)
@@ -388,7 +394,8 @@ TEST(CloudProfileTest, DomainsAccumulateRunAndNotifyAccounting)
     EXPECT_GT(c->run_ns.value(), 0u);
     EXPECT_GT(s->notifies_sent.value(), 0u);
     EXPECT_GT(s->notifies_received.value(), 0u);
-    EXPECT_GT(s->rings.count("netback.tx"), 0u)
+    ASSERT_GT(s->rings.count("netback.tx"), 0u);
+    EXPECT_GT(s->rings.at("netback.tx").capacity, 0u)
         << "backend drains must record ring occupancy";
     EXPECT_EQ(u64(server.dom.vcpu().busyTime().ns()), s->run_ns.value())
         << "DomainStats run time must equal the vcpu's busy time";
