@@ -72,11 +72,11 @@ BM_SharedRingRoundTrip(benchmark::State &state)
     xen::FrontRing front(page);
     xen::BackRing back(page);
     for (auto _ : state) {
-        Cstruct req = front.startRequest().value();
+        CstructView req = front.startRequest().value();
         req.setLe64(0, 42);
         front.pushRequests();
-        Cstruct got = back.takeRequest().value();
-        Cstruct rsp = back.startResponse().value();
+        CstructView got = back.takeRequest().value();
+        CstructView rsp = back.startResponse().value();
         rsp.setLe64(0, got.getLe64(0));
         back.pushResponses();
         benchmark::DoNotOptimize(

@@ -34,10 +34,10 @@ Cstruct::ofString(const std::string &s)
 }
 
 void
-Cstruct::rangePanic(std::size_t off, std::size_t n) const
+rangePanic(std::size_t off, std::size_t n, std::size_t len)
 {
     panic("Cstruct: access [%zu, %zu) in view of %zu bytes", off, off + n,
-          len_);
+          len);
 }
 
 Cstruct

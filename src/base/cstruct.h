@@ -7,7 +7,9 @@
  * storage and protocol stacks goes through these accessors, so no
  * protocol code ever touches raw memory. Views are cheap value types
  * that alias the underlying Buffer; `sub`/`shift` slice without copying
- * (§3.4.1), which is the basis of the zero-copy I/O path.
+ * (§3.4.1), which is the basis of the zero-copy I/O path. A Cstruct
+ * shares ownership of its buffer; a CstructView borrows it (no
+ * reference count) and has the same checked fixed-layout accessors.
  */
 
 #ifndef MIRAGE_BASE_CSTRUCT_H
@@ -23,13 +25,67 @@
 
 namespace mirage {
 
+/** The panic behind every failed fixed-layout bounds check. */
+[[noreturn]] void rangePanic(std::size_t off, std::size_t n,
+                             std::size_t len);
+
+/**
+ * The fixed-layout accessors every checked view shares, and their one
+ * bounds check. @p View supplies length() and a private bytes() (its
+ * first byte), and befriends this base. Inline: ring indices and
+ * header fields are read on every event, so the check stays but the
+ * call does not.
+ */
+template <typename View>
+class FixedLayout
+{
+  public:
+    /** @{ Fixed-layout accessors; panic on out-of-range (library bug). */
+    u8 getU8(std::size_t off) const { return *at(off, 1); }
+    u16 getBe16(std::size_t off) const { return loadBe16(at(off, 2)); }
+    u32 getBe32(std::size_t off) const { return loadBe32(at(off, 4)); }
+    u64 getBe64(std::size_t off) const { return loadBe64(at(off, 8)); }
+    u16 getLe16(std::size_t off) const { return loadLe16(at(off, 2)); }
+    u32 getLe32(std::size_t off) const { return loadLe32(at(off, 4)); }
+    u64 getLe64(std::size_t off) const { return loadLe64(at(off, 8)); }
+    void setU8(std::size_t off, u8 v) { *at(off, 1) = v; }
+    void setBe16(std::size_t off, u16 v) { storeBe16(at(off, 2), v); }
+    void setBe32(std::size_t off, u32 v) { storeBe32(at(off, 4), v); }
+    void setBe64(std::size_t off, u64 v) { storeBe64(at(off, 8), v); }
+    void setLe16(std::size_t off, u16 v) { storeLe16(at(off, 2), v); }
+    void setLe32(std::size_t off, u32 v) { storeLe32(at(off, 4), v); }
+    void setLe64(std::size_t off, u64 v) { storeLe64(at(off, 8), v); }
+    /** @} */
+
+  protected:
+    void
+    checkRange(std::size_t off, std::size_t n) const
+    {
+        if (off + n > self().length()) [[unlikely]]
+            rangePanic(off, n, self().length());
+    }
+
+    /** The checked address of [off, off+n) for a fixed-layout access. */
+    u8 *
+    at(std::size_t off, std::size_t n) const
+    {
+        checkRange(off, n);
+        return self().bytes() + off;
+    }
+
+  private:
+    const View &self() const { return static_cast<const View &>(*this); }
+};
+
+class CstructView;
+
 /**
  * A view of [offset, offset+length) within a shared Buffer.
  *
  * All accessors are bounds-checked; violations return an Error (parsers)
  * or panic (fixed-layout accessors, where an overrun is a library bug).
  */
-class Cstruct
+class Cstruct : public FixedLayout<Cstruct>
 {
   public:
     /** The empty view. */
@@ -60,25 +116,11 @@ class Cstruct
     Result<Cstruct> trySub(std::size_t off, std::size_t len) const;
 
     /**
-     * @{ Fixed-layout accessors; panic on out-of-range (library bug).
-     * Inline: ring indices and header fields are read on every event,
-     * so the check stays but the call does not.
+     * Borrowed view of [off, off+len), checked once here and on every
+     * access; panics when out of range. It holds no reference: the
+     * caller keeps this Cstruct's buffer alive while the view is used.
      */
-    u8 getU8(std::size_t off) const { return *at(off, 1); }
-    u16 getBe16(std::size_t off) const { return loadBe16(at(off, 2)); }
-    u32 getBe32(std::size_t off) const { return loadBe32(at(off, 4)); }
-    u64 getBe64(std::size_t off) const { return loadBe64(at(off, 8)); }
-    u16 getLe16(std::size_t off) const { return loadLe16(at(off, 2)); }
-    u32 getLe32(std::size_t off) const { return loadLe32(at(off, 4)); }
-    u64 getLe64(std::size_t off) const { return loadLe64(at(off, 8)); }
-    void setU8(std::size_t off, u8 v) { *at(off, 1) = v; }
-    void setBe16(std::size_t off, u16 v) { storeBe16(at(off, 2), v); }
-    void setBe32(std::size_t off, u32 v) { storeBe32(at(off, 4), v); }
-    void setBe64(std::size_t off, u64 v) { storeBe64(at(off, 8), v); }
-    void setLe16(std::size_t off, u16 v) { storeLe16(at(off, 2), v); }
-    void setLe32(std::size_t off, u32 v) { storeLe32(at(off, 4), v); }
-    void setLe64(std::size_t off, u64 v) { storeLe64(at(off, 8), v); }
-    /** @} */
+    CstructView view(std::size_t off, std::size_t len) const;
 
     /** @{ Checked accessors for parsing untrusted input. */
     Result<u8> tryGetU8(std::size_t off) const;
@@ -119,27 +161,48 @@ class Cstruct
     std::size_t bufferOffset() const { return off_; }
 
   private:
-    void
-    checkRange(std::size_t off, std::size_t n) const
-    {
-        if (off + n > len_) [[unlikely]]
-            rangePanic(off, n);
-    }
+    friend class FixedLayout<Cstruct>;
 
-    /** The checked address of [off, off+n) for a fixed-layout access. */
-    u8 *
-    at(std::size_t off, std::size_t n) const
-    {
-        checkRange(off, n);
-        return buf_->data() + off_ + off;
-    }
-
-    [[noreturn]] void rangePanic(std::size_t off, std::size_t n) const;
+    /** First byte; only reached through a checked access (len_ > 0). */
+    u8 *bytes() const { return buf_->data() + off_; }
 
     std::shared_ptr<Buffer> buf_;
     std::size_t off_;
     std::size_t len_;
 };
+
+/**
+ * A borrowed, bounds-checked view: a pointer and a length, with
+ * Cstruct's fixed-layout accessors and no reference to the buffer.
+ * Made only by Cstruct::view(), so its range was checked against a
+ * live buffer; whoever made it keeps that buffer alive. Shared-ring
+ * slots are handed out this way — the ring's page outlives every slot
+ * access, so a slot costs no reference-count traffic (§3.4).
+ */
+class CstructView : public FixedLayout<CstructView>
+{
+  public:
+    std::size_t length() const { return len_; }
+    const u8 *data() const { return p_; }
+
+  private:
+    friend class Cstruct;
+    friend class FixedLayout<CstructView>;
+
+    CstructView(u8 *p, std::size_t len) : p_(p), len_(len) {}
+
+    u8 *bytes() const { return p_; }
+
+    u8 *p_;
+    std::size_t len_;
+};
+
+inline CstructView
+Cstruct::view(std::size_t off, std::size_t len) const
+{
+    checkRange(off, len);
+    return CstructView(buf_ ? bytes() + off : nullptr, len);
+}
 
 } // namespace mirage
 

@@ -263,7 +263,7 @@ Checker::ringAttach(const void *page, const char *name, u32 slots,
     // Published counters are adopted as-is; a ring attached mid-stream
     // (reconnect) starts with everything published considered consumed.
     rings_.push_back(RingShadow{name, slots, req_prod, rsp_prod,
-                                req_prod, rsp_prod});
+                                req_prod, rsp_prod, rsp_prod, req_prod});
     ring_ids_.emplace(page, id);
     return id;
 }
@@ -387,6 +387,48 @@ Checker::ringConsumeResponse(u32 ring, u32 cons, u32 prod)
                   strprintf("%s: %u unconsumed responses in %u slots",
                             s.name.c_str(), avail, s.slots));
     s.rspCons = cons + 1;
+}
+
+void
+Checker::ringRefuseResponses(u32 ring, u32 prod, u32 req_prod_pvt)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    RingShadow &s = rings_.at(ring);
+    // Responses at or past both the requests issued and the last
+    // refusal are new. Past a whole ring's worth they are not slots at
+    // all: the rest is one rsp_prod_overrun, not a count per index.
+    u32 from = counterDelta(s.rspRefused, req_prod_pvt) > 0 ? s.rspRefused
+                                                             : req_prod_pvt;
+    i32 excess = counterDelta(prod, from);
+    if (excess <= 0)
+        return;
+    s.rspRefused = prod;
+    u32 counted = u32(excess) < s.slots ? u32(excess) : s.slots;
+    for (u32 i = 0; i < counted; i++)
+        violation(Subsystem::Ring, "unsolicited_response",
+                  strprintf("%s: response %u answers no outstanding "
+                            "request (%u issued); refused",
+                            s.name.c_str(), from + i, req_prod_pvt));
+    if (u32(excess) > s.slots)
+        violation(Subsystem::Ring, "rsp_prod_overrun",
+                  strprintf("%s: rsp_prod %u is %d past %u issued "
+                            "requests in %u slots; refused",
+                            s.name.c_str(), prod, excess, req_prod_pvt,
+                            s.slots));
+}
+
+void
+Checker::ringRefuseRequests(u32 ring, u32 prod, u32 cons)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    RingShadow &s = rings_.at(ring);
+    if (prod == s.reqRefused)
+        return; // this index was refused and counted already
+    s.reqRefused = prod;
+    violation(Subsystem::Ring, "req_prod_overrun",
+              strprintf("%s: req_prod %u is %u past req_cons %u in %u "
+                        "slots; refused",
+                        s.name.c_str(), prod, prod - cons, cons, s.slots));
 }
 
 // ---- GC handles ------------------------------------------------------------

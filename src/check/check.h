@@ -159,6 +159,18 @@ class Checker
     void ringStartResponse(u32 ring, u32 new_rsp_pvt, u32 req_cons);
     void ringPublishResponses(u32 ring, u32 old_prod, u32 new_prod);
     void ringConsumeResponse(u32 ring, u32 cons, u32 prod);
+    /**
+     * The frontend saw rsp_prod @p prod beyond its requests issued
+     * (@p req_prod_pvt) and refused the excess: each refused response
+     * is counted once, as `unsolicited_response`.
+     */
+    void ringRefuseResponses(u32 ring, u32 prod, u32 req_prod_pvt);
+    /**
+     * The backend refused req_prod @p prod, published past the ring
+     * (request consumer at @p cons): counted once per index published,
+     * as `req_prod_overrun`.
+     */
+    void ringRefuseRequests(u32 ring, u32 prod, u32 cons);
 
     // ---- GC handle hooks ---------------------------------------------
     void gcAlloc(const void *heap, u32 ref);
@@ -210,6 +222,8 @@ class Checker
         u32 rspProd;
         u32 reqCons;
         u32 rspCons;
+        u32 rspRefused; //!< responses below this index already refused
+        u32 reqRefused; //!< the runaway req_prod last refused
     };
 
     struct HeapShadow

@@ -193,7 +193,7 @@ Blkif::drainResponses(bool park)
     bool any = false;
     do {
         while (ring_->unconsumedResponses() > 0) {
-            Cstruct rsp = ring_->takeResponse().value();
+            CstructView rsp = ring_->takeResponse().value();
             any = true;
             u64 id = rsp.getLe64(xen::BlkifWire::rspId);
             u8 status = rsp.getU8(xen::BlkifWire::rspStatus);

@@ -202,7 +202,7 @@ Netif::enqueueOnRing(const std::vector<Cstruct> &frags,
     frame->flow = flow;
     for (std::size_t i = 0; i < frags.size(); i++) {
         bool last = i + 1 == frags.size();
-        Cstruct slot = tx_ring_->startRequest().value();
+        CstructView slot = tx_ring_->startRequest().value();
 
         // Persistent path: name a region of a pooled/registered grant.
         // One-shot fallback: grant the fragment view itself (offset 0).
@@ -341,7 +341,7 @@ Netif::postRxBuffers()
         // assigned by netback when it delivers into the slot (the
         // rxrspFlow stamp), not when the empty buffer is offered.
         // mirage-lint: allow(flow-scope-hop) rx post is pre-flow
-        Cstruct slot = rx_ring_->startRequest().value();
+        CstructView slot = rx_ring_->startRequest().value();
         // Audited lease holder: rx_posted_ keeps the lease only until
         // the backend fills the buffer and deliverRx recycles it; the
         // shadow checker verifies the recycle at runtime.
@@ -385,7 +385,7 @@ Netif::drainTxResponses(bool park)
     bool any = false;
     do {
         while (tx_ring_->unconsumedResponses() > 0) {
-            Cstruct rsp = tx_ring_->takeResponse().value();
+            CstructView rsp = tx_ring_->takeResponse().value();
             any = true;
             u16 id = rsp.getLe16(xen::NetifWire::txrspId);
             u8 status = rsp.getU8(xen::NetifWire::txrspStatus);
@@ -438,7 +438,7 @@ Netif::drainRxResponses(bool park)
     bool delivered = false;
     do {
         while (rx_ring_->unconsumedResponses() > 0) {
-            Cstruct rsp = rx_ring_->takeResponse().value();
+            CstructView rsp = rx_ring_->takeResponse().value();
             u16 id = rsp.getLe16(xen::NetifWire::rxrspId);
             u16 len = rsp.getLe16(xen::NetifWire::rxrspLen);
             u8 status = rsp.getU8(xen::NetifWire::rxrspStatus);

@@ -184,7 +184,7 @@ Blkback::complete(u64 id, u8 status)
     // frontend restores attribution from its Pending map keyed by the
     // echoed request id, so this hop does not lose the flow.
     // mirage-lint: allow(flow-scope-hop) flow restored via rsp id
-    Cstruct rsp = ring_->startResponse().value();
+    CstructView rsp = ring_->startResponse().value();
     rsp.setLe64(BlkifWire::rspId, id);
     rsp.setU8(BlkifWire::rspStatus, status);
     if (ring_->pushResponses()) {
@@ -208,7 +208,7 @@ Blkback::onEvent()
                                      RingLayout::slotCount);
     do {
         while (ring_->unconsumedRequests() > 0) {
-            Cstruct req = ring_->takeRequest().value();
+            CstructView req = ring_->takeRequest().value();
             u64 id = req.getLe64(BlkifWire::reqId);
             u8 op = req.getU8(BlkifWire::reqOp);
             u8 sectors = req.getU8(BlkifWire::reqSectors);

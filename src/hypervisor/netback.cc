@@ -296,7 +296,7 @@ Netback::Vif::drainTx(bool park)
     bool any = false;
     do {
         while (tx_ring_->unconsumedRequests() > 0) {
-            Cstruct req = tx_ring_->takeRequest().value();
+            CstructView req = tx_ring_->takeRequest().value();
             u16 id = req.getLe16(NetifWire::txreqId);
             GrantRef gref = req.getLe32(NetifWire::txreqGrant);
             u16 offset = req.getLe16(NetifWire::txreqOffset);
@@ -391,7 +391,7 @@ Netback::Vif::drainTx(bool park)
                 !pending_frags_.empty())
                 forwardChain();
 
-            Cstruct rsp = tx_ring_->startResponse().value();
+            CstructView rsp = tx_ring_->startResponse().value();
             rsp.setLe16(NetifWire::txrspId, id);
             rsp.setU8(NetifWire::txrspStatus, status);
             any = true;
@@ -584,7 +584,7 @@ Netback::Vif::onRxEvent()
     // The frontend posted fresh rx buffers; harvest them.
     do {
         while (rx_ring_->unconsumedRequests() > 0) {
-            Cstruct req = rx_ring_->takeRequest().value();
+            CstructView req = rx_ring_->takeRequest().value();
             u16 rflags = req.getLe16(NetifWire::rxreqFlags);
             posted_rx_.push_back(PostedRx{
                 req.getLe16(NetifWire::rxreqId),
@@ -662,7 +662,7 @@ Netback::Vif::deliverFrame(const Cstruct &frame)
     trace::FlowTracker *fl = owner_.dom_.engine().flows();
     u64 flow = fl ? fl->current() : 0;
 
-    Cstruct rsp = rx_ring_->startResponse().value();
+    CstructView rsp = rx_ring_->startResponse().value();
     rsp.setLe16(NetifWire::rxrspId, post.id);
     rsp.setLe16(NetifWire::rxrspLen, len);
     rsp.setU8(NetifWire::rxrspStatus, status);

@@ -33,25 +33,16 @@ SharedRing::init()
     setRspEvent(1);
 }
 
-Cstruct
-SharedRing::slot(u32 index) const
-{
-    u32 masked = index & (RingLayout::slotCount - 1);
-    return page_.sub(RingLayout::headerBytes +
-                         std::size_t(masked) * RingLayout::slotBytes,
-                     RingLayout::slotBytes);
-}
-
 // ---- FrontRing -----------------------------------------------------------
 
 FrontRing::FrontRing(Cstruct page) : ring_(std::move(page)) {}
 
-Result<Cstruct>
+Result<CstructView>
 FrontRing::startRequest()
 {
     if (freeRequests() == 0)
         return exhaustedError("ring full");
-    Cstruct s = ring_.slot(req_prod_pvt_);
+    CstructView s = ring_.slot(req_prod_pvt_);
     req_prod_pvt_++;
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringStartRequest(check_id_, req_prod_pvt_, rsp_cons_);
@@ -74,14 +65,18 @@ FrontRing::pushRequests()
     return (now - ring_.reqEvent()) < (now - old);
 }
 
-Result<Cstruct>
+Result<CstructView>
 FrontRing::takeResponse()
 {
-    if (unconsumedResponses() == 0)
-        return exhaustedError("no responses");
+    if (unconsumedResponses() == 0) {
+        if (ring_.rspProd() == rsp_cons_)
+            return exhaustedError("no responses");
+        refuseUnsolicited();
+        return stateError("response beyond the requests outstanding");
+    }
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringConsumeResponse(check_id_, rsp_cons_, ring_.rspProd());
-    Cstruct s = ring_.slot(rsp_cons_);
+    CstructView s = ring_.slot(rsp_cons_);
     rsp_cons_++;
     trace::bump(c_rsp_taken_);
     return s;
@@ -119,7 +114,16 @@ FrontRing::finalCheckForResponses()
 {
     ring_.setRspEvent(rsp_cons_ + 1);
     // mb(): re-check after arming, closing the wakeup race.
+    if (u32(ring_.rspProd() - rsp_cons_) > req_prod_pvt_ - rsp_cons_)
+        refuseUnsolicited();
     return unconsumedResponses() > 0;
+}
+
+void
+FrontRing::refuseUnsolicited()
+{
+    if (check::Checker *ck = liveChecker(checker_))
+        ck->ringRefuseResponses(check_id_, ring_.rspProd(), req_prod_pvt_);
 }
 
 void
@@ -132,25 +136,29 @@ FrontRing::suppressResponseEvents()
 
 BackRing::BackRing(Cstruct page) : ring_(std::move(page)) {}
 
-Result<Cstruct>
+Result<CstructView>
 BackRing::takeRequest()
 {
-    if (unconsumedRequests() == 0)
-        return exhaustedError("no requests");
+    if (unconsumedRequests() == 0) {
+        if (ring_.reqProd() == req_cons_)
+            return exhaustedError("no requests");
+        refuseRunaway();
+        return stateError("req_prod published past the ring");
+    }
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringConsumeRequest(check_id_, req_cons_, ring_.reqProd());
-    Cstruct s = ring_.slot(req_cons_);
+    CstructView s = ring_.slot(req_cons_);
     req_cons_++;
     trace::bump(c_req_taken_);
     return s;
 }
 
-Result<Cstruct>
+Result<CstructView>
 BackRing::startResponse()
 {
     // Responses reuse request slots; the frontend's flow control
     // guarantees a response slot is free once its request was consumed.
-    Cstruct s = ring_.slot(rsp_prod_pvt_);
+    CstructView s = ring_.slot(rsp_prod_pvt_);
     rsp_prod_pvt_++;
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringStartResponse(check_id_, rsp_prod_pvt_, req_cons_);
@@ -173,7 +181,16 @@ bool
 BackRing::finalCheckForRequests()
 {
     ring_.setReqEvent(req_cons_ + 1);
+    if (unconsumedRequests() == 0 && ring_.reqProd() != req_cons_)
+        refuseRunaway();
     return unconsumedRequests() > 0;
+}
+
+void
+BackRing::refuseRunaway()
+{
+    if (check::Checker *ck = liveChecker(checker_))
+        ck->ringRefuseRequests(check_id_, ring_.reqProd(), req_cons_);
 }
 
 void

@@ -15,9 +15,16 @@
  * u32 counters. SharedRing checks once, at construction, that the page
  * covers it, then reads and writes the counters through a pointer
  * cached from the page (they are touched on every ring operation).
- * Slots stay bounds-checked Cstruct views, which is where the paper's
- * cstruct extension earns its keep: every request and response field
- * is read through them.
+ * Slots are borrowed, bounds-checked CstructViews of that page, which
+ * is where the paper's cstruct extension earns its keep: every request
+ * and response field is read through a checked accessor, and handing
+ * out a slot neither copies nor takes a reference (the ring's own page
+ * outlives every slot access).
+ *
+ * Neither end trusts the counters its peer publishes. The frontend
+ * takes no response beyond the requests it has outstanding, and the
+ * backend takes no request beyond the slots not owed a response; the
+ * checker counts each one refused or overrun.
  */
 
 #ifndef MIRAGE_HYPERVISOR_RING_H
@@ -77,8 +84,14 @@ class SharedRing
     void setRspProd(u32 v) { storeLe32(hdr_ + RingLayout::offRspProd, v); }
     void setRspEvent(u32 v) { storeLe32(hdr_ + RingLayout::offRspEvent, v); }
 
-    /** View of slot @p index (counter value; masked internally). */
-    Cstruct slot(u32 index) const;
+    /** Borrowed view of slot @p index (counter value; masked). */
+    CstructView slot(u32 index) const
+    {
+        u32 masked = index & (RingLayout::slotCount - 1);
+        return page_.view(RingLayout::headerBytes +
+                              std::size_t(masked) * RingLayout::slotBytes,
+                          RingLayout::slotBytes);
+    }
 
     const Cstruct &page() const { return page_; }
 
@@ -105,7 +118,7 @@ class FrontRing
      * Claim the next request slot. Fails with Exhausted when the ring
      * is full — the caller must back off, never overwrite (§3.4).
      */
-    Result<Cstruct> startRequest();
+    Result<CstructView> startRequest();
 
     /**
      * Publish claimed requests to the backend.
@@ -113,11 +126,25 @@ class FrontRing
      */
     bool pushRequests();
 
-    /** Responses published but not yet consumed (read on every poll). */
-    u32 unconsumedResponses() const { return ring_.rspProd() - rsp_cons_; }
+    /**
+     * Responses published but not yet consumed (read on every poll),
+     * counting none beyond the requests outstanding: a backend cannot
+     * answer a request it was never sent.
+     */
+    u32
+    unconsumedResponses() const
+    {
+        u32 published = ring_.rspProd() - rsp_cons_;
+        u32 owed = req_prod_pvt_ - rsp_cons_;
+        return published < owed ? published : owed;
+    }
 
-    /** Consume the next response slot. */
-    Result<Cstruct> takeResponse();
+    /**
+     * Consume the next response slot. Fails with Exhausted when none is
+     * published, and refuses (checker-counted) a response published
+     * beyond the requests outstanding.
+     */
+    Result<CstructView> takeResponse();
 
     /**
      * Re-arm notifications after draining: sets rsp_event and re-checks
@@ -158,6 +185,9 @@ class FrontRing
     void resume();
 
   private:
+    /** Report responses published beyond the requests outstanding. */
+    void refuseUnsolicited();
+
     SharedRing ring_;
     u32 req_prod_pvt_ = 0;
     u32 rsp_cons_ = 0;
@@ -175,11 +205,29 @@ class BackRing
   public:
     explicit BackRing(Cstruct page);
 
-    /** Requests published but not yet consumed (read on every poll). */
-    u32 unconsumedRequests() const { return ring_.reqProd() - req_cons_; }
-    Result<Cstruct> takeRequest();
+    /**
+     * Requests published but not yet consumed (read on every poll):
+     * never more than the slots not owed a response, so never more
+     * than slotCount. A frontend under flow control cannot publish
+     * more; one that does has run away past the ring, and its ring is
+     * refused — this reports 0 — until it publishes a sane index, so a
+     * forged req_prod costs the backend no work at all.
+     */
+    u32
+    unconsumedRequests() const
+    {
+        u32 published = ring_.reqProd() - req_cons_;
+        u32 room = RingLayout::slotCount - (req_cons_ - rsp_prod_pvt_);
+        return published <= room ? published : 0;
+    }
 
-    Result<Cstruct> startResponse();
+    /**
+     * Consume the next request slot. Fails with Exhausted when none is
+     * published, and refuses (checker-counted) a runaway producer.
+     */
+    Result<CstructView> takeRequest();
+
+    Result<CstructView> startResponse();
     bool pushResponses();
 
     /** Re-arm request notifications; true when requests raced in. */
@@ -205,6 +253,9 @@ class BackRing
     void resume();
 
   private:
+    /** Report a producer index published past the ring. */
+    void refuseRunaway();
+
     SharedRing ring_;
     u32 req_cons_ = 0;
     u32 rsp_prod_pvt_ = 0;

@@ -13,7 +13,7 @@ Cpu::Cpu(Engine &engine, std::string name)
 }
 
 void
-Cpu::submit(Duration cost, std::function<void()> done, const char *what,
+Cpu::submit(Duration cost, Callback done, const char *what,
             trace::Cat cat)
 {
     TimePoint start = std::max(engine_.now(), free_at_);

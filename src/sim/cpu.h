@@ -12,7 +12,6 @@
 #ifndef MIRAGE_SIM_CPU_H
 #define MIRAGE_SIM_CPU_H
 
-#include <functional>
 #include <string>
 
 #include "base/time.h"
@@ -39,7 +38,7 @@ class Cpu
      * @p what / @p cat label the span on this CPU's trace track when the
      * engine's telemetry bundle has its recorder enabled.
      */
-    void submit(Duration cost, std::function<void()> done,
+    void submit(Duration cost, Callback done,
                 const char *what = "cpu.work",
                 trace::Cat cat = trace::Cat::Cpu);
 

@@ -82,7 +82,7 @@ Engine::nextKey()
 
 EventId
 Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
-                std::function<void()> fn)
+                Callback &&fn)
 {
     if (t < now_)
         t = now_; // late scheduling runs as soon as possible
@@ -107,7 +107,7 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
 }
 
 EventId
-Engine::at(TimePoint t, std::function<void()> fn)
+Engine::at(TimePoint t, Callback &&fn)
 {
     u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
     u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
@@ -127,7 +127,7 @@ Engine::rootKeyFromSet()
 }
 
 EventId
-Engine::after(Duration d, std::function<void()> fn)
+Engine::after(Duration d, Callback &&fn)
 {
     return at(now_ + d, std::move(fn));
 }
@@ -162,7 +162,7 @@ Engine::settleTop()
             return true;
         // Reached the cancelled slot: drop all bookkeeping for it. The
         // callback dies after the pop, as if it had been queued itself.
-        std::function<void()> dead = std::move(s.fn);
+        Callback dead = std::move(s.fn);
         releaseSlot(idx);
         cancelled_count_--;
         live_--;
@@ -184,7 +184,7 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
     u32 idx = top.slot;
     queue_.pop();
     Slot &s = slots_[idx];
-    std::function<void()> fn = std::move(s.fn);
+    Callback fn = std::move(s.fn);
     u64 hash = s.hash;
     u64 flow = s.flow;
     u32 pscope = s.pscope;

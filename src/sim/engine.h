@@ -25,11 +25,11 @@
 #define MIRAGE_SIM_ENGINE_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "base/time.h"
 #include "base/types.h"
+#include "sim/callback.h"
 #include "trace/telemetry.h"
 
 namespace mirage::check {
@@ -91,10 +91,10 @@ class Engine
     TimePoint now() const { return now_; }
 
     /** Schedule @p fn to run at absolute time @p t (>= now). */
-    EventId at(TimePoint t, std::function<void()> fn);
+    EventId at(TimePoint t, Callback &&fn);
 
     /** Schedule @p fn to run @p d after now. */
-    EventId after(Duration d, std::function<void()> fn);
+    EventId after(Duration d, Callback &&fn);
 
     /**
      * Schedule with an explicit causal key and ambient context, both
@@ -103,7 +103,7 @@ class Engine
      * it while the target shard is quiescent at a window barrier.
      */
     EventId atKeyed(TimePoint t, const CrossKey &key, u64 flow,
-                    u32 pscope, std::function<void()> fn);
+                    u32 pscope, Callback &&fn);
 
     /**
      * Consume and return the next causal key in the current dispatch
@@ -284,7 +284,7 @@ class Engine
 
     struct Slot
     {
-        std::function<void()> fn;
+        Callback fn;
         u64 hash = 0;   //!< the event's identity (mixKey(strand, idx))
         u64 flow = 0;   //!< ambient FlowId captured at schedule time
         u32 pscope = 0; //!< ambient profiler scope captured alongside

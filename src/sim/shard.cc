@@ -40,7 +40,7 @@ ShardSet::~ShardSet()
 }
 
 CrossHandle
-ShardSet::postAt(Engine &target, TimePoint when, std::function<void()> fn)
+ShardSet::postAt(Engine &target, TimePoint when, Callback &&fn)
 {
     Engine *src = Engine::current();
     CrossHandle h;
@@ -355,7 +355,7 @@ ShardSet::maxNow() const
 }
 
 CrossHandle
-crossPostAt(Engine &target, TimePoint when, std::function<void()> fn)
+crossPostAt(Engine &target, TimePoint when, Callback &&fn)
 {
     if (ShardSet *s = target.shards())
         return s->postAt(target, when, std::move(fn));
@@ -367,7 +367,7 @@ crossPostAt(Engine &target, TimePoint when, std::function<void()> fn)
 }
 
 CrossHandle
-crossPost(Engine &target, Duration delay, std::function<void()> fn)
+crossPost(Engine &target, Duration delay, Callback &&fn)
 {
     Engine *src = Engine::current();
     TimePoint base = src ? src->now() : target.now();

@@ -38,7 +38,6 @@
 
 // mirage-lint: allow(wall-clock-in-sim)
 #include <condition_variable>
-#include <functional>
 #include <memory>
 // mirage-lint: allow(wall-clock-in-sim)
 #include <mutex>
@@ -113,8 +112,7 @@ class ShardSet
      * be >= the sender's now + lookahead for genuinely cross-shard
      * targets — every modelled cross-domain latency satisfies this.
      */
-    CrossHandle postAt(Engine &target, TimePoint when,
-                       std::function<void()> fn);
+    CrossHandle postAt(Engine &target, TimePoint when, Callback &&fn);
 
     /**
      * Exactly cancel a pending cross post from any shard: windows
@@ -182,7 +180,7 @@ class ShardSet
         u32 pscope;
         i64 posted_vt;   //!< sender's virtual clock at post time
         i64 posted_wall; //!< wall clock at enqueue (delivery lag)
-        std::function<void()> fn;
+        Callback fn;
     };
 
     /** One barrier + one parallel window. False when quiescent.
@@ -233,12 +231,10 @@ class ShardSet
  * targets go through the ShardSet mailbox. @p delay is relative to
  * the *sender's* clock.
  */
-CrossHandle crossPost(Engine &target, Duration delay,
-                      std::function<void()> fn);
+CrossHandle crossPost(Engine &target, Duration delay, Callback &&fn);
 
 /** crossPost with an absolute delivery time. */
-CrossHandle crossPostAt(Engine &target, TimePoint when,
-                        std::function<void()> fn);
+CrossHandle crossPostAt(Engine &target, TimePoint when, Callback &&fn);
 
 /** Cancel a crossPost from any shard; exact before delivery time. */
 void crossCancel(const CrossHandle &h);

@@ -117,6 +117,75 @@ TEST(CstructTest, SubDoesNotCopy)
     EXPECT_EQ(copyStats().copies, 0u) << "slicing must be zero-copy";
 }
 
+TEST(CstructViewTest, BorrowsTheBufferWithoutAReference)
+{
+    Cstruct c = Cstruct::create(64);
+    CstructView v = c.view(8, 16);
+    EXPECT_EQ(c.buffer().use_count(), 1) << "a view must not own";
+    EXPECT_EQ(v.data(), c.data() + 8);
+    EXPECT_EQ(v.length(), 16u);
+    v.setLe32(0, 0xdeadbeef);
+    EXPECT_EQ(c.getLe32(8), 0xdeadbeefu) << "a view aliases, never copies";
+}
+
+TEST(CstructViewTest, ViewOutsideItsCstructPanics)
+{
+    Cstruct c = Cstruct::create(64);
+    EXPECT_EQ(c.view(48, 16).length(), 16u);
+    EXPECT_DEATH(c.view(49, 16), "access \\[49, 65\\) in view of 64");
+}
+
+TEST(CstructViewTest, EveryAccessorIsCheckedToTheLastByte)
+{
+    // Each accessor of width w passes at len - w and panics one byte
+    // later, through the bounds check Cstruct uses.
+    constexpr std::size_t len = 24;
+    Cstruct c = Cstruct::create(64);
+    struct Accessor
+    {
+        const char *name;
+        std::size_t width;
+        void (*use)(CstructView &v, std::size_t off);
+    };
+    const Accessor accessors[] = {
+        {"getU8", 1, [](CstructView &v, std::size_t o) { (void)v.getU8(o); }},
+        {"getLe16", 2,
+         [](CstructView &v, std::size_t o) { (void)v.getLe16(o); }},
+        {"getLe32", 4,
+         [](CstructView &v, std::size_t o) { (void)v.getLe32(o); }},
+        {"getLe64", 8,
+         [](CstructView &v, std::size_t o) { (void)v.getLe64(o); }},
+        {"getBe16", 2,
+         [](CstructView &v, std::size_t o) { (void)v.getBe16(o); }},
+        {"getBe32", 4,
+         [](CstructView &v, std::size_t o) { (void)v.getBe32(o); }},
+        {"getBe64", 8,
+         [](CstructView &v, std::size_t o) { (void)v.getBe64(o); }},
+        {"setU8", 1, [](CstructView &v, std::size_t o) { v.setU8(o, 1); }},
+        {"setLe16", 2,
+         [](CstructView &v, std::size_t o) { v.setLe16(o, 1); }},
+        {"setLe32", 4,
+         [](CstructView &v, std::size_t o) { v.setLe32(o, 1); }},
+        {"setLe64", 8,
+         [](CstructView &v, std::size_t o) { v.setLe64(o, 1); }},
+        {"setBe16", 2,
+         [](CstructView &v, std::size_t o) { v.setBe16(o, 1); }},
+        {"setBe32", 4,
+         [](CstructView &v, std::size_t o) { v.setBe32(o, 1); }},
+        {"setBe64", 8,
+         [](CstructView &v, std::size_t o) { v.setBe64(o, 1); }},
+    };
+    for (const Accessor &a : accessors) {
+        SCOPED_TRACE(a.name);
+        CstructView v = c.view(16, len);
+        a.use(v, len - a.width);
+        EXPECT_DEATH(a.use(v, len - a.width + 1), "in view of 24 bytes");
+    }
+    // Nothing past the view was written by the passing accesses.
+    for (std::size_t i = 16 + len; i < 64; i++)
+        EXPECT_EQ(c.getU8(i), 0u);
+}
+
 TEST(CstructTest, OfStringRoundTrip)
 {
     Cstruct c = Cstruct::ofString("hello");

@@ -199,7 +199,7 @@ TEST_F(CheckedHvTest, RingProducerScribbleCaught)
     // A buggy (or hostile) frontend scribbles on the shared index,
     // claiming more requests than were ever published.
     shared.setReqProd(shared.reqProd() + xen::RingLayout::slotCount);
-    ASSERT_TRUE(back.takeRequest().ok());
+    EXPECT_FALSE(back.takeRequest().ok()) << "a runaway index is refused";
     EXPECT_GE(ck.violations(Subsystem::Ring), 1u);
     EXPECT_NE(ck.lastViolation().find("req_prod"), std::string::npos)
         << ck.lastViolation();
@@ -226,6 +226,98 @@ TEST_F(CheckedHvTest, RingOverrunCaughtByShadow)
     EXPECT_NE(ck.lastViolation().find("request_overrun"),
               std::string::npos)
         << ck.lastViolation();
+}
+
+TEST_F(CheckedHvTest, FrontRingRefusesUnsolicitedResponses)
+{
+    // A hostile backend answers two requests with three responses,
+    // writing the shared header itself.
+    Cstruct page = Cstruct::create(xen::RingLayout::pageBytes());
+    xen::SharedRing shared(page);
+    shared.init();
+    xen::FrontRing front(page);
+    front.attachChecker(&ck, "ring.test");
+    for (int i = 0; i < 2; i++)
+        ASSERT_TRUE(front.startRequest().ok());
+    front.pushRequests();
+    shared.setRspProd(3);
+
+    EXPECT_EQ(front.unconsumedResponses(), 2u);
+    for (int i = 0; i < 2; i++) {
+        ASSERT_TRUE(front.takeResponse().ok());
+        EXPECT_LE(front.freeRequests(), xen::RingLayout::slotCount);
+    }
+    EXPECT_EQ(front.unconsumedResponses(), 0u);
+    // The first take saw rsp_prod written behind the protocol's back.
+    u64 before = ck.violations(Subsystem::Ring);
+    EXPECT_EQ(before, 1u) << ck.report();
+    auto third = front.takeResponse();
+    ASSERT_FALSE(third.ok()) << "a third response answers nothing";
+    EXPECT_EQ(third.error().kind, Error::Kind::State);
+    EXPECT_EQ(front.freeRequests(), xen::RingLayout::slotCount);
+    EXPECT_FALSE(front.finalCheckForResponses());
+    EXPECT_EQ(front.freeRequests(), xen::RingLayout::slotCount);
+    EXPECT_NE(ck.lastViolation().find("unsolicited_response"),
+              std::string::npos)
+        << ck.lastViolation();
+    // Counted once, however often the frontend looks again.
+    EXPECT_EQ(ck.violations(Subsystem::Ring) - before, 1u) << ck.report();
+
+    // Four more forged past the ring's two answered requests: four more
+    // refusals, and the frontend's window stays whole.
+    shared.setRspProd(7);
+    EXPECT_FALSE(front.takeResponse().ok());
+    EXPECT_FALSE(front.finalCheckForResponses());
+    EXPECT_EQ(ck.violations(Subsystem::Ring) - before, 5u) << ck.report();
+    EXPECT_EQ(front.freeRequests(), xen::RingLayout::slotCount);
+}
+
+TEST_F(CheckedHvTest, BackRingRefusesARunawayProducer)
+{
+    // A hostile frontend writes req_prod itself, past the ring.
+    constexpr u32 slots = xen::RingLayout::slotCount;
+    Cstruct page = Cstruct::create(xen::RingLayout::pageBytes());
+    xen::SharedRing shared(page);
+    shared.init();
+    xen::BackRing back(page);
+    back.attachChecker(&ck, "ring.test");
+    shared.setReqProd(slots);
+    EXPECT_EQ(back.unconsumedRequests(), slots) << "a full ring is honest";
+
+    // One past the ring, or half the counter space: refused outright,
+    // so a forged index costs the backend no work.
+    for (u32 prod : {slots + 1, 0x80000000u}) {
+        shared.setReqProd(prod);
+        EXPECT_EQ(back.unconsumedRequests(), 0u);
+        auto r = back.takeRequest();
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().kind, Error::Kind::State);
+        EXPECT_FALSE(back.finalCheckForRequests());
+    }
+    // Each runaway index is counted once, however often it is read.
+    EXPECT_EQ(ck.violations(Subsystem::Ring), 2u) << ck.report();
+    EXPECT_NE(ck.lastViolation().find("req_prod_overrun"),
+              std::string::npos)
+        << ck.lastViolation();
+
+    // A sane index again and the ring resumes.
+    shared.setReqProd(4);
+    EXPECT_EQ(back.unconsumedRequests(), 4u);
+    for (int i = 0; i < 4; i++)
+        ASSERT_TRUE(back.takeRequest().ok());
+    EXPECT_EQ(ck.violations(Subsystem::Ring), 3u)
+        << "the first take sees req_prod written behind the protocol";
+
+    // Requests held unanswered shrink the room: a full ring's worth on
+    // top of them is a runaway too, until they are answered.
+    shared.setReqProd(4 + slots);
+    EXPECT_EQ(back.unconsumedRequests(), 0u);
+    EXPECT_FALSE(back.finalCheckForRequests());
+    EXPECT_EQ(ck.violations(Subsystem::Ring), 4u) << ck.report();
+    for (int i = 0; i < 4; i++)
+        ASSERT_TRUE(back.startResponse().ok());
+    EXPECT_EQ(back.unconsumedRequests(), slots);
+    EXPECT_EQ(ck.violations(Subsystem::Ring), 4u) << ck.report();
 }
 
 TEST_F(CheckedHvTest, ResponseWithoutRequestCaught)
@@ -399,7 +491,7 @@ TEST(CheckedCloudTest, BlkbackRingTrafficRunsViolationFree)
     xen::GrantRef data_ref =
         uk.grantTable().grantAccess(dom0.id(), data_page, false);
 
-    Cstruct req = front.startRequest().value();
+    CstructView req = front.startRequest().value();
     req.setLe64(xen::BlkifWire::reqId, 7);
     req.setU8(xen::BlkifWire::reqOp, xen::BlkifWire::opRead);
     req.setU8(xen::BlkifWire::reqSectors, 1);

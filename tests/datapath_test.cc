@@ -667,9 +667,10 @@ TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
 {
     // dom0 turns hostile: the real vif lets go of the rings and the
     // test answers them itself, naming ids the frontend never issued,
-    // ids already completed and ids past the ring. Each must be
-    // ignored: no promise settles twice, no lease is lost or released
-    // twice.
+    // ids already completed and ids past the ring, and finally
+    // answering more requests than were sent. Each must be ignored: no
+    // promise settles twice, no lease is lost or released twice, and a
+    // response past the requests in flight is refused by the ring.
     xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
     // Fewer I/O pages than rx slots: the rx ring stays partly unposted,
     // so some rx ids are never issued either.
@@ -685,12 +686,15 @@ TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
     // The guest grants its tx ring page, then its rx ring page, before
     // anything else; the rx ring is the one with buffers posted.
     std::optional<xen::BackRing> tx, rx;
+    Cstruct tx_page;
     for (xen::GrantRef ref : {1u, 2u}) {
         auto page = hv.grantMap(dom0, da, ref, true);
         ASSERT_TRUE(page.ok());
         ASSERT_EQ(page.value().length(), xen::RingLayout::pageBytes());
-        (xen::SharedRing(page.value()).reqProd() == 0 ? tx : rx)
-            .emplace(page.value());
+        bool is_tx = xen::SharedRing(page.value()).reqProd() == 0;
+        (is_tx ? tx : rx).emplace(page.value());
+        if (is_tx)
+            tx_page = page.value();
     }
     ASSERT_TRUE(tx && rx);
     // This bare guest's only bound ports are the netif's two, and
@@ -701,7 +705,7 @@ TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
         engine.run();
     };
     auto respond = [](xen::BackRing &ring, u16 id, bool is_rx) {
-        Cstruct r = ring.startResponse().value();
+        CstructView r = ring.startResponse().value();
         r.setLe16(is_rx ? xen::NetifWire::rxrspId : xen::NetifWire::txrspId,
                   id);
         r.setU8(is_rx ? xen::NetifWire::rxrspStatus
@@ -742,7 +746,7 @@ TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
     EXPECT_EQ(reposted, 2u);
     EXPECT_EQ(pool.freePages() + rx_ids.size(), pool.pooledPages());
 
-    // ---- tx: two frames in flight.
+    // ---- tx: seven frames in flight, answered by seven responses.
     int settled = 0;
     auto send = [&] {
         Cstruct page = Cstruct::create(mirage::pageSize);
@@ -750,15 +754,16 @@ TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
         p->onComplete([&](rt::Promise &) { settled++; });
         return p;
     };
-    auto pa = send();
-    auto pb = send();
+    std::vector<rt::PromisePtr> sent;
+    for (int i = 0; i < 7; i++)
+        sent.push_back(send());
     std::vector<u16> tx_ids;
     while (tx->unconsumedRequests() > 0)
         tx_ids.push_back(
             tx->takeRequest().value().getLe16(xen::NetifWire::txreqId));
-    ASSERT_EQ(tx_ids.size(), 2u);
+    ASSERT_EQ(tx_ids.size(), 7u);
     u16 never_tx = 0;
-    while (never_tx == tx_ids[0] || never_tx == tx_ids[1])
+    while (std::count(tx_ids.begin(), tx_ids.end(), never_tx))
         never_tx++;
     for (u16 id : {never_tx, u16(32), u16(0xffff)})
         respond(*tx, id, false);
@@ -770,22 +775,89 @@ TEST_F(DatapathTest, NetifIgnoresResponsesNamingIdsNotInFlight)
     respond(*tx, tx_ids[0], false); // completed a moment ago
     tx->pushResponses();
     doorbell();
-    EXPECT_TRUE(pa->resolvedOk());
-    EXPECT_FALSE(pb->resolvedOk() || pb->cancelled());
+    EXPECT_TRUE(sent[0]->resolvedOk());
+    EXPECT_FALSE(sent[1]->resolvedOk() || sent[1]->cancelled());
     EXPECT_EQ(settled, 1);
 
     respond(*tx, tx_ids[1], false);
     respond(*tx, tx_ids[0], false); // completed earlier
     tx->pushResponses();
     doorbell();
-    EXPECT_TRUE(pb->resolvedOk());
+    EXPECT_TRUE(sent[1]->resolvedOk());
     EXPECT_EQ(settled, 2) << "each frame settles exactly once";
+
+    // Every request is answered; a response past them answers nothing
+    // and the ring refuses it, even one naming a frame in flight.
+    xen::SharedRing shared_tx(tx_page);
+    u32 answered = shared_tx.rspProd();
+    shared_tx.slot(answered).setLe16(xen::NetifWire::txrspId, tx_ids[2]);
+    shared_tx.slot(answered).setU8(xen::NetifWire::txrspStatus,
+                                   xen::NetifWire::statusOk);
+    shared_tx.setRspProd(answered + 1);
+    doorbell();
+    EXPECT_FALSE(sent[2]->resolvedOk() || sent[2]->cancelled());
+    EXPECT_EQ(settled, 2);
     EXPECT_EQ(nif.txCompleted(), 2u);
     EXPECT_EQ(nif.txErrors(), 0u);
     EXPECT_EQ(pool.freePages() + rx_ids.size(), pool.pooledPages());
 
     EXPECT_TRUE(hv.grantUnmap(dom0, da, 1).ok());
     EXPECT_TRUE(hv.grantUnmap(dom0, da, 2).ok());
+}
+
+// ---- Hostile frontend --------------------------------------------------------
+
+TEST_F(DatapathTest, NetbackRefusesARunawayFrontend)
+{
+    // Guest a publishes a tx producer index far past its ring. dom0
+    // takes nothing from it — no slot read, no grant mapped — counts
+    // the runaway index once, and carries on serving b and c.
+    check::Checker ck{check::Checker::Mode::Count};
+    engine.setChecker(&ck);
+    ck.enable();
+    xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
+    xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
+    xen::Domain &dc = hv.createDomain("c", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot_a(da), boot_b(db), boot_c(dc);
+    Netif nif_a(boot_a, netback, mac(1));
+    Netif nif_b(boot_b, netback, mac(2));
+    Netif nif_c(boot_c, netback, mac(3));
+    u64 to_b = 0, to_c = 0;
+    nif_a.onFrame([](Cstruct) {});
+    nif_b.onFrame([&](Cstruct) { to_b++; });
+    nif_c.onFrame([&](Cstruct) { to_c++; });
+    engine.run();
+    ASSERT_EQ(ck.violations(), 0u) << ck.report();
+
+    // a's tx ring page is its first grant.
+    auto page = hv.grantMap(dom0, da, 1, true);
+    ASSERT_TRUE(page.ok());
+    xen::SharedRing tx(page.value());
+    auto first = nif_a.writeFrame(frameTo(nif_b, nif_a, "first"));
+    tx.setReqProd(tx.reqProd() + 0x40000000u); // after a's own push
+    auto b_to_c = nif_b.writeFrame(frameTo(nif_c, nif_b, "to c"));
+    engine.run();
+    EXPECT_TRUE(first->pending()) << "a runaway tx ring must not be read";
+    EXPECT_EQ(to_b, 0u);
+    EXPECT_TRUE(b_to_c->resolvedOk()) << "other guests keep their service";
+    EXPECT_EQ(to_c, 1u);
+    EXPECT_EQ(ck.violations(check::Subsystem::Ring), 1u) << ck.report();
+    EXPECT_NE(ck.lastViolation().find("req_prod_overrun"), std::string::npos)
+        << ck.lastViolation();
+
+    // a's next push publishes a sane index again (the checker sees it
+    // replace a forged one: tampered, and backwards) and both of its
+    // frames go out.
+    auto second = nif_a.writeFrame(frameTo(nif_b, nif_a, "second"));
+    engine.run();
+    EXPECT_TRUE(first->resolvedOk());
+    EXPECT_TRUE(second->resolvedOk());
+    EXPECT_EQ(to_b, 2u);
+    EXPECT_EQ(ck.violations(check::Subsystem::Ring), 3u) << ck.report();
+    EXPECT_EQ(ck.violations(check::Subsystem::Grant), 0u) << ck.report();
+
+    EXPECT_TRUE(hv.grantUnmap(dom0, da, 1).ok());
+    engine.setChecker(nullptr);
 }
 
 // ---- Flow tracing across backend segmentation -------------------------------

@@ -232,15 +232,52 @@ TEST(RingTest, RequestResponseRoundTrip)
     EXPECT_TRUE(front.pushRequests()) << "first push must notify";
 
     ASSERT_EQ(back.unconsumedRequests(), 1u);
-    Cstruct got = back.takeRequest().value();
+    CstructView got = back.takeRequest().value();
     EXPECT_EQ(got.getLe16(0), 0x77);
 
-    Cstruct rsp = back.startResponse().value();
+    CstructView rsp = back.startResponse().value();
     rsp.setLe16(0, 0x88);
     EXPECT_TRUE(back.pushResponses());
 
     ASSERT_EQ(front.unconsumedResponses(), 1u);
     EXPECT_EQ(front.takeResponse().value().getLe16(0), 0x88);
+}
+
+TEST(RingTest, SlotViewsAliasTheirPageSlotAcrossIndexWrap)
+{
+    Cstruct page = Cstruct::create(RingLayout::pageBytes());
+    SharedRing shared(page);
+    auto expected = [&](u32 idx) {
+        return page.data() + RingLayout::headerBytes +
+               std::size_t(idx & (RingLayout::slotCount - 1)) *
+                   RingLayout::slotBytes;
+    };
+    for (u32 idx : {0u, 1u, 31u, 32u, 33u, 0x7fffffffu, 0xffffffe1u,
+                    0xffffffffu}) {
+        CstructView v = shared.slot(idx);
+        EXPECT_EQ(v.data(), expected(idx)) << idx;
+        EXPECT_EQ(v.length(), RingLayout::slotBytes);
+    }
+    EXPECT_EQ(page.buffer().use_count(), 2) << "only the ring owns the page";
+
+    // Both ends hand out the same slots as their counters wrap.
+    shared.init();
+    const u32 base = 0xfffffff0u;
+    shared.setReqProd(base);
+    shared.setRspProd(base);
+    FrontRing front(page);
+    BackRing back(page);
+    front.resume();
+    back.resume();
+    for (u32 i = 0; i < RingLayout::slotCount; i++) {
+        u32 idx = base + i;
+        EXPECT_EQ(front.startRequest().value().data(), expected(idx));
+        front.pushRequests();
+        EXPECT_EQ(back.takeRequest().value().data(), expected(idx));
+        EXPECT_EQ(back.startResponse().value().data(), expected(idx));
+        back.pushResponses();
+        EXPECT_EQ(front.takeResponse().value().data(), expected(idx));
+    }
 }
 
 TEST(RingTest, FlowControlRefusesOverfill)
@@ -272,8 +309,8 @@ TEST(RingTest, SlotsRecycleAfterResponses)
         }
         front.pushRequests();
         while (back.unconsumedRequests() > 0) {
-            Cstruct q = back.takeRequest().value();
-            Cstruct s = back.startResponse().value();
+            CstructView q = back.takeRequest().value();
+            CstructView s = back.startResponse().value();
             s.setLe32(0, q.getLe32(0) + 1);
         }
         back.pushResponses();
@@ -340,8 +377,8 @@ TEST(RingTest, CountersWrapAt32Bits)
         }
         front.pushRequests();
         while (back.unconsumedRequests() > 0) {
-            Cstruct q = back.takeRequest().value();
-            Cstruct s = back.startResponse().value();
+            CstructView q = back.takeRequest().value();
+            CstructView s = back.startResponse().value();
             s.setLe32(0, q.getLe32(0));
         }
         back.pushResponses();
@@ -689,7 +726,7 @@ TEST_F(HvTest, BlkbackServesRingRequests)
     GrantRef data_ref =
         uk.grantTable().grantAccess(dom0.id(), data_page, false);
 
-    Cstruct req = front.startRequest().value();
+    CstructView req = front.startRequest().value();
     req.setLe64(BlkifWire::reqId, 99);
     req.setU8(BlkifWire::reqOp, BlkifWire::opRead);
     req.setU8(BlkifWire::reqSectors, 1);
@@ -700,7 +737,7 @@ TEST_F(HvTest, BlkbackServesRingRequests)
     engine.run();
 
     ASSERT_EQ(front.unconsumedResponses(), 1u);
-    Cstruct rsp = front.takeResponse().value();
+    CstructView rsp = front.takeResponse().value();
     EXPECT_EQ(rsp.getLe64(BlkifWire::rspId), 99u);
     EXPECT_EQ(rsp.getU8(BlkifWire::rspStatus), BlkifWire::statusOk);
     EXPECT_TRUE(data_page.sub(0, 512).contentEquals(pattern));

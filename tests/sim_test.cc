@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <compare>
 #include <functional>
 #include <map>
@@ -12,7 +13,9 @@
 #include <set>
 #include <vector>
 
+#include "base/cstruct.h"
 #include "base/rand.h"
+#include "sim/callback.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
@@ -262,6 +265,125 @@ TEST(EngineTest, CallbackDiesOnDispatchOrWhenItsCancelledEntryPops)
     e.run();
     EXPECT_EQ(token.use_count(), 1) << "cancelled callback outlived its pop";
     EXPECT_EQ(e.cancelledBacklog(), 0u);
+}
+
+// ---- Callback ---------------------------------------------------------------
+
+/** Counts the destructions of the one live copy it travels as. */
+struct DeathProbe
+{
+    int *destroyed;
+    bool owner = true;
+
+    explicit DeathProbe(int *d) : destroyed(d) {}
+    DeathProbe(DeathProbe &&o) noexcept
+        : destroyed(o.destroyed), owner(o.owner)
+    {
+        o.owner = false;
+    }
+    DeathProbe(const DeathProbe &) = delete;
+    ~DeathProbe()
+    {
+        if (owner)
+            ++*destroyed;
+    }
+};
+
+/** A closure of sizeof(DeathProbe) + Pad bytes that bumps @p ran. */
+template <std::size_t Pad>
+auto
+probeClosure(int *destroyed, int *ran)
+{
+    return [probe = DeathProbe(destroyed), ran,
+            pad = std::array<char, Pad>{}] { (*ran)++; };
+}
+
+using InlineClosure = decltype(probeClosure<16>(nullptr, nullptr));
+using HeapClosure = decltype(probeClosure<48>(nullptr, nullptr));
+static_assert(sizeof(InlineClosure) == Callback::inlineBytes);
+static_assert(Callback::storedInline<InlineClosure>());
+static_assert(sizeof(HeapClosure) > Callback::inlineBytes);
+static_assert(!Callback::storedInline<HeapClosure>());
+
+// The per-port bridge delivery and the stack's frame input capture a
+// pointer and a Cstruct; they must not allocate per event.
+static_assert(Callback::storedInline<decltype([p = (void *)nullptr,
+                                               c = Cstruct()] {})>());
+
+template <typename Closure>
+void
+expectEachPathDestroysOnce(Closure (*make)(int *, int *))
+{
+    int destroyed = 0, ran = 0;
+    {
+        Engine e;
+        e.after(Duration::millis(1), make(&destroyed, &ran));
+        e.run();
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(destroyed, 1) << "dispatched closure not destroyed once";
+
+        EventId id = e.after(Duration::millis(5), make(&destroyed, &ran));
+        e.after(Duration::millis(3), [] {});
+        e.cancel(id);
+        e.runUntil(TimePoint(Duration::millis(2).ns()));
+        EXPECT_EQ(destroyed, 1) << "cancelled closure died before its pop";
+        e.run();
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(destroyed, 2) << "cancelled closure not destroyed once";
+
+        // Grow the slot table under a queued closure, then leave it
+        // queued when the engine dies.
+        e.after(Duration::millis(1), make(&destroyed, &ran));
+        for (int i = 0; i < 100; i++)
+            e.after(Duration::millis(2), [] {});
+        EXPECT_EQ(destroyed, 2);
+    }
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(destroyed, 3) << "queued closure not destroyed once with engine";
+}
+
+TEST(CallbackTest, InlineClosureIsDestroyedExactlyOnce)
+{
+    expectEachPathDestroysOnce(&probeClosure<16>);
+}
+
+TEST(CallbackTest, HeapClosureIsDestroyedExactlyOnce)
+{
+    expectEachPathDestroysOnce(&probeClosure<48>);
+}
+
+TEST(CallbackTest, MoveOnlyCaptureRuns)
+{
+    Engine e;
+    int got = 0;
+    auto owned = std::make_unique<int>(7);
+    e.after(Duration::millis(1), [owned = std::move(owned), &got] {
+        got = *owned;
+    });
+    e.run();
+    EXPECT_EQ(got, 7);
+
+    Callback a = [owned = std::make_unique<int>(9), &got] { got = *owned; };
+    Callback b = std::move(a);
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+    b();
+    EXPECT_EQ(got, 9);
+}
+
+TEST(CallbackTest, EmptyFunctionsConvertToEmptyCallbacks)
+{
+    EXPECT_FALSE(Callback(std::function<void()>()));
+    EXPECT_FALSE(Callback(static_cast<void (*)()>(nullptr)));
+    EXPECT_FALSE(Callback(nullptr));
+    EXPECT_TRUE(Callback(std::function<void()>([] {})));
+
+    Engine e;
+    Cpu cpu(e, "test");
+    std::function<void()> none;
+    cpu.submit(Duration::micros(5), none);
+    EXPECT_EQ(e.pendingEvents(), 0u) << "an empty completion was scheduled";
+    EXPECT_EQ(cpu.busyTime().ns(), Duration::micros(5).ns());
 }
 
 TEST(CpuTest, SerialisesWork)
