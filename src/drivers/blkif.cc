@@ -41,7 +41,8 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
         onEvent();
     });
     poller_.emplace(
-        dom.engine(), [this] { return drainResponses(true); },
+        dom.engine(), nullptr, [this] { return pollReady(); },
+        [this] { return drainResponses(true); },
         [this] { return ring_->finalCheckForResponses(); });
     backend.connect(dom, ring_grant, back_port);
 
@@ -185,6 +186,13 @@ Blkif::onEvent()
     drainResponses(park);
     if (park)
         poller_->kick();
+}
+
+bool
+Blkif::pollReady() const
+{
+    return ring_->unconsumedResponses() > 0 ||
+           (!wait_queue_.empty() && ring_->freeRequests() > 0);
 }
 
 bool

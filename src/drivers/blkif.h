@@ -54,6 +54,8 @@ class Blkif
 
     /** The device's persistent-grant pool (test visibility). */
     GrantPool &grantPool() { return *pool_; }
+    /** The ring poller (test visibility). */
+    sim::Poller &poller() { return *poller_; }
 
   private:
     struct Pending
@@ -85,6 +87,8 @@ class Blkif
                        const rt::PromisePtr &p, u64 flow);
     void drainWaitQueue();
     void onEvent();
+    /** Would a poll's drain do anything? Pure (sim::Poller). */
+    bool pollReady() const;
     bool drainResponses(bool park);
 
     pvboot::PVBoot &boot_;

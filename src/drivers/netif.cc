@@ -13,6 +13,11 @@
 
 namespace mirage::drivers {
 
+namespace {
+/** The profiler scope of a ring drain (a poll train interns it). */
+constexpr const char *kDrainScope = "net/netif";
+} // namespace
+
 Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
              xen::MacBytes mac)
     : boot_(boot), engine_(boot.domain().engine()), mac_(mac),
@@ -73,7 +78,7 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
     });
 
     poller_.emplace(
-        engine_,
+        engine_, kDrainScope, [this] { return pollReady(); },
         [this] {
             bool tx = drainTxResponses(true);
             bool rx = drainRxResponses(true);
@@ -379,9 +384,22 @@ Netif::onEvent()
 }
 
 bool
+Netif::pollReady() const
+{
+    if (tx_ring_->unconsumedResponses() > 0 ||
+        rx_ring_->unconsumedResponses() > 0)
+        return true;
+    if (tx_wait_queue_.empty())
+        return false;
+    // drainTxQueue() moves (or aborts) the head only in these cases.
+    std::size_t need = tx_wait_queue_.front().frags.size();
+    return need > xen::RingLayout::slotCount || txRoom() >= need;
+}
+
+bool
 Netif::drainTxResponses(bool park)
 {
-    trace::ProfScope pscope(engine_.profiler(), "net/netif");
+    trace::ProfScope pscope(engine_.profiler(), kDrainScope);
     bool any = false;
     do {
         while (tx_ring_->unconsumedResponses() > 0) {
@@ -434,7 +452,7 @@ Netif::drainTxResponses(bool park)
 bool
 Netif::drainRxResponses(bool park)
 {
-    trace::ProfScope pscope(engine_.profiler(), "net/netif");
+    trace::ProfScope pscope(engine_.profiler(), kDrainScope);
     bool delivered = false;
     do {
         while (rx_ring_->unconsumedResponses() > 0) {

@@ -91,6 +91,8 @@ class Netif
     u64 rxStalls() const { return rx_stalls_.value(); }
     std::size_t txQueueDepth() const { return tx_wait_queue_.size(); }
     GrantPool &grantPool() { return *pool_; }
+    /** The ring poller (test visibility). */
+    sim::Poller &poller() { return *poller_; }
 
     /** Frames queued behind a full ring before being refused. */
     static constexpr std::size_t txQueueLimit = 4096;
@@ -197,6 +199,8 @@ class Netif
     void postRxBuffers();
     void scheduleRxRepost();
     void onEvent();
+    /** Would a poll's drain do anything? Pure (sim::Poller). */
+    bool pollReady() const;
     bool drainTxResponses(bool park);
     bool drainRxResponses(bool park);
     void drainTxQueue();

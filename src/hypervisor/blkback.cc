@@ -232,23 +232,29 @@ Blkback::onEvent()
             // Persistent grants are mapped through the cache and stay
             // mapped (always readwrite — the pool issues writable
             // grants); one-shot grants map here and unmap in finish().
-            auto page = persistent
-                            ? pmap_.map(gref)
-                            : hv.grantMap(dom_, *frontend_, gref, !write);
+            // A persistent page is borrowed from the cache; a one-shot
+            // mapping lives in one_shot until finish() unmaps it.
+            std::optional<Cstruct> one_shot;
+            Cstruct *page = nullptr;
+            if (persistent)
+                page = pmap_.map(gref);
+            else if (auto m = hv.grantMap(dom_, *frontend_, gref, !write);
+                     m.ok())
+                page = &one_shot.emplace(std::move(m.value()));
             std::size_t bytes =
                 std::size_t(sectors) * BlkifWire::sectorBytes;
-            if (page.ok() && offset + bytes > page.value().length()) {
-                if (!persistent)
+            if (page && offset + bytes > page->length()) {
+                // Outside the granted region.
+                if (one_shot)
                     hv.grantUnmap(dom_, *frontend_, gref);
-                page = Result<Cstruct>(
-                    boundsError("blk request outside granted region"));
+                page = nullptr;
             }
-            if (!page.ok()) {
+            if (!page) {
                 trace_.stageEnd(flow, "blkback", dom_.engine().now());
                 complete(id, BlkifWire::statusError);
                 continue;
             }
-            Cstruct data = page.value().sub(offset, bytes);
+            Cstruct data = page->sub(offset, bytes);
             if (!persistent)
                 mapped_grefs_.push_back(gref);
             inflight_++;

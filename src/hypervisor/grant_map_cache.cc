@@ -76,11 +76,11 @@ GrantMapCache::erase(std::size_t at)
     entries_.pop_back();
 }
 
-Result<Cstruct>
+Cstruct *
 GrantMapCache::map(GrantRef gref)
 {
     if (!frontend_)
-        return stateError("grant map cache not bound to a frontend");
+        return nullptr;
     if (!index_.empty()) {
         if (u32 at = index_[probe(gref)].pos; at != 0) {
             Entry &e = entries_[at - 1];
@@ -88,27 +88,30 @@ GrantMapCache::map(GrantRef gref)
             hits_.inc();
             dom_.vcpu().charge(sim::costs().grantMapHit, "grant.map_hit",
                                trace::Cat::Hypervisor);
-            return e.page;
+            return &e.page;
         }
     }
     auto page =
         dom_.hypervisor().grantMap(dom_, *frontend_, gref, true);
     if (!page.ok())
-        return page;
+        return nullptr;
     misses_.inc();
-    entries_.push_back(Entry{gref, page.value(), ++clock_});
+    entries_.push_back(Entry{gref, std::move(page.value()), ++clock_});
     if (entries_.size() * 2 > index_.size())
         reindex(std::max<std::size_t>(16, index_.size() * 2));
     else
         index_[probe(gref)] = Slot{gref, u32(entries_.size())};
     evictIfNeeded();
-    return page;
+    // The new entry is the most recent, so eviction kept it; erase()
+    // may have moved it into a victim's place.
+    return &entries_[index_[probe(gref)].pos - 1].page;
 }
 
 void
 GrantMapCache::evictIfNeeded()
 {
-    std::size_t cap = sim::tuning().backendMapCacheCap;
+    // At least one: the mapping map() just made is never its own victim.
+    std::size_t cap = std::max<std::size_t>(1, sim::tuning().backendMapCacheCap);
     while (entries_.size() > cap) {
         std::size_t victim = 0;
         for (std::size_t e = 1; e < entries_.size(); e++)

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "base/cstruct.h"
-#include "base/result.h"
 #include "hypervisor/grant_table.h"
 #include "trace/metrics.h"
 
@@ -48,11 +47,15 @@ class GrantMapCache
     /**
      * Map @p gref persistently (always readwrite — the pool issues its
      * grants writable so one page serves tx, rx and block traffic).
-     * Hits return the cached page view without touching the
+     * Hits hand back the cached page view without touching the
      * hypervisor; misses pay the map hypercall and may evict the
      * least-recently-used idle mapping to stay within the cap.
+     * @return the cached mapping, borrowed: the cache keeps it alive
+     *         until the next map() or unmapAll(), so a caller that
+     *         keeps the page takes its own view (sub()). Null when the
+     *         cache is unbound or the map hypercall fails.
      */
-    Result<Cstruct> map(GrantRef gref);
+    Cstruct *map(GrantRef gref);
 
     /** Unmap everything (disconnect / frontend teardown). */
     void unmapAll();

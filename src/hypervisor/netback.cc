@@ -18,6 +18,9 @@ namespace mirage::xen {
 
 namespace {
 
+/** The profiler scope of a tx drain (a poll train interns it). */
+constexpr const char *kTxDrainScope = "hyp/netback/tx";
+
 /** Copy bytes [offset, offset+len) of a fragment chain into @p dst at
  *  @p dst_off (the backend's copy-out, possibly a slice of it). */
 void
@@ -224,7 +227,8 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
     rx_bell_ = std::make_unique<LazyDoorbell>(hv.events(), owner_.dom_,
                                               rx_port_);
     tx_poller_.emplace(
-        owner_.dom_.engine(),
+        owner_.dom_.engine(), kTxDrainScope,
+        [this] { return tx_ring_ && tx_ring_->unconsumedRequests() > 0; },
         [this] { return tx_ring_ ? drainTx(true) : false; },
         [this] {
             return tx_ring_ && tx_ring_->finalCheckForRequests();
@@ -288,7 +292,7 @@ Netback::Vif::drainTx(bool park)
 {
     Hypervisor &hv = owner_.dom_.hypervisor();
     const auto &c = sim::costs();
-    trace::ProfScope pscope(owner_.dom_.engine().profiler(), "hyp/netback/tx");
+    trace::ProfScope pscope(owner_.dom_.engine().profiler(), kTxDrainScope);
     if (tx_mark_)
         frontend_.stats()->noteRing(*tx_mark_,
                                     tx_ring_->unconsumedRequests(),
@@ -353,22 +357,25 @@ Netback::Vif::drainTx(bool park)
                         inject_tx_map_failures_--;
                         injected = true;
                     }
-                    Result<Cstruct> page =
-                        injected ? Result<Cstruct>(stateError(
-                                       "injected tx map failure"))
-                        : persistent
-                            ? pmap_.map(gref)
-                            : hv.grantMap(owner_.dom_, frontend_, gref,
-                                          false);
-                    if (page.ok() &&
-                        std::size_t(offset) + len <=
-                            page.value().length()) {
+                    // A persistent page is borrowed from the cache;
+                    // a one-shot mapping lives in one_shot.
+                    std::optional<Cstruct> one_shot;
+                    Cstruct *page = nullptr;
+                    if (!injected && persistent) {
+                        page = pmap_.map(gref);
+                    } else if (!injected) {
+                        auto m = hv.grantMap(owner_.dom_, frontend_, gref,
+                                             false);
+                        if (m.ok())
+                            page = &one_shot.emplace(std::move(m.value()));
+                    }
+                    if (page &&
+                        std::size_t(offset) + len <= page->length()) {
                         // Hold the fragment view; the shared page
                         // stays alive through the cached mapping
                         // (persistent) or the frontend's own
                         // reference (one-shot).
-                        pending_frags_.push_back(
-                            page.value().sub(offset, len));
+                        pending_frags_.push_back(page->sub(offset, len));
                         pending_bytes_ += len;
                     } else {
                         status = NetifWire::statusError;
@@ -380,7 +387,7 @@ Netback::Vif::drainTx(bool park)
                                         owner_.dom_.engine().now());
                         pending_flow_ = 0;
                     }
-                    if (!persistent && page.ok())
+                    if (one_shot)
                         hv.grantUnmap(owner_.dom_, frontend_, gref);
                 }
             }
@@ -640,20 +647,25 @@ Netback::Vif::deliverFrame(const Cstruct &frame)
 
     owner_.dom_.vcpu().charge(c.backendPerRequest, "netback.request",
                               trace::Cat::Hypervisor);
-    auto page = post.persistent
-                    ? pmap_.map(post.gref)
-                    : hv.grantMap(owner_.dom_, frontend_, post.gref,
-                                  true);
+    // A persistent buffer is filled through the cache's own mapping
+    // (borrowed: no reference taken per frame).
+    std::optional<Cstruct> one_shot;
+    Cstruct *page = nullptr;
+    if (post.persistent)
+        page = pmap_.map(post.gref);
+    else if (auto m = hv.grantMap(owner_.dom_, frontend_, post.gref, true);
+             m.ok())
+        page = &one_shot.emplace(std::move(m.value()));
     u8 status = NetifWire::statusOk;
     u16 len = u16(std::min<std::size_t>(frame.length(), pageSize));
-    if (page.ok() && len <= page.value().length()) {
-        page.value().blitFrom(frame, 0, 0, len);
+    if (page && len <= page->length()) {
+        page->blitFrom(frame, 0, 0, len);
         owner_.dom_.vcpu().charge(c.copy(len), "netback.copy",
                                   trace::Cat::Hypervisor);
     } else {
         status = NetifWire::statusError;
     }
-    if (!post.persistent && page.ok())
+    if (one_shot)
         hv.grantUnmap(owner_.dom_, frontend_, post.gref);
 
     // Stamp the delivery's ambient flow (carried here through the

@@ -217,6 +217,9 @@ class Netback
         /** Persistent-grant mapping cache (test visibility). */
         const GrantMapCache &mapCache() const { return pmap_; }
 
+        /** The tx ring poller, while connected (test visibility). */
+        sim::Poller &txPoller() { return *tx_poller_; }
+
         /** The frontend this vif serves. */
         const Domain &frontendDomain() const { return frontend_; }
 

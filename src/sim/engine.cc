@@ -29,29 +29,37 @@ Engine::releaseSlot(u32 idx)
     free_slots_.push_back(idx);
 }
 
+template <class T>
 void
-Engine::KeyHeap::push(const Key &k)
+Engine::QuadHeap<T>::push(const T &item)
 {
-    keys_.push_back(k);
-    std::size_t i = keys_.size() - 1;
+    items_.push_back(item);
+    std::size_t i = items_.size() - 1;
     while (i > 0) {
         std::size_t parent = (i - 1) / 4;
-        if (!(keys_[parent] > k))
+        if (!(items_[parent] > item))
             break;
-        keys_[i] = keys_[parent];
+        items_[i] = items_[parent];
         i = parent;
     }
-    keys_[i] = k;
+    items_[i] = item;
 }
 
+template <class T>
 void
-Engine::KeyHeap::pop()
+Engine::QuadHeap<T>::pop()
 {
-    Key last = keys_.back();
-    keys_.pop_back();
-    std::size_t n = keys_.size();
-    if (n == 0)
-        return;
+    T last = items_.back();
+    items_.pop_back();
+    if (!items_.empty())
+        siftDown(last);
+}
+
+template <class T>
+void
+Engine::QuadHeap<T>::siftDown(T item)
+{
+    std::size_t n = items_.size();
     std::size_t i = 0;
     for (;;) {
         std::size_t first = 4 * i + 1;
@@ -60,14 +68,14 @@ Engine::KeyHeap::pop()
         std::size_t least = first;
         std::size_t end = first + 4 < n ? first + 4 : n;
         for (std::size_t c = first + 1; c < end; c++)
-            if (keys_[least] > keys_[c])
+            if (items_[least] > items_[c])
                 least = c;
-        if (!(last > keys_[least]))
+        if (!(item > items_[least]))
             break;
-        keys_[i] = keys_[least];
+        items_[i] = items_[least];
         i = least;
     }
-    keys_[i] = last;
+    items_[i] = item;
 }
 
 CrossKey
@@ -80,12 +88,9 @@ Engine::nextKey()
     return k;
 }
 
-EventId
-Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
-                Callback &&fn)
+u32
+Engine::claimSlot(Callback &&fn, u64 hash, u64 flow, u32 pscope)
 {
-    if (t < now_)
-        t = now_; // late scheduling runs as soon as possible
     u32 idx;
     if (!free_slots_.empty()) {
         idx = free_slots_.back();
@@ -96,14 +101,42 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
     }
     Slot &s = slots_[idx];
     s.fn = std::move(fn);
-    s.hash = key.hash;
+    s.hash = hash;
     s.flow = flow;
     s.pscope = pscope;
     s.state = SlotState::Pending;
-    EventId id = (u64(s.gen) << 32) | (idx + 1);
     live_++;
+    return idx;
+}
+
+EventId
+Engine::idOf(u32 idx, u32 credited) const
+{
+    // A train's slot generation lags by the polls it credited: the id
+    // is the one the latest of those polls would have carried.
+    return (u64(slots_[idx].gen + credited) << 32) | (idx + 1);
+}
+
+EventId
+Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
+                Callback &&fn)
+{
+    if (t < now_)
+        t = now_; // late scheduling runs as soon as possible
+    u32 idx = claimSlot(std::move(fn), key.hash, flow, pscope);
     queue_.push(Key{t, key.strand, key.idx, idx});
-    return id;
+    return idOf(idx, 0);
+}
+
+CrossKey
+Engine::scheduleKey()
+{
+    // Root-context scheduling (setup code, no event dispatching) on a
+    // sharded engine draws its key from the *primary* shard's root
+    // counter: setup runs in program order on one thread, so the key
+    // sequence — and with it every derived causal hash — is identical
+    // no matter which shard each domain was placed on.
+    return (!current_ && shards_) ? rootKeyFromSet() : nextKey();
 }
 
 EventId
@@ -111,13 +144,19 @@ Engine::at(TimePoint t, Callback &&fn)
 {
     u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
     u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
-    // Root-context scheduling (setup code, no event dispatching) on a
-    // sharded engine draws its key from the *primary* shard's root
-    // counter: setup runs in program order on one thread, so the key
-    // sequence — and with it every derived causal hash — is identical
-    // no matter which shard each domain was placed on.
-    CrossKey key = (!current_ && shards_) ? rootKeyFromSet() : nextKey();
-    return atKeyed(t, key, flow, pscope, std::move(fn));
+    return atKeyed(t, scheduleKey(), flow, pscope, std::move(fn));
+}
+
+EventId
+Engine::poll(Duration period, Callback &&fn, const PollHook &hook)
+{
+    u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
+    u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
+    CrossKey key = scheduleKey();
+    u32 idx = claimSlot(std::move(fn), key.hash, flow, pscope);
+    trains_.push(Train{Key{now_ + period, key.strand, key.idx, idx},
+                       period, hook});
+    return idOf(idx, 0);
 }
 
 CrossKey
@@ -152,46 +191,103 @@ Engine::Engine(trace::Telemetry *telemetry, check::Checker *checker)
 {
 }
 
-bool
+Engine::Head
 Engine::settleTop()
 {
-    while (!queue_.empty()) {
-        u32 idx = queue_.top().slot;
+    for (;;) {
+        Head head;
+        if (trains_.empty())
+            head = queue_.empty() ? Head::None : Head::Event;
+        else if (queue_.empty() || queue_.top() > trains_.top().key)
+            head = Head::Poll;
+        else
+            head = Head::Event;
+        if (head == Head::None)
+            return head;
+        const Key &top = headKey(head);
+        u32 idx = top.slot;
         Slot &s = slots_[idx];
         if (s.state != SlotState::Cancelled)
-            return true;
+            return head;
         // Reached the cancelled slot: drop all bookkeeping for it. The
-        // callback dies after the pop, as if it had been queued itself.
+        // callback dies after the pop, as if it had been queued itself;
+        // a train's generation catches up with the polls it credited.
         Callback dead = std::move(s.fn);
+        s.gen += top.credited;
         releaseSlot(idx);
         cancelled_count_--;
         live_--;
-        queue_.pop();
+        if (head == Head::Poll)
+            trains_.pop();
+        else
+            queue_.pop();
         trace::bump(c_cancelled_);
     }
-    return false;
+}
+
+void
+Engine::creditPoll()
+{
+    Train &t = trains_.top();
+    Slot &s = slots_[t.key.slot];
+    events_run_++;
+    checksum_ += mixKey(u64(now_.ns()), s.hash);
+    trace::bump(c_dispatched_);
+    if (telemetry_) {
+        if (telemetry_->tracer.enabled())
+            telemetry_->tracer.instant(
+                trace::Cat::Engine, "dispatch", now_, 0,
+                trace::jsonObject("id", idOf(t.key.slot, t.key.credited)));
+        // The drain would have entered its scope: intern it, so the
+        // profiler's scope tree (and the order of its root children)
+        // grows exactly as if the poll had run.
+        if (t.hook.scope && telemetry_->profiler.enabled()) {
+            trace::ProfRestore prestore(profiler(), s.pscope);
+            trace::ProfScope pscope(profiler(), t.hook.scope);
+        }
+    }
+    // The poll the real one schedules: after(period), the first child
+    // of its (otherwise empty) dispatch.
+    t.key.when = now_ + t.period;
+    t.key.strand = s.hash;
+    t.key.idx = 0;
+    t.key.credited++;
+    s.hash = mixKey(s.hash, 0);
+    trains_.topChanged();
 }
 
 bool
 Engine::dispatchOne(bool bounded, TimePoint limit)
 {
-    if (!settleTop())
+    Head head = settleTop();
+    if (head == Head::None)
         return false;
-    const Key &top = queue_.top();
+    const Key &top = headKey(head);
     if (bounded && top.when > limit)
         return false;
     TimePoint when = top.when;
     u32 idx = top.slot;
-    queue_.pop();
+    u32 credited = top.credited;
+    now_ = when;
+    if (head == Head::Poll) {
+        const PollHook &hook = trains_.top().hook;
+        if (hook.idle(hook.ctx)) {
+            creditPoll();
+            return true;
+        }
+        trains_.pop();
+    } else {
+        queue_.pop();
+    }
     Slot &s = slots_[idx];
     Callback fn = std::move(s.fn);
     u64 hash = s.hash;
     u64 flow = s.flow;
     u32 pscope = s.pscope;
-    EventId id = (u64(s.gen) << 32) | (idx + 1);
+    EventId id = idOf(idx, credited);
+    s.gen += credited;
     releaseSlot(idx);
     live_--;
-    now_ = when;
     events_run_++;
     checksum_ += mixKey(u64(when.ns()), hash);
     trace::bump(c_dispatched_);
@@ -262,7 +358,8 @@ Engine::runWindow(TimePoint end)
 TimePoint
 Engine::nextEventTime()
 {
-    return settleTop() ? queue_.top().when : kNever;
+    Head head = settleTop();
+    return head == Head::None ? kNever : headKey(head).when;
 }
 
 } // namespace mirage::sim

@@ -72,6 +72,22 @@ struct CrossKey
     u64 hash = 0;
 };
 
+/**
+ * The idle test of a poll train (Engine::poll). @ref idle says whether
+ * the poll due now would drain nothing and re-arm itself one period
+ * later; it must be pure — no writes, no checker counts, no scheduling
+ * — because the engine may call it and then not run the poll at all.
+ */
+struct PollHook
+{
+    bool (*idle)(void *ctx) = nullptr;
+    void *ctx = nullptr;
+    //! Profiler scope the poll's drain enters under its (root) scope;
+    //! a credited poll interns it so the scope tree grows as if the
+    //! drain had run. Null when the drain enters none.
+    const char *scope = nullptr;
+};
+
 class Engine
 {
   public:
@@ -95,6 +111,20 @@ class Engine
 
     /** Schedule @p fn to run @p d after now. */
     EventId after(Duration d, Callback &&fn);
+
+    /**
+     * Schedule a ring poll @p period after now, as a *poll train*. It
+     * behaves exactly like after(@p period, @p fn) — same key, id,
+     * dispatch checksum and event count — with one shortcut: whenever
+     * the poll is next in (when, strand, idx) order and
+     * `hook.idle(hook.ctx)` holds, the engine *credits* it instead of
+     * running @p fn. A credit counts and checksums the poll, emits its
+     * `dispatch` instant, and re-keys the train to the poll the real
+     * one would have scheduled as the first child of an empty drain:
+     * `after(period)` from the poll's own context. The returned id
+     * stays valid for cancel() for the whole train.
+     */
+    EventId poll(Duration period, Callback &&fn, const PollHook &hook);
 
     /**
      * Schedule with an explicit causal key and ambient context, both
@@ -123,7 +153,11 @@ class Engine
     void cancel(EventId id);
 
     /** True when no events remain. */
-    bool empty() const { return queue_.size() == cancelled_count_; }
+    bool
+    empty() const
+    {
+        return queue_.size() + trains_.size() == cancelled_count_;
+    }
 
     /**
      * Run the next pending event, advancing the clock to it.
@@ -234,9 +268,10 @@ class Engine
     struct Key
     {
         TimePoint when;
-        u64 strand; //!< identity hash of the scheduling event
-        u64 idx;    //!< sibling index within that dispatch
-        u32 slot;   //!< index into slots_
+        u64 strand;       //!< identity hash of the scheduling event
+        u64 idx;          //!< sibling index within that dispatch
+        u32 slot;         //!< index into slots_
+        u32 credited = 0; //!< poll trains: polls credited so far
 
         bool
         operator>(const Key &o) const
@@ -249,25 +284,57 @@ class Engine
         }
     };
 
+    /** A poll train: its next poll's key plus how to credit it. */
+    struct Train
+    {
+        Key key;
+        Duration period;
+        PollHook hook;
+
+        bool operator>(const Train &o) const { return key > o.key; }
+    };
+
     /**
-     * A 4-ary min-heap of keys: half the levels of a binary heap, and
-     * a node's four children fill two cache lines. No two pending keys
-     * are equal — (strand, idx) names one child of one dispatch — so
-     * the pop order is the total (when, strand, idx) order, whatever
-     * the heap's shape.
+     * A 4-ary min-heap: half the levels of a binary heap, and a node's
+     * four Key children fill two cache lines. No two pending keys are
+     * equal — (strand, idx) names one child of one dispatch — so the
+     * pop order is the total (when, strand, idx) order, whatever the
+     * heap's shape.
      */
-    class KeyHeap
+    template <class T>
+    class QuadHeap
     {
       public:
-        bool empty() const { return keys_.empty(); }
-        std::size_t size() const { return keys_.size(); }
-        const Key &top() const { return keys_.front(); }
-        void push(const Key &k);
+        bool empty() const { return items_.empty(); }
+        std::size_t size() const { return items_.size(); }
+        const T &top() const { return items_.front(); }
+        T &top() { return items_.front(); }
+        void push(const T &item);
         void pop();
+        /** Restore heap order after top() was moved later in place. */
+        void topChanged() { siftDown(items_.front()); }
 
       private:
-        std::vector<Key> keys_;
+        /** Place @p item from the root down (it may alias the root). */
+        void siftDown(T item);
+
+        std::vector<T> items_;
     };
+
+    /** Which queue holds the next pending event. */
+    enum class Head : u8
+    {
+        None,
+        Event, //!< queue_
+        Poll   //!< trains_
+    };
+
+    /** The key on top of @p head's queue (not Head::None). */
+    const Key &
+    headKey(Head head) const
+    {
+        return head == Head::Poll ? trains_.top().key : queue_.top();
+    }
 
     /**
      * Scheduling bookkeeping: one slot per live event, recycled through
@@ -293,20 +360,29 @@ class Engine
     };
 
     /**
-     * The one dispatch path: drop cancelled slots, then run the next
-     * event — unless @p bounded and it lies beyond @p limit.
-     * @return true when an event ran.
+     * The one dispatch path: drop cancelled slots, then run (or credit)
+     * the next event — unless @p bounded and it lies beyond @p limit.
+     * @return true when an event ran or was credited.
      */
     bool dispatchOne(bool bounded, TimePoint limit);
+
+    /** Account the idle poll on top of trains_ and re-key its train. */
+    void creditPoll();
+
+    /** Schedule-time context shared by at() and poll(). */
+    CrossKey scheduleKey();
+    u32 claimSlot(Callback &&fn, u64 hash, u64 flow, u32 pscope);
+    EventId idOf(u32 idx, u32 credited) const;
 
     /** Borrow a root-context key from the shard set's primary. */
     CrossKey rootKeyFromSet();
 
     /**
-     * Pop cancelled heads, destroying their callbacks.
-     * @return true when a pending event is on top.
+     * Pop cancelled heads of both queues in global key order,
+     * destroying their callbacks.
+     * @return the queue whose head is the next pending event.
      */
-    bool settleTop();
+    Head settleTop();
 
     /** The slot an id names, or null for stale/invalid ids. */
     Slot *slotFor(EventId id);
@@ -317,7 +393,11 @@ class Engine
     u64 next_child_ = 0; //!< next sibling index in the current context
     u64 events_run_ = 0;
     u64 checksum_ = 0;
-    KeyHeap queue_;
+    QuadHeap<Key> queue_;
+    //! Ring polls, one train per active sim::Poller (a few per domain),
+    //! kept apart from queue_ so a credit re-keys a small heap instead
+    //! of sifting through cancelled timers.
+    QuadHeap<Train> trains_;
     std::vector<Slot> slots_;
     std::vector<u32> free_slots_;
     std::size_t live_ = 0;            //!< scheduled, not dispatched

@@ -7,11 +7,24 @@
  * polled delivery is no slower than a notify — it just stops paying the
  * evtchn_send hypercall per publish.
  *
- * The owner supplies two callbacks:
+ * The owner supplies three callbacks:
+ *  - ready: is there anything for drain to do right now — a response or
+ *    request unconsumed, or queued work that now fits the ring?
  *  - drain: park the producer event(s) and consume everything
  *    available; return true when anything was consumed.
  *  - rearm: re-arm the producer event(s) (finalCheck…); return true
  *    when work raced in, which keeps the poller alive one more round.
+ *
+ * Polls run as an engine poll train (Engine::poll): a poll that ready()
+ * says would find nothing, inside the idle window, is credited by the
+ * engine instead of run. So ready() must be *pure* — it reads ring
+ * indices and queues and nothing else: no checker counts, no metrics,
+ * no writes, no scheduling. And it must be *exact*: whenever it returns
+ * false, drain(true) must consume nothing, schedule nothing and write
+ * only values already in place (the parked event word is cons + slots
+ * + 1 with cons unchanged; a ring mark noted at occupancy 0). The drain
+ * may enter one profiler scope under the poll's root scope, named at
+ * construction; a credited poll interns it.
  *
  * Invariant the owner must keep: events are only parked from code paths
  * that also kick() the poller (or, like blkback, have another
@@ -34,9 +47,15 @@ namespace mirage::sim {
 class Poller
 {
   public:
-    Poller(Engine &engine, std::function<bool()> drain,
+    /**
+     * @param prof_scope the profiler scope drain() enters (a string
+     *        literal), or null when it enters none.
+     */
+    Poller(Engine &engine, const char *prof_scope,
+           std::function<bool()> ready, std::function<bool()> drain,
            std::function<bool()> rearm)
-        : engine_(engine), drain_(std::move(drain)),
+        : engine_(engine), prof_scope_(prof_scope),
+          ready_(std::move(ready)), drain_(std::move(drain)),
           rearm_(std::move(rearm))
     {
     }
@@ -56,6 +75,14 @@ class Poller
 
     /** True while a poll is scheduled (events may stay parked). */
     bool active() const { return scheduled_; }
+
+    /** The owner's readiness test, as the engine's credit test sees
+     *  it (test visibility). */
+    bool ready() const { return ready_(); }
+
+    /** Run the owner's drain now, as a poll would (test visibility:
+     *  checks that a drain with ready() false is a no-op). */
+    bool drainNow() { return drain_(); }
 
     /** Drop any scheduled poll (teardown; idempotent). The owner must
      *  re-arm its ring events itself if they are still parked. */
@@ -79,7 +106,18 @@ class Poller
         // slots carry their own stamped ids instead of a stale one.
         trace::FlowScope neutral(engine_.flows(), 0);
         trace::ProfRestore pneutral(engine_.profiler(), 0);
-        event_ = engine_.after(tuning().pollInterval, [this] { fire(); });
+        event_ = engine_.poll(tuning().pollInterval, [this] { fire(); },
+                              PollHook{&Poller::idle, this, prof_scope_});
+    }
+
+    /** The engine's credit test: fire() would drain nothing and
+     *  reschedule itself. Pure, like ready(). */
+    static bool
+    idle(void *ctx)
+    {
+        auto *p = static_cast<Poller *>(ctx);
+        return !p->ready_() &&
+               p->engine_.now() - p->last_activity_ <= tuning().pollIdle;
     }
 
     void
@@ -102,6 +140,8 @@ class Poller
     }
 
     Engine &engine_;
+    const char *prof_scope_;
+    std::function<bool()> ready_;
     std::function<bool()> drain_;
     std::function<bool()> rearm_;
     TimePoint last_activity_;

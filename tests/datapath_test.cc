@@ -11,9 +11,14 @@
 
 #include <algorithm>
 #include <list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "base/rand.h"
 #include "check/check.h"
@@ -397,9 +402,9 @@ TEST_F(DatapathTest, BackendMapCacheMatchesListLruReference)
         std::vector<u32> before(nrefs);
         for (std::size_t i = 0; i < nrefs; i++)
             before[i] = uk.grantTable().mapCountOf(grefs[i]);
-        auto page = cache.map(grefs[k]);
-        ASSERT_TRUE(page.ok()) << "step " << step;
-        EXPECT_EQ(page.value().buffer(), pages[k].buffer());
+        Cstruct *page = cache.map(grefs[k]);
+        ASSERT_NE(page, nullptr) << "step " << step;
+        EXPECT_EQ(page->buffer(), pages[k].buffer());
         ASSERT_EQ(cache.hits(), hits) << "step " << step;
         ASSERT_EQ(cache.misses(), misses) << "step " << step;
         ASSERT_EQ(cache.evictions(), evictions) << "step " << step;
@@ -858,6 +863,143 @@ TEST_F(DatapathTest, NetbackRefusesARunawayFrontend)
 
     EXPECT_TRUE(hv.grantUnmap(dom0, da, 1).ok());
     engine.setChecker(nullptr);
+}
+
+// ---- Poll trains: what crediting an idle poll relies on ----------------------
+
+TEST_F(DatapathTest, DrainWithNothingReadyIsANoOp)
+{
+    // The engine credits a poll instead of running it when the owner's
+    // readiness test says no (sim::Engine::poll). That is exact only if
+    // such a drain consumes nothing, schedules nothing and writes only
+    // values already in place. Drive netif, netback and blkif traffic —
+    // tx bursts deeper than the ring, so frames wait in netif's queue,
+    // and a block burst deeper than the ring — and force a drain at
+    // every point where an active poller's owner is not ready.
+    xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
+    xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot_a(da), boot_b(db), boot_uk(uk);
+    Netif nif_a(boot_a, netback, mac(1));
+    Netif nif_b(boot_b, netback, mac(2));
+    nif_a.onFrame([](Cstruct) {});
+    nif_b.onFrame([](Cstruct) {});
+    xen::VirtualDisk disk(engine, "d0", 1u << 20);
+    xen::Blkback back(dom0, disk);
+    Blkif blk(boot_uk, back);
+    engine.run();
+
+    // Each netif grants its tx then its rx ring page first; the blkif
+    // grants its ring page first.
+    std::vector<std::pair<xen::Domain *, xen::GrantRef>> grants = {
+        {&da, 1}, {&da, 2}, {&db, 1}, {&db, 2}, {&uk, 1}};
+    std::vector<Cstruct> rings;
+    for (auto [dom, ref] : grants)
+        rings.push_back(hv.grantMap(dom0, *dom, ref, true).value());
+    auto state = [&] {
+        std::vector<u32> words;
+        for (const Cstruct &page : rings) {
+            xen::SharedRing r(page);
+            for (u32 w : {r.reqProd(), r.reqEvent(), r.rspProd(),
+                          r.rspEvent()})
+                words.push_back(w);
+        }
+        return std::make_tuple(words, telemetry.metrics.dump(),
+                               engine.pendingEvents(),
+                               nif_a.txQueueDepth(), nif_b.txQueueDepth());
+    };
+    std::map<std::string, u64> forced;
+    auto probe = [&](const std::string &who, sim::Poller &p) {
+        if (!p.active() || p.ready())
+            return;
+        auto before = state();
+        EXPECT_FALSE(p.drainNow()) << who;
+        ASSERT_EQ(state(), before)
+            << who << " drain changed state at " << engine.now().ns();
+        forced[who]++;
+    };
+    auto drive = [&] {
+        while (engine.step()) {
+            probe("netif a", nif_a.poller());
+            probe("netif b", nif_b.poller());
+            probe("vif a", netback.vifFor(da)->txPoller());
+            probe("vif b", netback.vifFor(db)->txPoller());
+            probe("blkif", blk.poller());
+            if (HasFatalFailure())
+                return;
+        }
+    };
+
+    std::vector<rt::PromisePtr> ps;
+    for (int round = 0; round < 2; round++) {
+        for (int i = 0; i < 80; i++)
+            ps.push_back(nif_a.writeFrame(frameTo(nif_b, nif_a, "to b")));
+        for (int i = 0; i < 40; i++)
+            ps.push_back(nif_b.writeFrame(frameTo(nif_a, nif_b, "to a")));
+        for (u32 i = 0; i < 2 * xen::RingLayout::slotCount; i++)
+            ps.push_back(blk.read(u64(i) * 8, 8, blk.allocPage().value()));
+        drive();
+        if (HasFatalFailure())
+            return;
+    }
+    for (const auto &p : ps)
+        EXPECT_TRUE(p->resolvedOk());
+    for (const char *who : {"netif a", "netif b", "vif a", "vif b", "blkif"})
+        EXPECT_GT(forced[who], 0u) << who << " never idle while polling";
+
+    for (auto [dom, ref] : grants)
+        EXPECT_TRUE(hv.grantUnmap(dom0, *dom, ref).ok());
+}
+
+/** Keys of a JSON object's top-level fields, in order (flat objects). */
+static std::vector<std::string>
+jsonKeys(const std::string &obj)
+{
+    std::vector<std::string> keys;
+    std::size_t at = 0;
+    while ((at = obj.find('"', at)) != std::string::npos) {
+        std::size_t end = obj.find('"', at + 1);
+        keys.push_back(obj.substr(at + 1, end - at - 1));
+        at = obj.find_first_of(",}", end);
+    }
+    return keys;
+}
+
+TEST_F(DatapathTest, IdlePollTrainsKeepTheProfilerScopeOrder)
+{
+    // A doorbell drains under the upcall's scope; the root children
+    // "net/netif" and "hyp/netback/tx" are made only by a poll's drain,
+    // which runs under the root. Each train here starts on a doorbell
+    // its owner has just drained, so its first polls find nothing. A
+    // credited poll must create its root child at that same point, or a
+    // later root child (the marker, charged mid-train) changes the key
+    // order of the trace's `prof.cpu_ns` samples.
+    telemetry.tracer.enable();
+    telemetry.profiler.enable();
+    telemetry.profiler.setSampleInterval(Duration::micros(1));
+    xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
+    xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot_a(da), boot_b(db);
+    Netif nif_a(boot_a, netback, mac(1));
+    Netif nif_b(boot_b, netback, mac(2));
+    nif_a.onFrame([](Cstruct) {});
+    nif_b.onFrame([](Cstruct) {});
+    engine.run();
+    ASSERT_TRUE(nif_a.writeFrame(frameTo(nif_b, nif_a, "ping")));
+    engine.after(Duration::micros(30), [&da] {
+        da.vcpu().charge(Duration::nanos(100), "test.marker");
+    });
+    engine.run();
+
+    std::string last;
+    for (const auto &ev : telemetry.tracer.events())
+        if (std::string(ev.name) == "prof.cpu_ns")
+            last = ev.args;
+    EXPECT_EQ(jsonKeys(last), (std::vector<std::string>{
+                  "hypercall", "grant.map", "grant.issue", "grant.reuse",
+                  "hyp/evtchn", "hyp/netback/tx", "net/netif",
+                  "test.marker"}))
+        << last;
 }
 
 // ---- Flow tracing across backend segmentation -------------------------------

@@ -10,7 +10,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/cstruct.h"
@@ -19,6 +22,9 @@
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
+#include "sim/poller.h"
+#include "sim/shard.h"
+#include "trace/telemetry.h"
 
 namespace mirage::sim {
 namespace {
@@ -265,6 +271,208 @@ TEST(EngineTest, CallbackDiesOnDispatchOrWhenItsCancelledEntryPops)
     e.run();
     EXPECT_EQ(token.use_count(), 1) << "cancelled callback outlived its pop";
     EXPECT_EQ(e.cancelledBacklog(), 0u);
+}
+
+// ---- Poll trains ------------------------------------------------------------
+
+/**
+ * A ring owner stand-in for the poll-train tests: `work` items wait in
+ * its "ring" and a drain takes them all. An eager rig's readiness test
+ * always says yes, so the engine runs every one of its polls — the
+ * reference that a rig whose idle polls are credited must match.
+ */
+struct PollRig
+{
+    Engine &e;
+    bool eager;
+    u64 work = 0;
+    u64 drained = 0;
+    bool race_at_rearm = false;      //!< work "raced in" at the next rearm
+    std::vector<i64> polls_run;      //!< times a poll's drain really ran
+    std::vector<bool> publish_after; //!< per publish: its poll ran first
+    std::optional<Poller> poller;
+
+    PollRig(Engine &engine, bool eager_ref) : e(engine), eager(eager_ref)
+    {
+        build();
+    }
+
+    void
+    build()
+    {
+        poller.emplace(
+            e, nullptr, [this] { return eager || work > 0; },
+            [this] {
+                polls_run.push_back(e.now().ns());
+                bool any = work > 0;
+                drained += work;
+                work = 0;
+                return any;
+            },
+            [this] {
+                if (race_at_rearm) {
+                    race_at_rearm = false;
+                    work++;
+                }
+                return work > 0;
+            });
+    }
+
+    /** Producer: publish one item; notify (the owner's event handler
+     *  drains and kicks) unless the poller keeps the event parked. */
+    void
+    publish()
+    {
+        if (!poller)
+            return;
+        publish_after.push_back(!polls_run.empty() &&
+                                polls_run.back() == e.now().ns());
+        work++;
+        if (!poller->active())
+            e.after(Duration::micros(1), [this] {
+                if (!poller)
+                    return;
+                drained += work;
+                work = 0;
+                poller->kick();
+            });
+    }
+};
+
+TimePoint
+us(i64 n)
+{
+    return TimePoint(Duration::micros(n).ns());
+}
+
+/**
+ * Schedule the shared scenario on @p e: busy stretches with publishes
+ * landing on poll instants (each from its own spawning event, so its
+ * strand orders it before or after the poll due then), a kick in an
+ * idle stretch, work racing the re-arm that follows expiry, and the
+ * poller destroyed mid-train, its slot reused, then rebuilt.
+ */
+void
+scriptPollScenario(Engine &e, PollRig &rig)
+{
+    auto publishAt = [&e, &rig](i64 t_us) {
+        e.at(us(t_us - 2), [&e, &rig, t_us] {
+            e.at(us(t_us), [&rig] { rig.publish(); });
+        });
+    };
+    e.at(us(1), [&rig] { rig.publish(); });
+    for (i64 t = 10; t <= 300; t += 7)
+        publishAt(t);
+    e.at(us(350), [&rig] { rig.poller->kick(); }); // mid idle stretch
+    e.at(us(400), [&rig] { rig.race_at_rearm = true; });
+    e.at(us(600), [&rig] { rig.publish(); });
+    publishAt(610);
+    publishAt(633);
+    e.at(us(700), [&e, &rig] {
+        rig.poller.reset(); // mid-train
+        for (int i = 0; i < 3; i++)
+            e.after(Duration::micros(1 + i), [] {});
+    });
+    e.at(us(750), [&rig] {
+        rig.build();
+        rig.publish();
+    });
+    publishAt(766);
+}
+
+struct PollSnapshot
+{
+    u64 events;
+    u64 checksum;
+    std::size_t pending;
+    i64 now;
+    u64 work;
+    u64 drained;
+    std::vector<std::pair<i64, std::string>> dispatches;
+
+    auto operator<=>(const PollSnapshot &) const = default;
+};
+
+PollSnapshot
+snapshot(Engine &e, const PollRig &rig, const trace::Telemetry *tel)
+{
+    PollSnapshot s{e.eventsRun(), e.dispatchChecksum(), e.pendingEvents(),
+                   e.now().ns(), rig.work, rig.drained, {}};
+    if (tel)
+        for (const auto &ev : tel->tracer.events())
+            if (std::string(ev.name) == "dispatch")
+                s.dispatches.emplace_back(ev.ts_ns, ev.args);
+    return s;
+}
+
+TEST(PollTrainTest, CreditedRunMatchesEagerReferenceAtEveryBoundary)
+{
+    trace::Telemetry tel_ref, tel;
+    tel_ref.tracer.enable();
+    tel.tracer.enable();
+    Engine ref_engine(&tel_ref), engine(&tel);
+    PollRig ref(ref_engine, true), rig(engine, false);
+    scriptPollScenario(ref_engine, ref);
+    scriptPollScenario(engine, rig);
+
+    for (i64 t = 0; t <= 1000; t += 3) {
+        ref_engine.runUntil(us(t));
+        engine.runUntil(us(t));
+        ASSERT_EQ(snapshot(engine, rig, &tel),
+                  snapshot(ref_engine, ref, &tel_ref))
+            << "diverged by t=" << t << " us";
+    }
+    EXPECT_TRUE(engine.empty());
+    EXPECT_EQ(rig.drained, 7u + 42u) << "every published item drained";
+
+    // The scenario exercised what it claims to.
+    u64 before = 0, after = 0;
+    for (bool a : ref.publish_after)
+        (a ? after : before)++;
+    EXPECT_GT(before, 0u) << "no publish ordered before its instant's poll";
+    EXPECT_GT(after, 0u) << "no publish ordered after its instant's poll";
+    EXPECT_LT(rig.polls_run.size() * 4, ref.polls_run.size())
+        << "idle polls were run, not credited";
+}
+
+TEST(PollTrainTest, CreditedShardsMatchEagerShardsInEveryWindow)
+{
+    Engine ref_primary, primary;
+    ShardSet ref_set(ref_primary, 2), set(primary, 2);
+    std::vector<std::unique_ptr<PollRig>> ref_rigs, rigs;
+    for (unsigned s = 0; s < 2; s++) {
+        ref_rigs.push_back(std::make_unique<PollRig>(ref_set.shard(s), true));
+        rigs.push_back(std::make_unique<PollRig>(set.shard(s), false));
+        scriptPollScenario(ref_set.shard(s), *ref_rigs.back());
+        scriptPollScenario(set.shard(s), *rigs.back());
+    }
+    for (i64 t = 0; t <= 1000; t += 5) {
+        ref_set.runUntil(us(t));
+        set.runUntil(us(t));
+        for (unsigned s = 0; s < 2; s++)
+            ASSERT_EQ(snapshot(set.shard(s), *rigs[s], nullptr),
+                      snapshot(ref_set.shard(s), *ref_rigs[s], nullptr))
+                << "shard " << s << " diverged by t=" << t << " us";
+    }
+    EXPECT_EQ(set.eventsRun(), ref_set.eventsRun());
+    EXPECT_TRUE(set.empty());
+}
+
+TEST(PollTrainTest, CancelledTrainFreesItsSlotUnderTheCaughtUpGeneration)
+{
+    // A train credits polls while its slot's generation lags; the id
+    // handed out at scheduling still cancels it, and once the cancel
+    // settles the next tenant's id is what the eager engine mints.
+    auto run = [](bool eager) {
+        Engine e;
+        PollRig rig(e, eager);
+        rig.publish();
+        e.runUntil(us(50)); // ~48 idle polls
+        rig.poller.reset();
+        e.run();
+        return e.after(Duration::micros(1), [] {});
+    };
+    EXPECT_EQ(run(false), run(true));
 }
 
 // ---- Callback ---------------------------------------------------------------
