@@ -1,7 +1,7 @@
 /**
  * @file
- * The 1000-domain fleet storm (§4's parallel toolstack at scale, on
- * the sharded engine): cold-boot a fleet of web appliances through
+ * The 1000-domain fleet storm (§4's parallel toolstack at scale):
+ * cold-boot a fleet of web appliances through
  * the toolstack — all submitted at t=0, the storm — and fire the first
  * HTTP request at each appliance the instant it reports ready. The
  * headline numbers:
@@ -10,26 +10,16 @@
  *     submission through toolstack queueing, boot, connect and the
  *     first served response),
  *   - boot p50/p99 (virtual, toolstack + build + guest init),
- *   - events_run (virtual; bit-identical at any --shards),
- *   - wall_events_per_sec (real time; the scaling metric).
+ *   - events_run (virtual),
+ *   - wall_events_per_sec (real time, next to runner_cores).
  *
- * The virtual rows are machine-independent and shard-count-invariant,
- * so CI gates them exactly against BENCH_engine.json; the wall row is
- * informational there (hardware-dependent) and the scaling verdict
- * comes from bench_microops' speedup_vs_1shard row.
+ * The virtual rows are machine-independent, so CI gates them exactly
+ * against BENCH_engine.json; the wall rows are informational.
  *
- * With --shards>1 the wall profiler rides along: efficiency /
- * imbalance / barrier_wait_frac / mailbox_lag rows land in the --json
- * report, and --trace=FILE dumps the per-worker wall timeline as
- * Chrome trace JSON (execute/wait/drain spans, correlated to the
- * virtual window each one served).
- *
- *   bench_fleet_storm [--domains=N] [--shards=K] [--json=FILE]
- *                     [--trace=FILE]
+ *   bench_fleet_storm [--domains=N] [--json=FILE]
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,9 +28,10 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_json.h"
 #include "core/cloud.h"
-#include "trace/wallprof.h"
 #include "protocols/http/client.h"
 #include "protocols/http/server.h"
 
@@ -64,28 +55,19 @@ int
 main(int argc, char **argv)
 {
     int domains = 1000;
-    unsigned shards = 4;
-    std::string trace_path;
     for (int i = 1; i < argc; i++) {
         if (std::strncmp(argv[i], "--domains=", 10) == 0) {
             domains = std::atoi(argv[i] + 10);
-        } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-            shards = unsigned(std::atoi(argv[i] + 9));
-        } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-            trace_path = argv[i] + 8;
         } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
             // consumed by JsonReport
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--domains=N] [--shards=K] "
-                         "[--json=FILE] [--trace=FILE]\n",
+            std::fprintf(stderr, "usage: %s [--domains=N] [--json=FILE]\n",
                          argv[0]);
             return 2;
         }
     }
-    if (domains < 1 || domains > 10000 || shards < 1 || shards > 64) {
-        std::fprintf(stderr, "--domains in [1,10000], --shards in "
-                             "[1,64]\n");
+    if (domains < 1 || domains > 10000) {
+        std::fprintf(stderr, "--domains in [1,10000]\n");
         return 2;
     }
     mirage::bench::JsonReport json(argc, argv);
@@ -94,7 +76,6 @@ main(int argc, char **argv)
     // (1+i%250), clear of the client (10.0.0.9) and the computed
     // gateway (10.0.0.254).
     core::Cloud::Config cfg;
-    cfg.shards = shards;
     cfg.netmask = net::Ipv4Addr(255, 255, 0, 0);
     core::Cloud cloud(cfg);
     cloud.checker().enable();
@@ -102,15 +83,11 @@ main(int argc, char **argv)
     core::Guest &client =
         cloud.startUnikernel("client", net::Ipv4Addr(10, 0, 0, 9));
 
-    // Ready callbacks fire on each appliance's home shard: results go
-    // into per-domain slots (no two shards share an index), failures
-    // into an atomic, and the client-side probe hops to the client's
-    // home engine through the cross-shard mailbox.
     std::vector<std::unique_ptr<http::HttpServer>> servers;
     servers.resize(std::size_t(domains));
     std::vector<i64> first_response_ns(std::size_t(domains), -1);
     std::vector<i64> boot_ns(std::size_t(domains), -1);
-    std::atomic<u64> failures{0};
+    u64 failures = 0;
 
     // All submissions land at t=0: the toolstack absorbs the whole
     // storm at once, so first-response latency includes its queueing.
@@ -130,11 +107,10 @@ main(int argc, char **argv)
                                 200, "up " + req.path + "\n"));
                         });
                 // First request, fired the instant the appliance is
-                // ready; its completion (on the client's shard) stamps
-                // the cold-boot-inclusive latency.
-                sim::crossPost(
-                    client.dom.engine(), Duration::micros(2),
-                    [&, i, ip] {
+                // ready; its completion stamps the cold-boot-inclusive
+                // latency.
+                client.dom.engine().after(
+                    Duration::micros(2), [&, i, ip] {
                         auto holder = std::make_shared<
                             std::shared_ptr<http::HttpSession>>();
                         *holder = http::HttpSession::open(
@@ -161,10 +137,9 @@ main(int argc, char **argv)
                                             r.value().status == 200)
                                             first_response_ns
                                                 [std::size_t(i)] =
-                                                    sim::Engine::
-                                                        current()
-                                                            ->now()
-                                                            .ns();
+                                                    cloud.engine()
+                                                        .now()
+                                                        .ns();
                                         else
                                             failures++;
                                         if (auto s = weak.lock())
@@ -174,9 +149,6 @@ main(int argc, char **argv)
                     });
             });
     }
-
-    if (!trace_path.empty())
-        cloud.shards().wallprof().enableTimeline(true);
 
     auto t0 = std::chrono::steady_clock::now();
     cloud.run();
@@ -198,8 +170,7 @@ main(int argc, char **argv)
     double boot_p50 = double(quantile(boot_ns, 0.50)) / 1e6;
     double boot_p99 = double(quantile(boot_ns, 0.99)) / 1e6;
 
-    std::printf("fleet storm: %d domains on %u shard(s)\n", domains,
-                shards);
+    std::printf("fleet storm: %d domains\n", domains);
     // The BootTracker retains a bounded history (256 records); the
     // per-domain slots are the exact count at fleet scale.
     std::printf("  cold boots     %zu complete, p50 %.2f ms, "
@@ -207,18 +178,17 @@ main(int argc, char **argv)
                 boot_ns.size(), boot_p50, boot_p99);
     std::printf("  first response %zu ok (%llu failed), p50 %.2f ms, "
                 "p99 %.2f ms (cold-boot-inclusive)\n",
-                first_response_ns.size(), (unsigned long long)failures.load(),
+                first_response_ns.size(), (unsigned long long)failures,
                 fr_p50, fr_p99);
-    std::printf("  events         %llu virtual events, %llu windows, "
-                "%llu cross posts\n",
-                (unsigned long long)events,
-                (unsigned long long)cloud.shards().windows(),
-                (unsigned long long)cloud.shards().crossPosts());
+    std::printf("  events         %llu virtual events\n",
+                (unsigned long long)events);
     std::printf("  wall           %.2f s, %.0f events/s\n", wall_s,
                 eps);
 
-    std::string name =
-        strprintf("fleet_storm/domains=%d/shards=%u", domains, shards);
+    std::string name = strprintf("fleet_storm/domains=%d", domains);
+    // The wall row only means anything next to the machine it ran on.
+    long cores = sysconf(_SC_NPROCESSORS_ONLN);
+    json.add(name, "runner_cores", double(cores > 0 ? cores : 1), "cores");
     json.add(name, "wall_events_per_sec", eps, "events/s");
     json.add(name, "events_run", double(events), "events");
     json.add(name, "first_response_ms", fr_p50, "ms", fr_p50, fr_p99);
@@ -226,37 +196,7 @@ main(int argc, char **argv)
     json.add(name, "first_response_p99_ms", fr_p99, "ms");
     json.add(name, "boot_p99_ms", boot_p99, "ms");
 
-    // Wall accounting only exists for sharded runs (a 1-shard cloud
-    // bypasses the ShardSet and the profiler never sees a window).
-    const trace::WallProfiler &wp = cloud.shards().wallprof();
-    if (wp.windows() > 0) {
-        std::printf("  wall profile   attribution %.3f, efficiency "
-                    "%.3f, barrier wait %.3f, imbalance %.2fx\n",
-                    wp.attributedFraction(), wp.parallelEfficiency(),
-                    wp.barrierWaitFraction(), wp.imbalanceRatio());
-        json.add(name, "efficiency", wp.parallelEfficiency(), "frac");
-        json.add(name, "wall_attribution_ratio",
-                 wp.attributedFraction(), "frac");
-        json.add(name, "barrier_wait_frac", wp.barrierWaitFraction(),
-                 "frac");
-        json.add(name, "imbalance", wp.imbalanceRatio(), "x");
-        json.add(name, "mailbox_lag_p99_ns",
-                 double(wp.mailboxLagWall().quantile(0.99)), "ns");
-    }
-    if (!trace_path.empty()) {
-        Status st = wp.writeChromeJson(trace_path);
-        if (!st.ok()) {
-            std::fprintf(stderr, "trace export failed: %s\n",
-                         st.error().message.c_str());
-            return 1;
-        }
-        std::printf("  wall timeline  %s (%llu spans, %llu dropped)\n",
-                    trace_path.c_str(),
-                    (unsigned long long)wp.spansRecorded(),
-                    (unsigned long long)wp.spansDropped());
-    }
-
-    bool ok = failures.load() == 0 &&
+    bool ok = failures == 0 &&
               first_response_ns.size() == std::size_t(domains) &&
               boot_ns.size() == std::size_t(domains) &&
               cloud.quiescent();
@@ -264,6 +204,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "fleet storm FAILED: boots=%zu "
                              "responses=%zu failures=%llu\n",
                      boot_ns.size(), first_response_ns.size(),
-                     (unsigned long long)failures.load());
+                     (unsigned long long)failures);
     return ok ? 0 : 1;
 }

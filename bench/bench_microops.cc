@@ -10,17 +10,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <memory>
-#include <unistd.h>
-
 #include "base/checksum.h"
-#include "bench_json.h"
+#include "base/logging.h"
 #include "hypervisor/ring.h"
 #include "sim/engine.h"
-#include "sim/shard.h"
 #include "net/tcp_wire.h"
 #include "protocols/dns/server.h"
 #include "storage/btree.h"
@@ -197,162 +190,6 @@ BM_BTreeLookup(benchmark::State &state)
     }
 }
 
-// ---- Sharded engine scaling storm -----------------------------------
-//
-// A fixed 192-actor event storm: every actor runs a 400-event chain on
-// its home shard, crossing to the next shard's actor every 16th hop
-// through the mailbox API. Total work is independent of the shard
-// count, so wall_events_per_sec over shards {1,2,4,8} measures the
-// ShardSet's parallel scaling directly; CI gates the 4-shard speedup
-// against BENCH_engine.json. The per-event mixKey loop stands in for
-// the guest work (netfront/TCP bookkeeping) a real domain does per
-// dispatch — without it the storm would measure only barrier overhead.
-
-volatile u64 g_storm_sink;
-
-/** Wall-profiler readout of one storm run, for the --json rows. */
-struct StormWallStats
-{
-    double attribution = 0;      //!< fraction of wall time accounted
-    double efficiency = 0;       //!< Σbusy / (workers × elapsed)
-    double busy_s = 0;           //!< Σbusy: every worker's execute time
-    double barrier_wait_frac = 0;
-    double imbalance = 0;        //!< mean per-window max/mean ratio
-    double mailbox_lag_p99_ns = 0;
-};
-
-u64
-runShardStorm(unsigned shards, StormWallStats *wall = nullptr)
-{
-    sim::Engine primary;
-    sim::ShardSet set(primary, shards);
-    constexpr unsigned kActors = 192;
-    constexpr int kChain = 400;
-    // `hop` stays alive through set.run() via this strong local ref;
-    // the closures hold it weakly so the recursion isn't a self-cycle.
-    auto hop = std::make_shared<std::function<void(unsigned, int)>>();
-    std::weak_ptr<std::function<void(unsigned, int)>> weak_hop = hop;
-    *hop = [&set, weak_hop](unsigned actor, int n) {
-        u64 acc = actor;
-        for (int k = 0; k < 96; k++)
-            acc = sim::mixKey(acc, u64(n) + u64(k));
-        g_storm_sink = acc;
-        if (n <= 0)
-            return;
-        auto recur = [weak_hop, actor, n](unsigned next_actor) {
-            return [weak_hop, next_actor, n] {
-                if (auto h = weak_hop.lock())
-                    (*h)(next_actor, n - 1);
-            };
-        };
-        if (n % 16 == 0)
-            sim::crossPost(set.engineFor(actor + 1), Duration::micros(2),
-                           recur(actor + 1));
-        else
-            sim::Engine::current()->after(Duration::nanos(700),
-                                          recur(actor));
-    };
-    for (unsigned a = 0; a < kActors; a++)
-        set.postAt(set.engineFor(a),
-                   TimePoint(Duration::micros(1 + a % 7).ns()),
-                   [weak_hop, a] {
-                       if (auto h = weak_hop.lock())
-                           (*h)(a, kChain);
-                   });
-    set.run();
-    if (wall) {
-        const trace::WallProfiler &wp = set.wallprof();
-        wall->attribution = wp.attributedFraction();
-        wall->efficiency = wp.parallelEfficiency();
-        wall->busy_s = 0;
-        for (unsigned w = 0; w < wp.workers(); w++)
-            wall->busy_s += double(wp.shardStats(w).busy_ns) * 1e-9;
-        wall->barrier_wait_frac = wp.barrierWaitFraction();
-        wall->imbalance = wp.imbalanceRatio();
-        wall->mailbox_lag_p99_ns =
-            double(wp.mailboxLagWall().quantile(0.99));
-    }
-    return set.eventsRun();
-}
-
-void
-BM_ShardStormEvents(benchmark::State &state)
-{
-    u64 events = 0;
-    for (auto _ : state)
-        events += runShardStorm(unsigned(state.range(0)));
-    state.SetItemsProcessed(i64(events));
-}
-
-/**
- * The --json sweep: best-of-5 wall_events_per_sec at each shard count
- * plus the 4-shard speedup row the CI scaling gate compares against
- * BENCH_engine.json. Beside `efficiency` (busy workers), each K > 1
- * row set carries `work_inflation`: total worker busy time over the
- * best 1-shard wall time — the CPU work K shards spend on the same
- * events, so busy-but-useless workers read above 1 instead of as
- * efficiency.
- */
-int
-runShardSweep(mirage::bench::JsonReport &json)
-{
-    // The speedup row only means anything relative to the machine it
-    // ran on; record the core count next to it so a reader (or the CI
-    // override) can tell "no speedup" from "no cores".
-    long cores = sysconf(_SC_NPROCESSORS_ONLN);
-    json.add("engine/storm", "runner_cores",
-             double(cores > 0 ? cores : 1), "cores");
-    double base = 0, base_secs = 0;
-    for (unsigned s : {1u, 2u, 4u, 8u}) {
-        double best = 0, best_secs = 0;
-        u64 events = 0;
-        StormWallStats wall, best_wall;
-        for (int rep = 0; rep < 5; rep++) {
-            auto t0 = std::chrono::steady_clock::now();
-            events = runShardStorm(s, &wall);
-            double secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            if (secs > 0 && double(events) / secs > best) {
-                best = double(events) / secs;
-                best_secs = secs;
-                best_wall = wall;
-            }
-        }
-        std::string name = strprintf("engine/storm/shards=%u", s);
-        json.add(name, "wall_events_per_sec", best, "events/s");
-        json.add(name, "events_run", double(events), "events");
-        if (s == 1) {
-            base = best;
-            base_secs = best_secs;
-        }
-        if (s == 4 && base > 0)
-            json.add(name, "speedup_vs_1shard", best / base, "x");
-        if (s > 1) {
-            // Wall rows from the best rep: efficiency and attribution
-            // are higher-is-better, the rest lower-is-better (the
-            // bench-diff direction heuristics key off these suffixes).
-            json.add(name, "efficiency", best_wall.efficiency, "frac");
-            if (base_secs > 0)
-                json.add(name, "work_inflation",
-                         best_wall.busy_s / base_secs, "x");
-            json.add(name, "wall_attribution_ratio",
-                     best_wall.attribution, "frac");
-            json.add(name, "barrier_wait_frac",
-                     best_wall.barrier_wait_frac, "frac");
-            json.add(name, "imbalance", best_wall.imbalance, "x");
-            json.add(name, "mailbox_lag_p99_ns",
-                     best_wall.mailbox_lag_p99_ns, "ns");
-        }
-        std::printf("%-24s %14.0f events/s   (%llu events)"
-                    "  eff=%.2f attr=%.2f\n",
-                    name.c_str(), best, (unsigned long long)events,
-                    best_wall.efficiency, best_wall.attribution);
-    }
-    return 0;
-}
-
 } // namespace
 
 BENCHMARK(BM_CstructBe32RoundTrip);
@@ -366,25 +203,5 @@ BENCHMARK(BM_DnsQueryFullPath);
 BENCHMARK(BM_DnsQueryMemoHit);
 BENCHMARK(BM_BTreeInsert);
 BENCHMARK(BM_BTreeLookup);
-// Real time: the storm's work runs on worker threads, so the main
-// thread's CPU time would credit K shards with events they spent
-// waiting at barriers.
-BENCHMARK(BM_ShardStormEvents)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// With --json=<path> the binary runs the sharded-engine scaling sweep
-// and emits machine-readable rows for the CI gate; without it the full
-// google-benchmark suite runs interactively.
-int
-main(int argc, char **argv)
-{
-    mirage::bench::JsonReport json(argc, argv);
-    if (json.enabled())
-        return runShardSweep(json);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -28,7 +28,6 @@
 #include "protocols/http/server.h"
 #include "protocols/http/telemetry.h"
 #include "runtime/loop.h"
-#include "trace/wallprof.h"
 
 using namespace mirage;
 
@@ -36,44 +35,32 @@ int
 main(int argc, char **argv)
 {
     int domains = 8;
-    unsigned shards = 1;
     bool stall = false;
     double slo_ms = 5.0;
-    std::string trace_path;
     for (int i = 1; i < argc; i++) {
         if (std::strncmp(argv[i], "--domains=", 10) == 0) {
             domains = std::atoi(argv[i] + 10);
-        } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-            shards = unsigned(std::atoi(argv[i] + 9));
         } else if (std::strcmp(argv[i], "--stall") == 0) {
             stall = true;
         } else if (std::strncmp(argv[i], "--slo-ms=", 9) == 0) {
             slo_ms = std::atof(argv[i] + 9);
-        } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-            trace_path = argv[i] + 8;
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--domains=N] [--shards=K] "
-                         "[--stall] [--slo-ms=D] [--trace=FILE]\n",
+                         "usage: %s [--domains=N] [--stall] "
+                         "[--slo-ms=D]\n",
                          argv[0]);
             return 2;
         }
     }
-    if (domains < 1 || domains > 1000 || shards < 1 || shards > 64) {
-        std::fprintf(stderr,
-                     "--domains in [1, 1000], --shards in [1, 64]\n");
+    if (domains < 1 || domains > 1000) {
+        std::fprintf(stderr, "--domains in [1, 1000]\n");
         return 2;
     }
 
-    // A /16 guest subnet holds the full 1000-appliance fleet; with
-    // --shards=K the host's event processing runs on K worker-driven
-    // engine shards (virtual results are bit-identical at any K).
+    // A /16 guest subnet holds the full 1000-appliance fleet.
     core::Cloud::Config cloud_cfg;
-    cloud_cfg.shards = shards;
     cloud_cfg.netmask = net::Ipv4Addr(255, 255, 0, 0);
     core::Cloud cloud(cloud_cfg);
-    if (!trace_path.empty())
-        cloud.tracer().enable();
 
     // The http objective: 99 % of requests inside slo_ms. The windows
     // are sized for a run lasting a few hundred virtual milliseconds;
@@ -103,19 +90,14 @@ main(int argc, char **argv)
         cloud.startUnikernel("client", net::Ipv4Addr(10, 0, 0, 9));
 
     // ---- Cold-boot the appliance fleet through the toolstack --------
-    // Ready callbacks and request handlers run on each appliance's
-    // home shard: per-domain slots are indexed (no two shards share
-    // one), shared tallies are atomics, and the traffic starter hops
-    // to the client's home engine through the cross-shard mailbox.
     std::vector<std::unique_ptr<http::HttpServer>> servers;
     servers.resize(std::size_t(domains));
     std::vector<core::Guest *> appliances(std::size_t(domains), nullptr);
-    // Printed in index order after the run: ready callbacks run on
-    // whichever shard homes the appliance, in host-thread order.
+    // Printed in index order after the run.
     std::vector<xen::BootBreakdown> breakdowns(appliances.size());
-    std::atomic<int> ready{0};
+    int ready = 0;
     bool fleet_ok = false, metrics_ok = false;
-    std::atomic<u64> served{0};
+    u64 served = 0;
     std::function<void()> start_traffic; // defined below
 
     for (int i = 0; i < domains; i++) {
@@ -155,9 +137,8 @@ main(int argc, char **argv)
                             });
                     });
                 if (++ready == domains)
-                    sim::crossPost(client.dom.engine(),
-                                   Duration::micros(2),
-                                   [&] { start_traffic(); });
+                    client.dom.engine().after(Duration::micros(2),
+                                              [&] { start_traffic(); });
             });
     }
 
@@ -279,41 +260,13 @@ main(int argc, char **argv)
                 "%llu requests served\n",
                 domains,
                 (unsigned long long)cloud.boots().completedBoots(),
-                (unsigned long long)served.load());
+                (unsigned long long)served);
     std::printf("fleet p99 latency: %llu ns over %llu requests\n",
                 (unsigned long long)cloud.hub().fleetLatency().quantile(
                     0.99),
                 (unsigned long long)cloud.hub().fleetRequests());
     std::printf("slo: %llu burn-rate alert(s)\n",
                 (unsigned long long)slo_alerts);
-    // Sharded runs surface the wall profiler: a "shards" section in
-    // /fleet plus per-shard shard_* series on /metrics. A 1-shard run
-    // bypasses the ShardSet, so the section is rightly absent.
-    bool shards_ok = true;
-    if (shards > 1) {
-        const trace::WallProfiler &wp = cloud.shards().wallprof();
-        std::printf("shards: %u workers, parallel efficiency %.2f, "
-                    "attribution %.2f, imbalance %.2fx\n",
-                    shards, wp.parallelEfficiency(),
-                    wp.attributedFraction(), wp.imbalanceRatio());
-        shards_ok =
-            wp.windows() > 0 &&
-            cloud.hub().fleetJson().find("\"shards\":") !=
-                std::string::npos &&
-            cloud.hub().toPrometheus().find("shard_busy_ns{") !=
-                std::string::npos;
-    }
-
-    if (!trace_path.empty()) {
-        if (auto st = cloud.tracer().writeChromeJson(trace_path);
-            !st.ok()) {
-            std::fprintf(stderr, "trace: %s\n",
-                         st.error().message.c_str());
-            return 1;
-        }
-        std::printf("trace: %zu events -> %s\n",
-                    cloud.tracer().eventCount(), trace_path.c_str());
-    }
 
     bool ok = true;
     if (!fleet_ok || !metrics_ok) {
@@ -322,16 +275,11 @@ main(int argc, char **argv)
                      fleet_ok, metrics_ok);
         ok = false;
     }
-    if (!shards_ok) {
-        std::fprintf(stderr,
-                     "sharded run missing wall-profiler surfacing\n");
-        ok = false;
-    }
     // completedBoots() counts the tracker's retained history (bounded
     // at 256 records); the ready tally is exact at any fleet size.
-    if (ready.load() != domains) {
+    if (ready != domains) {
         std::fprintf(stderr, "expected %d ready appliances, got %d\n",
-                     domains, ready.load());
+                     domains, ready);
         ok = false;
     }
     if (stall && slo_alerts == 0) {

@@ -12,7 +12,6 @@
 #ifndef MIRAGE_BASE_BYTES_H
 #define MIRAGE_BASE_BYTES_H
 
-#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -22,15 +21,11 @@
 
 namespace mirage {
 
-/**
- * Global copy accounting, used by zero-copy tests and benches. The
- * counters are atomics because blits run on every simulation shard
- * concurrently; totals stay exact, no ordering is implied.
- */
+/** Global copy accounting, used by zero-copy tests and benches. */
 struct CopyStats
 {
-    std::atomic<u64> copies{0};      //!< number of blit operations
-    std::atomic<u64> bytesCopied{0}; //!< total bytes moved by blits
+    u64 copies = 0;      //!< number of blit operations
+    u64 bytesCopied = 0; //!< total bytes moved by blits
 };
 
 /** The process-wide copy counters. */

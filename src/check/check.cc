@@ -46,14 +46,11 @@ void
 Checker::violation(Subsystem s, const char *rule,
                    const std::string &detail)
 {
-    total_.fetch_add(1, std::memory_order_relaxed);
-    per_[std::size_t(s)].fetch_add(1, std::memory_order_relaxed);
+    total_++;
+    per_[std::size_t(s)]++;
     std::string line = strprintf("%s.%s: %s", subsystemName(s), rule,
                                  detail.c_str());
-    {
-        std::lock_guard<std::mutex> lk(last_mu_);
-        last_ = line;
-    }
+    last_ = line;
     trace::bump(c_total_);
     trace::bump(c_per_[std::size_t(s)]);
     if (violation_hook_)
@@ -68,7 +65,7 @@ Checker::report() const
 {
     std::string out;
     for (std::size_t i = 0; i < subsystemCount; i++) {
-        u64 n = per_[i].load(std::memory_order_relaxed);
+        u64 n = per_[i];
         if (n == 0)
             continue;
         out += strprintf("check.%s.violations %llu\n",
@@ -116,7 +113,6 @@ Checker::setMapCount(u32 owner, u32 ref, GrantShadow &g, u32 n)
 void
 Checker::grantCreated(u32 owner, u32 ref, u32 peer)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     DomainShadow &d = doms_[owner];
     d.max_ref = std::max(d.max_ref, ref);
     if (!d.grants.try_emplace(ref, GrantShadow{peer, 0}).second)
@@ -127,7 +123,6 @@ Checker::grantCreated(u32 owner, u32 ref, u32 peer)
 void
 Checker::grantEndAccess(u32 owner, u32 ref, bool table_ok)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     GrantShadow *g = findGrant(owner, ref);
     if (!g) {
         violation(Subsystem::Grant,
@@ -151,7 +146,6 @@ Checker::grantEndAccess(u32 owner, u32 ref, bool table_ok)
 void
 Checker::grantMap(u32 owner, u32 ref, u32 peer, bool table_ok)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     GrantShadow *g = findGrant(owner, ref);
     if (!g) {
         violation(Subsystem::Grant,
@@ -174,7 +168,6 @@ Checker::grantMap(u32 owner, u32 ref, u32 peer, bool table_ok)
 void
 Checker::grantUnmap(u32 owner, u32 ref, u32 peer, bool table_ok)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     GrantShadow *g = findGrant(owner, ref);
     if (!g) {
         violation(Subsystem::Grant,
@@ -205,7 +198,6 @@ Checker::grantUnmap(u32 owner, u32 ref, u32 peer, bool table_ok)
 void
 Checker::domainTeardown(u32 dom)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = doms_.find(dom);
     if (it == doms_.end())
         return;
@@ -240,7 +232,6 @@ Checker::domainTeardown(u32 dom)
 std::size_t
 Checker::shadowMappedGrants() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::size_t n = 0;
     for (const auto &[dom, d] : doms_)
         for (const auto &[ref, g] : d.grants)
@@ -255,7 +246,6 @@ u32
 Checker::ringAttach(const void *page, const char *name, u32 slots,
                     u32 req_prod, u32 rsp_prod)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = ring_ids_.find(page);
     if (it != ring_ids_.end())
         return it->second;
@@ -271,7 +261,6 @@ Checker::ringAttach(const void *page, const char *name, u32 slots,
 void
 Checker::ringStartRequest(u32 ring, u32 new_prod_pvt, u32 rsp_cons)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (u32(new_prod_pvt - rsp_cons) > s.slots)
         violation(Subsystem::Ring, "request_overrun",
@@ -283,7 +272,6 @@ Checker::ringStartRequest(u32 ring, u32 new_prod_pvt, u32 rsp_cons)
 void
 Checker::ringPublishRequests(u32 ring, u32 old_prod, u32 new_prod)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (old_prod != s.reqProd)
         violation(Subsystem::Ring, "req_prod_tampered",
@@ -305,7 +293,6 @@ Checker::ringPublishRequests(u32 ring, u32 old_prod, u32 new_prod)
 void
 Checker::ringConsumeRequest(u32 ring, u32 cons, u32 prod)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (prod != s.reqProd) {
         violation(Subsystem::Ring, "req_prod_tampered",
@@ -329,7 +316,6 @@ Checker::ringConsumeRequest(u32 ring, u32 cons, u32 prod)
 void
 Checker::ringStartResponse(u32 ring, u32 new_rsp_pvt, u32 req_cons)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (counterDelta(new_rsp_pvt, req_cons) > 0)
         violation(Subsystem::Ring, "response_without_request",
@@ -341,7 +327,6 @@ Checker::ringStartResponse(u32 ring, u32 new_rsp_pvt, u32 req_cons)
 void
 Checker::ringPublishResponses(u32 ring, u32 old_prod, u32 new_prod)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (old_prod != s.rspProd)
         violation(Subsystem::Ring, "rsp_prod_tampered",
@@ -368,7 +353,6 @@ Checker::ringPublishResponses(u32 ring, u32 old_prod, u32 new_prod)
 void
 Checker::ringConsumeResponse(u32 ring, u32 cons, u32 prod)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (prod != s.rspProd) {
         violation(Subsystem::Ring, "consume_unpublished_response",
@@ -392,7 +376,6 @@ Checker::ringConsumeResponse(u32 ring, u32 cons, u32 prod)
 void
 Checker::ringRefuseResponses(u32 ring, u32 prod, u32 req_prod_pvt)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     // Responses at or past both the requests issued and the last
     // refusal are new. Past a whole ring's worth they are not slots at
@@ -420,7 +403,6 @@ Checker::ringRefuseResponses(u32 ring, u32 prod, u32 req_prod_pvt)
 void
 Checker::ringRefuseRequests(u32 ring, u32 prod, u32 cons)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     RingShadow &s = rings_.at(ring);
     if (prod == s.reqRefused)
         return; // this index was refused and counted already
@@ -436,7 +418,6 @@ Checker::ringRefuseRequests(u32 ring, u32 prod, u32 cons)
 void
 Checker::gcAlloc(const void *heap, u32 ref)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     HeapShadow &h = heaps_[heap];
     if (ref >= h.state.size())
         h.state.resize(std::size_t(ref) + 1, 0);
@@ -451,7 +432,6 @@ Checker::gcAlloc(const void *heap, u32 ref)
 bool
 Checker::gcRelease(const void *heap, u32 ref)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     HeapShadow &h = heaps_[heap];
     if (ref >= h.state.size() || h.state[ref] == 0) {
         violation(Subsystem::Gc, "release_unknown_cell",
@@ -471,7 +451,6 @@ void
 Checker::gcHeapShutdown(const void *heap, u64 live_cells,
                         u64 live_bytes)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     if (live_cells > 0) {
         gc_leaked_cells_ += live_cells;
         gc_leaked_bytes_ += live_bytes;

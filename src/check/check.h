@@ -46,10 +46,7 @@
 #define MIRAGE_CHECK_CHECK_H
 
 #include <array>
-#include <atomic>
 #include <functional>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -93,19 +90,9 @@ class Checker
      */
     void attachMetrics(trace::MetricsRegistry &reg);
 
-    u64 violations() const
-    {
-        return total_.load(std::memory_order_relaxed);
-    }
-    u64 violations(Subsystem s) const
-    {
-        return per_[std::size_t(s)].load(std::memory_order_relaxed);
-    }
-    std::string lastViolation() const
-    {
-        std::lock_guard<std::mutex> lk(last_mu_);
-        return last_;
-    }
+    u64 violations() const { return total_; }
+    u64 violations(Subsystem s) const { return per_[std::size_t(s)]; }
+    std::string lastViolation() const { return last_; }
 
     /** One line per subsystem with a violation count; "" when clean. */
     std::string report() const;
@@ -182,14 +169,8 @@ class Checker
     bool gcRelease(const void *heap, u32 ref);
     /** Leak report, not a violation: live cells at heap destruction. */
     void gcHeapShutdown(const void *heap, u64 live_cells, u64 live_bytes);
-    u64 gcLeakedCells() const
-    {
-        return gc_leaked_cells_.load(std::memory_order_relaxed);
-    }
-    u64 gcLeakedBytes() const
-    {
-        return gc_leaked_bytes_.load(std::memory_order_relaxed);
-    }
+    u64 gcLeakedCells() const { return gc_leaked_cells_; }
+    u64 gcLeakedBytes() const { return gc_leaked_bytes_; }
 
   private:
     struct GrantShadow
@@ -237,7 +218,7 @@ class Checker
         return (u64(owner) << 32) | ref;
     }
 
-    /** The live shadow of @p owner's @p ref, or null. Holds mu_. */
+    /** The live shadow of @p owner's @p ref, or null. */
     GrantShadow *findGrant(u32 owner, u32 ref);
     /** Whether @p owner revoked @p ref (and has not torn down), given
      *  that @p ref is not live: it is at or below the issued mark. */
@@ -247,22 +228,17 @@ class Checker
 
     bool enabled_ = false;
     Mode mode_;
-    std::atomic<u64> total_{0};
-    std::array<std::atomic<u64>, subsystemCount> per_{};
-    mutable std::mutex last_mu_; //!< guards last_ only
+    u64 total_ = 0;
+    std::array<u64, subsystemCount> per_{};
     std::string last_;
     std::function<void()> violation_hook_;
 
-    // Guards the shadow state below; protocol hooks arrive from every
-    // shard. violation() takes only last_mu_, so hooks may report
-    // while holding mu_.
-    mutable std::mutex mu_;
     std::unordered_map<u32, DomainShadow> doms_;
     std::unordered_map<const void *, u32> ring_ids_;
     std::vector<RingShadow> rings_;
     std::unordered_map<const void *, HeapShadow> heaps_;
-    std::atomic<u64> gc_leaked_cells_{0};
-    std::atomic<u64> gc_leaked_bytes_{0};
+    u64 gc_leaked_cells_ = 0;
+    u64 gc_leaked_bytes_ = 0;
 
     trace::Counter *c_total_ = nullptr;
     std::array<trace::Counter *, subsystemCount> c_per_{};

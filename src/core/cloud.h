@@ -9,10 +9,7 @@
 #ifndef MIRAGE_CORE_CLOUD_H
 #define MIRAGE_CORE_CLOUD_H
 
-#include <atomic>
 #include <memory>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,7 +26,6 @@
 #include "runtime/scheduler.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
-#include "sim/shard.h"
 #include "trace/telemetry.h"
 
 namespace mirage::core {
@@ -57,18 +53,6 @@ class Cloud
     /** Construction-time knobs (defaults reproduce the classic host). */
     struct Config
     {
-        /**
-         * Simulation shards: the host's event processing is split
-         * across this many worker-driven sim::Engine queues, with
-         * guests (and a per-shard backend domain) placed round-robin.
-         * Virtual results are bit-identical at any count (sim/shard.h);
-         * only wall-clock throughput changes. 1 = classic
-         * single-threaded run.
-         */
-        unsigned shards = 1;
-        /** Conservative sync window; must not exceed the smallest
-         *  cross-shard latency (the 1 us event-channel upcall). */
-        Duration lookahead = Duration::micros(1);
         /** Guest subnet mask; widen for fleets past a /24. */
         net::Ipv4Addr netmask{255, 255, 255, 0};
     };
@@ -88,7 +72,7 @@ class Cloud
 
     sim::Engine &engine() { return engine_; }
 
-    /** The observability bundle every shard engine carries. */
+    /** The observability bundle the engine carries. */
     trace::Telemetry &telemetry() { return telemetry_; }
     trace::TraceRecorder &tracer() { return telemetry_.tracer; }
     trace::MetricsRegistry &metrics() { return telemetry_.metrics; }
@@ -156,28 +140,22 @@ class Cloud
     xen::Domain &dom0() { return dom0_; }
     xen::Toolstack &toolstack() { return toolstack_; }
 
-    /** The shard set driving the engines (count()==1 unsharded). */
-    sim::ShardSet &shards() { return shards_; }
+    /** The engine under its old name. Kept for frozen perfbench;
+     *  remove with ROADMAP item 7. */
+    sim::Engine &shards() { return engine_; }
 
-    /**
-     * The network backend serving guests homed on @p engine (each
-     * shard runs its own backend domain + netback; shard 0's is
-     * dom0's netback()).
-     */
-    xen::Netback &netbackFor(sim::Engine &engine);
-
-    // ---- Shard-aware aggregates (watchdogs, /top) -------------------
-    /** Scheduled-but-undispatched events across shards + mailbox. */
-    std::size_t pendingEvents() const { return shards_.pendingEvents(); }
-    /** Cancelled-but-unreaped event ids across all shards. */
+    // ---- Engine aggregates (watchdogs, /top) ------------------------
+    /** Scheduled-but-undispatched events. */
+    std::size_t pendingEvents() const { return engine_.pendingEvents(); }
+    /** Cancelled-but-unreaped event ids. */
     std::size_t cancelledBacklog() const
     {
-        return shards_.cancelledBacklog();
+        return engine_.cancelledBacklog();
     }
-    /** Events executed across all shards. */
-    u64 eventsRun() const { return shards_.eventsRun(); }
-    /** True when no events remain on any shard or in the mailbox. */
-    bool quiescent() const { return shards_.empty(); }
+    /** Events executed. */
+    u64 eventsRun() const { return engine_.eventsRun(); }
+    /** True when no events remain. */
+    bool quiescent() const { return engine_.empty(); }
 
     /**
      * Provision a unikernel guest with a static address. Instant
@@ -212,22 +190,8 @@ class Cloud
     xen::Blkback &blkbackFor(xen::VirtualDisk &disk);
 
     /** Run the simulation until quiescent. */
-    void
-    run()
-    {
-        if (shards_.count() > 1)
-            shards_.run();
-        else
-            engine_.run();
-    }
-    void
-    runFor(Duration d)
-    {
-        if (shards_.count() > 1)
-            shards_.runFor(d);
-        else
-            engine_.runFor(d);
-    }
+    void run() { engine_.run(); }
+    void runFor(Duration d) { engine_.runFor(d); }
 
     const std::vector<std::unique_ptr<Guest>> &guests() const
     {
@@ -248,34 +212,22 @@ class Cloud
     check::Checker checker_{check::Checker::Mode::Count};
     sim::Engine engine_{&telemetry_, &checker_};
     Config cfg_;
-    // shards_ precedes hv_ so the worker threads are joined and the
-    // owned shard engines outlive the domains that reference them.
-    sim::ShardSet shards_;
     xen::Hypervisor hv_;
     xen::Bridge bridge_;
     xen::Domain &dom0_;
     xen::Netback netback_;
     xen::Toolstack toolstack_;
-    /** Per-shard backends, [0] = &netback_ (dom0's); the rest serve
-     *  their own "dom0/netN" backend domain on shard N. */
-    std::vector<xen::Netback *> netback_by_shard_;
-    std::vector<std::unique_ptr<xen::Netback>> shard_netbacks_;
-    // Guests are provisioned from whichever shard the toolstack's
-    // ready event lands on.
-    mutable std::mutex guests_mu_;
     std::vector<std::unique_ptr<Guest>> guests_;
     std::vector<std::unique_ptr<xen::VirtualDisk>> disks_;
     std::vector<std::unique_ptr<xen::Blkback>> blkbacks_;
-    std::atomic<u32> next_mac_{1};
-    std::atomic<std::size_t> next_place_{0}; //!< round-robin placement
+    u32 next_mac_ = 1;
 
-    // Stall-watchdog bookkeeping. The check runs on shard 0; flow
-    // activity (the re-arm trigger) fires from any shard.
+    // Stall-watchdog bookkeeping.
     bool stall_enabled_ = false;
-    std::atomic<bool> stall_armed_{false};
+    bool stall_armed_ = false;
     Duration stall_threshold_;
-    std::atomic<u64> stall_last_completed_{0};
-    std::atomic<i64> stall_progress_at_ns_{0};
+    u64 stall_last_completed_ = 0;
+    i64 stall_progress_at_ns_ = 0;
 };
 
 } // namespace mirage::core

@@ -212,7 +212,7 @@ class Netif
                  const rt::PromisePtr &p, u64 flow);
 
     pvboot::PVBoot &boot_;
-    sim::Engine &engine_; //!< the domain's home shard
+    sim::Engine &engine_; //!< the domain's engine
     xen::MacBytes mac_;
     xen::DomId backend_domid_ = 0;
     xen::Port tx_port_;

@@ -273,7 +273,11 @@ Blkback::onEvent()
                 complete(id, st.ok() ? BlkifWire::statusOk
                                      : BlkifWire::statusError);
                 // Requests pushed while req_event was parked are picked
-                // up here; the last completion re-arms the event.
+                // up here; the last completion re-arms the event. The
+                // drain re-enters from the root scope, not under the
+                // hyp/blkback scope this completion inherited, so a
+                // chain of requests does not nest one scope per request.
+                trace::ProfRestore root(dom_.engine().profiler(), 0);
                 onEvent();
             };
             // The disk service chain (and ultimately finish) runs

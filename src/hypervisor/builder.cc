@@ -4,7 +4,6 @@
 
 #include "sim/cost_model.h"
 #include "sim/engine.h"
-#include "sim/shard.h"
 #include "trace/boot.h"
 
 namespace mirage::xen {
@@ -87,10 +86,7 @@ void
 Toolstack::boot(BootSpec spec,
                 std::function<void(Domain &, BootBreakdown)> on_ready)
 {
-    // Submission time is the calling shard's clock (the control shard
-    // when called outside dispatch).
-    sim::Engine &engine = sim::Engine::current() ? *sim::Engine::current()
-                                                 : hv_.engine();
+    sim::Engine &engine = hv_.engine();
     const auto &c = sim::costs();
 
     Duration build = buildCost(spec.memoryMib);
@@ -101,7 +97,6 @@ Toolstack::boot(BootSpec spec,
     Duration toolstack_cost;
     if (mode_ == Mode::Synchronous) {
         // xend handles one request at a time; later requests queue.
-        std::lock_guard<std::mutex> lk(free_at_mu_);
         build_start = std::max(submit, toolstack_free_at_) +
                       c.toolstackSync;
         toolstack_free_at_ = build_start + build;
@@ -113,7 +108,7 @@ Toolstack::boot(BootSpec spec,
     }
 
     Domain &dom = hv_.createDomain(spec.name, spec.kind, spec.memoryMib,
-                                   spec.vcpus, spec.home);
+                                   spec.vcpus);
     BootBreakdown breakdown{toolstack_cost, build, init, {}};
     breakdown.phases.emplace_back("toolstack", toolstack_cost);
     breakdown.phases.emplace_back("build", build);
@@ -133,16 +128,11 @@ Toolstack::boot(BootSpec spec,
     }
 
     TimePoint ready = build_start + build + init;
-    // The ready event runs on the new domain's home shard; the
-    // toolstack/build latencies dwarf the shard lookahead, so the hop
-    // always merges at a window barrier.
-    sim::crossPostAt(dom.engine(), ready,
-                     [&dom, bid, breakdown = std::move(breakdown),
+    engine.at(ready, [&dom, bid, breakdown = std::move(breakdown),
                       entry = std::move(spec.entry),
                       cb = std::move(on_ready)] {
-        sim::Engine &home = dom.engine();
         dom.setState(DomainState::Running);
-        trace::BootTracker *boots = home.boots();
+        trace::BootTracker *boots = dom.engine().boots();
         {
             // Structural bring-up (PVBoot, driver connects) runs here
             // in zero virtual time; the ambient id lets it annotate
@@ -152,7 +142,7 @@ Toolstack::boot(BootSpec spec,
                 entry(dom);
         }
         if (boots && bid)
-            boots->ready(bid, home.now());
+            boots->ready(bid, dom.engine().now());
         if (cb)
             cb(dom, breakdown);
     });

@@ -15,8 +15,6 @@
 #define MIRAGE_HYPERVISOR_BUILDER_H
 
 #include <functional>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,12 +31,6 @@ struct BootSpec
     GuestKind kind = GuestKind::Unikernel;
     std::size_t memoryMib = 64;
     unsigned vcpus = 1;
-    /**
-     * Home shard for the new domain (sim::ShardSet placement); null
-     * places it on the hypervisor's control engine. The ready event and
-     * the guest entry run on this engine.
-     */
-    sim::Engine *home = nullptr;
     /** Guest entry point, run when boot completes ("first UDP packet"
      *  moment in the paper's methodology). May be null for timing-only
      *  experiments. */
@@ -103,7 +95,6 @@ class Toolstack
   private:
     Hypervisor &hv_;
     Mode mode_;
-    std::mutex free_at_mu_; //!< boots may be submitted from any shard
     TimePoint toolstack_free_at_;
 };
 

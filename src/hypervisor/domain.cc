@@ -9,8 +9,8 @@
 namespace mirage::xen {
 
 Domain::Domain(Hypervisor &hv, DomId id, std::string name, GuestKind kind,
-               std::size_t memory_mib, unsigned vcpus, sim::Engine *home)
-    : hv_(hv), engine_(home ? *home : hv.engine()), id_(id),
+               std::size_t memory_mib, unsigned vcpus)
+    : hv_(hv), engine_(hv.engine()), id_(id),
       name_(std::move(name)), kind_(kind), memory_mib_(memory_mib),
       grants_(id), poll_trace_(engine_.telemetry(), name_, "/domainpoll")
 {

@@ -47,15 +47,10 @@ class Domain
     /** Reason a domainpoll block completed. */
     enum class WakeReason { Event, Timeout };
 
-    /**
-     * @p home is the simulation engine (shard) this domain lives on;
-     * null places it on the hypervisor's control engine (shard 0).
-     * All of the domain's timers, vcpus and driver work run there;
-     * cross-shard interactions go through sim::crossPost.
-     */
+    /** All of the domain's timers, vcpus and driver work run on the
+     *  hypervisor's engine. */
     Domain(Hypervisor &hv, DomId id, std::string name, GuestKind kind,
-           std::size_t memory_mib, unsigned vcpus,
-           sim::Engine *home = nullptr);
+           std::size_t memory_mib, unsigned vcpus);
 
     DomId id() const { return id_; }
     const std::string &name() const { return name_; }
@@ -65,8 +60,7 @@ class Domain
     void setState(DomainState s) { state_ = s; }
 
     Hypervisor &hypervisor() { return hv_; }
-    /** The domain's home shard engine (== hypervisor().engine() in
-     *  single-shard runs). */
+    /** The hypervisor's engine. */
     sim::Engine &engine() { return engine_; }
     sim::Cpu &vcpu(unsigned i = 0) { return *vcpus_.at(i); }
 
@@ -128,7 +122,7 @@ class Domain
     };
 
     Hypervisor &hv_;
-    sim::Engine &engine_; //!< home shard
+    sim::Engine &engine_;
     DomId id_;
     std::string name_;
     GuestKind kind_;

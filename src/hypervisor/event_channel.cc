@@ -5,7 +5,6 @@
 #include "hypervisor/domain.h"
 #include "hypervisor/xen.h"
 #include "sim/cost_model.h"
-#include "sim/shard.h"
 #include "sim/tuning.h"
 #include "trace/profile.h"
 #include "trace/trace.h"
@@ -31,7 +30,7 @@ EventChannelHub::checker() const
 }
 
 bool
-EventChannelHub::wasBoundLocked(Domain &dom, Port port) const
+EventChannelHub::wasBound(Domain &dom, Port port) const
 {
     for (const auto &ch : channels_) {
         if (ch.open)
@@ -48,15 +47,12 @@ EventChannelHub::connect(Domain &a, Domain &b)
 {
     Port pa = a.allocPort();
     Port pb = b.allocPort();
-    std::lock_guard<std::mutex> lk(mu_);
-    // mirage-lint: allow(model-mutex-order) searched by (domain, port),
-    // which matches at most one open channel; closeAllFor only counts
     channels_.push_back(Channel{{&a, pa}, {&b, pb}, true});
     return {pa, pb};
 }
 
 EventChannelHub::Channel *
-EventChannelHub::findChannelLocked(Domain &dom, Port port, bool &is_a)
+EventChannelHub::findChannel(Domain &dom, Port port, bool &is_a)
 {
     for (auto &ch : channels_) {
         if (!ch.open)
@@ -76,14 +72,13 @@ EventChannelHub::findChannelLocked(Domain &dom, Port port, bool &is_a)
 void
 EventChannelHub::close(Domain &dom, Port port)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     bool is_a = false;
-    Channel *ch = findChannelLocked(dom, port, is_a);
+    Channel *ch = findChannel(dom, port, is_a);
     if (!ch) {
         if (check::Checker *ck = checker())
             ck->violation(check::Subsystem::Event,
-                          wasBoundLocked(dom, port) ? "close_closed_port"
-                                                    : "close_unbound_port",
+                          wasBound(dom, port) ? "close_closed_port"
+                                              : "close_unbound_port",
                           strprintf("%s closed port %u",
                                     dom.name().c_str(), port));
         return;
@@ -94,7 +89,6 @@ EventChannelHub::close(Domain &dom, Port port)
 std::size_t
 EventChannelHub::closeAllFor(Domain &dom)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::size_t n = 0;
     for (auto &ch : channels_) {
         if (ch.open && (ch.a.dom == &dom || ch.b.dom == &dom)) {
@@ -109,25 +103,19 @@ Status
 EventChannelHub::notify(Domain &dom, Port port)
 {
     sim::Engine &eng = dom.engine();
-    Domain *peer = nullptr;
-    Port peer_port = 0;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        bool is_a = false;
-        Channel *ch = findChannelLocked(dom, port, is_a);
-        if (!ch) {
-            if (check::Checker *ck = checker())
-                ck->violation(check::Subsystem::Event,
-                              wasBoundLocked(dom, port)
-                                  ? "notify_closed_port"
-                                  : "notify_unbound_port",
-                              strprintf("%s notified port %u",
-                                        dom.name().c_str(), port));
-            return notFoundError("notify on unbound port");
-        }
-        peer = is_a ? ch->b.dom : ch->a.dom;
-        peer_port = is_a ? ch->b.port : ch->a.port;
+    bool is_a = false;
+    Channel *ch = findChannel(dom, port, is_a);
+    if (!ch) {
+        if (check::Checker *ck = checker())
+            ck->violation(check::Subsystem::Event,
+                          wasBound(dom, port) ? "notify_closed_port"
+                                              : "notify_unbound_port",
+                          strprintf("%s notified port %u",
+                                    dom.name().c_str(), port));
+        return notFoundError("notify on unbound port");
     }
+    Domain *peer = is_a ? ch->b.dom : ch->a.dom;
+    Port peer_port = is_a ? ch->b.port : ch->a.port;
     trace::bump(c_notifications_);
     trace::bump(c_sent_);
     if (auto *tr = eng.tracer(); tr && tr->enabled())
@@ -140,14 +128,13 @@ EventChannelHub::notify(Domain &dom, Port port)
                       trace::Cat::Hypervisor);
     if (auto *s = dom.stats())
         s->notifies_sent.inc();
-    // The receive side of the upcall — including its stats — runs on
-    // the peer's home shard at delivery time.
-    sim::crossPost(peer->engine(), sim::costs().interrupt,
-                   [peer, peer_port] {
-                       if (auto *s = peer->stats())
-                           s->notifies_received.inc();
-                       peer->deliverEvent(peer_port);
-                   });
+    // The receive side of the upcall — including its stats — runs at
+    // delivery time.
+    eng.after(sim::costs().interrupt, [peer, peer_port] {
+        if (auto *s = peer->stats())
+            s->notifies_received.inc();
+        peer->deliverEvent(peer_port);
+    });
     return Status::success();
 }
 
@@ -183,8 +170,6 @@ LazyDoorbell::ring()
         return;
     }
     armed_ = true;
-    // The window timer lives on the owning domain's shard: ring() and
-    // the flush callback both run there, so armed_ needs no lock.
     flush_event_ =
         dom_.engine().after(sim::tuning().doorbellWindow, [this] {
             armed_ = false;

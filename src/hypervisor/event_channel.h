@@ -14,8 +14,6 @@
 #define MIRAGE_HYPERVISOR_EVENT_CHANNEL_H
 
 #include <functional>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <vector>
 
 #include "base/result.h"
@@ -59,9 +57,7 @@ class EventChannelHub
     /**
      * Send an event from @p dom's @p port to its peer. Charges the
      * notify hypercall on the sender and delivers the upcall after the
-     * interrupt latency. When the peer lives on another shard the
-     * upcall crosses via sim::crossPost (the interrupt latency is the
-     * ShardSet lookahead, so delivery is always merged at a barrier).
+     * interrupt latency.
      */
     Status notify(Domain &dom, Port port);
 
@@ -83,17 +79,12 @@ class EventChannelHub
         bool open = false;
     };
 
-    /** Requires mu_ held. */
-    Channel *findChannelLocked(Domain &dom, Port port, bool &is_a);
+    Channel *findChannel(Domain &dom, Port port, bool &is_a);
     check::Checker *checker() const;
-    /** True when a now-closed channel once bound @p port in @p dom.
-     *  Requires mu_ held. */
-    bool wasBoundLocked(Domain &dom, Port port) const;
+    /** True when a now-closed channel once bound @p port in @p dom. */
+    bool wasBound(Domain &dom, Port port) const;
 
     sim::Engine &engine_;
-    // Channels are connected/closed from whichever shard runs the
-    // toolstack or teardown while guests notify from their own shards.
-    mutable std::mutex mu_;
     std::vector<Channel> channels_;
     // Registry totals (null without telemetry), listed from the first
     // notify or suppressed doorbell on.

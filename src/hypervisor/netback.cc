@@ -8,7 +8,6 @@
 #include "hypervisor/xen.h"
 #include "hypervisor/ring.h"
 #include "sim/cost_model.h"
-#include "sim/shard.h"
 #include "sim/tuning.h"
 #include "trace/flow.h"
 #include "trace/profile.h"
@@ -91,10 +90,8 @@ Bridge::Bridge(sim::Engine &engine, std::string name)
 void
 Bridge::attach(BridgeEndpoint *ep)
 {
-    // Ports stay sorted by MAC: vifs attach from whichever shard runs
-    // their guest's entry first, and the flood in arrive() walks
-    // ports_, so arrival order would leak into the schedule.
-    std::lock_guard<std::mutex> lk(mu_);
+    // Ports stay sorted by MAC: the flood in arrive() walks ports_ in
+    // this order.
     auto at = std::upper_bound(ports_.begin(), ports_.end(), ep->mac(),
                                [](const MacBytes &mac, BridgeEndpoint *p) {
                                    return mac < p->mac();
@@ -105,7 +102,6 @@ Bridge::attach(BridgeEndpoint *ep)
 void
 Bridge::detach(BridgeEndpoint *ep)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::erase(ports_, ep);
     for (auto it = learned_.begin(); it != learned_.end();) {
         if (it->second == ep)
@@ -120,15 +116,14 @@ Bridge::send(BridgeEndpoint *from, Cstruct frame)
 {
     if (frame.length() < 12)
         return; // runt frame: not even two MAC addresses
-    // Ingress hop onto the bridge's home shard. The first `interrupt`
-    // slice of bridgeLatency pays for the hop (== the ShardSet
-    // lookahead, so the merge is always conservative); arrive() adds
-    // the remainder after the fabric transfer, keeping the idle-path
-    // end-to-end latency exactly transfer + bridgeLatency.
-    sim::crossPost(engine_, sim::costs().interrupt,
-                   [this, from, frame = std::move(frame)]() mutable {
-                       arrive(from, std::move(frame));
-                   });
+    // The first `interrupt` slice of bridgeLatency pays for the ingress
+    // hop; arrive() adds the remainder after the fabric transfer,
+    // keeping the idle-path end-to-end latency exactly transfer +
+    // bridgeLatency.
+    engine_.after(sim::costs().interrupt,
+                  [this, from, frame = std::move(frame)]() mutable {
+                      arrive(from, std::move(frame));
+                  });
 }
 
 void
@@ -157,7 +152,6 @@ Bridge::arrive(BridgeEndpoint *from, Cstruct frame)
     bool broadcast = std::all_of(dst.begin(), dst.end(),
                                  [](u8 b) { return b == 0xff; });
 
-    std::lock_guard<std::mutex> lk(mu_);
     learned_[src] = from;
     if (!broadcast) {
         auto it = learned_.find(dst);
@@ -178,9 +172,7 @@ Bridge::arrive(BridgeEndpoint *from, Cstruct frame)
 void
 Bridge::dispatch(BridgeEndpoint *ep, const Cstruct &frame, TimePoint when)
 {
-    sim::Engine *home = ep->homeEngine();
-    sim::crossPostAt(home ? *home : engine_, when,
-                     [ep, frame] { ep->frameFromBridge(frame); });
+    engine_.at(when, [ep, frame] { ep->frameFromBridge(frame); });
 }
 
 // ---- Netback ----------------------------------------------------------------

@@ -19,8 +19,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -107,12 +105,6 @@ class BridgeEndpoint
     virtual MacBytes mac() const = 0;
     /** A frame switched to this endpoint. The view is owned (stable). */
     virtual void frameFromBridge(const Cstruct &frame) = 0;
-    /**
-     * The shard the endpoint's receive path runs on; null means the
-     * bridge's own engine (test ports). Vifs return their backend
-     * domain's home shard.
-     */
-    virtual sim::Engine *homeEngine() { return nullptr; }
 };
 
 /** A learning Ethernet switch with a latency/bandwidth fabric model. */
@@ -148,22 +140,16 @@ class Bridge
 
   private:
     /**
-     * Ingress: runs on the bridge's home shard. Learns the source MAC,
-     * serialises the wire transfer on the shared fabric, then routes —
-     * so fabric queueing and the learned table's contents are a pure
-     * function of the merged (deterministic) event order, independent
-     * of which shard sent the frame.
+     * Ingress: learns the source MAC, serialises the wire transfer on
+     * the shared fabric, then routes.
      */
     void arrive(BridgeEndpoint *from, Cstruct frame);
-    /** Egress: post delivery onto @p ep's home shard at @p when. */
+    /** Egress: deliver @p frame to @p ep at @p when. */
     void dispatch(BridgeEndpoint *ep, const Cstruct &frame,
                   TimePoint when);
 
     sim::Engine &engine_;
     sim::Cpu fabric_;
-    // attach/detach arrive from whichever shard tears a vif down while
-    // the ingress path routes on the bridge's shard.
-    mutable std::mutex mu_;
     std::vector<BridgeEndpoint *> ports_;
     std::map<MacBytes, BridgeEndpoint *> learned_;
     std::function<bool(const Cstruct &)> drop_fn_;
@@ -200,10 +186,6 @@ class Netback
 
         MacBytes mac() const override { return mac_; }
         void frameFromBridge(const Cstruct &frame) override;
-        sim::Engine *homeEngine() override
-        {
-            return &owner_.dom_.engine();
-        }
 
         /**
          * Detach from the bridge and unmap both ring grants. Runs

@@ -15,22 +15,16 @@ Hypervisor::~Hypervisor() = default;
 
 Domain &
 Hypervisor::createDomain(const std::string &name, GuestKind kind,
-                         std::size_t memory_mib, unsigned vcpus,
-                         sim::Engine *home)
+                         std::size_t memory_mib, unsigned vcpus)
 {
-    std::lock_guard<std::mutex> lk(domains_mu_);
-    // mirage-lint: allow(model-mutex-order) searched by id, never
-    // walked to schedule anything
     domains_.push_back(std::make_unique<Domain>(*this, next_domid_++, name,
-                                                kind, memory_mib, vcpus,
-                                                home));
+                                                kind, memory_mib, vcpus));
     return *domains_.back();
 }
 
 Domain *
 Hypervisor::domainById(DomId id)
 {
-    std::lock_guard<std::mutex> lk(domains_mu_);
     for (auto &d : domains_)
         if (d->id() == id)
             return d.get();
@@ -64,7 +58,7 @@ Hypervisor::seal(Domain &dom)
 void
 Hypervisor::chargeHypercall(Domain &dom, Hypercall call)
 {
-    counts_[std::size_t(call)].fetch_add(1, std::memory_order_relaxed);
+    counts_[std::size_t(call)]++;
     dom.vcpu().charge(sim::costs().hypercall, "hypercall",
                       trace::Cat::Hypervisor);
 }
@@ -72,16 +66,13 @@ Hypervisor::chargeHypercall(Domain &dom, Hypercall call)
 u64
 Hypervisor::hypercallCount(Hypercall call) const
 {
-    return counts_[std::size_t(call)].load(std::memory_order_relaxed);
+    return counts_[std::size_t(call)];
 }
 
 u64
 Hypervisor::totalHypercalls() const
 {
-    u64 n = 0;
-    for (const auto &c : counts_)
-        n += c.load(std::memory_order_relaxed);
-    return n;
+    return std::accumulate(counts_.begin(), counts_.end(), u64(0));
 }
 
 } // namespace mirage::xen

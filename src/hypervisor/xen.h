@@ -9,10 +9,7 @@
 #define MIRAGE_HYPERVISOR_XEN_H
 
 #include <array>
-#include <atomic>
 #include <memory>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,13 +42,9 @@ class Hypervisor
     sim::Engine &engine() { return engine_; }
     EventChannelHub &events() { return events_; }
 
-    /**
-     * Create a domain in the Building state. @p home selects the
-     * simulation shard the domain lives on (null: the control engine).
-     */
+    /** Create a domain in the Building state. */
     Domain &createDomain(const std::string &name, GuestKind kind,
-                         std::size_t memory_mib, unsigned vcpus = 1,
-                         sim::Engine *home = nullptr);
+                         std::size_t memory_mib, unsigned vcpus = 1);
 
     Domain *domainById(DomId id);
     const std::vector<std::unique_ptr<Domain>> &domains() const
@@ -83,13 +76,9 @@ class Hypervisor
   private:
     sim::Engine &engine_;
     EventChannelHub events_;
-    // Guards domains_/next_domid_; the toolstack builds domains from
-    // any shard while others look peers up.
-    mutable std::mutex domains_mu_;
     std::vector<std::unique_ptr<Domain>> domains_;
     DomId next_domid_ = 1;
-    std::array<std::atomic<u64>, std::size_t(Hypercall::NumHypercalls)>
-        counts_{};
+    std::array<u64, std::size_t(Hypercall::NumHypercalls)> counts_{};
 };
 
 } // namespace mirage::xen

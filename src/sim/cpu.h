@@ -54,9 +54,9 @@ class Cpu
 
     /**
      * Charge @p cost and return its completion time instead of
-     * scheduling a callback. The cross-shard fabric lanes use this to
-     * compute a hop's delivery time synchronously on the sending shard,
-     * then sim::crossPostAt the receive side at that instant.
+     * scheduling a callback. The bridge fabric uses this to compute a
+     * frame's delivery time, then schedules the receive side at that
+     * instant.
      */
     TimePoint finishAt(Duration cost, const char *what = "cpu.work",
                        trace::Cat cat = trace::Cat::Cpu);

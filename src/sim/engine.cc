@@ -1,12 +1,10 @@
 #include "sim/engine.h"
 
-#include "sim/shard.h"
-
 #include "base/logging.h"
 
 namespace mirage::sim {
 
-thread_local Engine *Engine::current_ = nullptr;
+Engine *Engine::current_ = nullptr;
 
 Engine::Slot *
 Engine::slotFor(EventId id)
@@ -78,16 +76,6 @@ Engine::QuadHeap<T>::siftDown(T item)
     items_[i] = item;
 }
 
-CrossKey
-Engine::nextKey()
-{
-    CrossKey k;
-    k.strand = cur_hash_;
-    k.idx = next_child_++;
-    k.hash = mixKey(k.strand, k.idx);
-    return k;
-}
-
 u32
 Engine::claimSlot(Callback &&fn, u64 hash, u64 flow, u32 pscope)
 {
@@ -117,52 +105,33 @@ Engine::idOf(u32 idx, u32 credited) const
     return (u64(slots_[idx].gen + credited) << 32) | (idx + 1);
 }
 
-EventId
-Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
-                Callback &&fn)
+Engine::Key
+Engine::schedule(TimePoint t, Callback &&fn)
 {
-    if (t < now_)
-        t = now_; // late scheduling runs as soon as possible
-    u32 idx = claimSlot(std::move(fn), key.hash, flow, pscope);
-    queue_.push(Key{t, key.strand, key.idx, idx});
-    return idOf(idx, 0);
-}
-
-CrossKey
-Engine::scheduleKey()
-{
-    // Root-context scheduling (setup code, no event dispatching) on a
-    // sharded engine draws its key from the *primary* shard's root
-    // counter: setup runs in program order on one thread, so the key
-    // sequence — and with it every derived causal hash — is identical
-    // no matter which shard each domain was placed on.
-    return (!current_ && shards_) ? rootKeyFromSet() : nextKey();
+    u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
+    u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
+    u64 idx = next_child_++;
+    u32 slot = claimSlot(std::move(fn), mixKey(cur_hash_, idx), flow,
+                         pscope);
+    return Key{t, cur_hash_, idx, slot};
 }
 
 EventId
 Engine::at(TimePoint t, Callback &&fn)
 {
-    u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
-    u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
-    return atKeyed(t, scheduleKey(), flow, pscope, std::move(fn));
+    if (t < now_)
+        t = now_; // late scheduling runs as soon as possible
+    Key key = schedule(t, std::move(fn));
+    queue_.push(key);
+    return idOf(key.slot, 0);
 }
 
 EventId
 Engine::poll(Duration period, Callback &&fn, const PollHook &hook)
 {
-    u64 flow = telemetry_ ? telemetry_->flows.current() : 0;
-    u32 pscope = telemetry_ ? telemetry_->profiler.current() : 0;
-    CrossKey key = scheduleKey();
-    u32 idx = claimSlot(std::move(fn), key.hash, flow, pscope);
-    trains_.push(Train{Key{now_ + period, key.strand, key.idx, idx},
-                       period, hook});
-    return idOf(idx, 0);
-}
-
-CrossKey
-Engine::rootKeyFromSet()
-{
-    return shards_->rootKey();
+    Key key = schedule(now_ + period, std::move(fn));
+    trains_.push(Train{key, period, hook});
+    return idOf(key.slot, 0);
 }
 
 EventId
@@ -298,8 +267,8 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
     // Restore the scheduling context's flow and profiler scope for the
     // duration of the callback; anything it schedules inherits them —
     // including the causal key context, so children order
-    // deterministically under (when, strand, idx) whatever thread runs
-    // this. Both scopes are null-safe.
+    // deterministically under (when, strand, idx). Both scopes are
+    // null-safe.
     trace::FlowScope fscope(flows(), flow);
     trace::ProfRestore prestore(profiler(), pscope);
     Engine *prev_engine = current_;
@@ -341,25 +310,6 @@ void
 Engine::runFor(Duration d)
 {
     runUntil(now_ + d);
-}
-
-u64
-Engine::runWindow(TimePoint end)
-{
-    // Events at exactly `end` belong to the next window; the clock is
-    // left on the last dispatched event so barrier-time bookkeeping
-    // (nextEventTime, cross-post lookahead checks) sees event time.
-    u64 n = 0;
-    while (dispatchOne(true, TimePoint(end.ns() - 1)))
-        n++;
-    return n;
-}
-
-TimePoint
-Engine::nextEventTime()
-{
-    Head head = settleTop();
-    return head == Head::None ? kNever : headKey(head).when;
 }
 
 } // namespace mirage::sim

@@ -8,11 +8,10 @@
  * a *causal* key rather than global insertion order: every event
  * carries the identity hash of the event that scheduled it (its
  * "strand") plus its sibling index within that dispatch, and the queue
- * orders by (when, strand, idx). Siblings therefore stay FIFO, and —
- * crucially for the sharded engine — the key depends only on the
- * causal tree rooted at the seed, never on which shard or worker
- * thread scheduled the event. A run is a pure function of its seed,
- * bit-identical at any shard count (see sim/shard.h).
+ * orders by (when, strand, idx). Siblings therefore stay FIFO, and the
+ * key depends only on the causal tree rooted at the seed: a run is a
+ * pure function of its seed. The engine is single-threaded; one engine
+ * drives a whole simulated host.
  *
  * The engine also carries the observability layer: one optional
  * trace::Telemetry bundle (tracer, metrics, flows, profiler, boots, SLO,
@@ -38,8 +37,6 @@ class Checker;
 
 namespace mirage::sim {
 
-class ShardSet;
-
 /**
  * Handle identifying a scheduled event, usable for cancellation.
  * Encodes (generation << 32 | slot + 1): the slot indexes a reusable
@@ -57,20 +54,6 @@ mixKey(u64 a, u64 b)
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
 }
-
-/**
- * The causal ordering key of one event: the scheduling event's
- * identity hash, the sibling index within that dispatch, and the new
- * event's own identity hash (`mixKey(strand, idx)`). Computed at
- * schedule time — on the *sender's* shard for cross-shard posts — so
- * the merged order is independent of shard count.
- */
-struct CrossKey
-{
-    u64 strand = 0;
-    u64 idx = 0;
-    u64 hash = 0;
-};
 
 /**
  * The idle test of a poll train (Engine::poll). @ref idle says whether
@@ -91,9 +74,6 @@ struct PollHook
 class Engine
 {
   public:
-    /** Sentinel "no pending event" time (nextEventTime()). */
-    static constexpr TimePoint kNever{INT64_MAX};
-
     /**
      * @param telemetry the observability bundle, fixed for the engine's
      *        life (null: all off). Not owned; it must outlive the
@@ -127,24 +107,8 @@ class Engine
     EventId poll(Duration period, Callback &&fn, const PollHook &hook);
 
     /**
-     * Schedule with an explicit causal key and ambient context, both
-     * captured on the scheduling shard. This is the injection half of
-     * the cross-shard mailbox (sim::ShardSet): the coordinator calls
-     * it while the target shard is quiescent at a window barrier.
-     */
-    EventId atKeyed(TimePoint t, const CrossKey &key, u64 flow,
-                    u32 pscope, Callback &&fn);
-
-    /**
-     * Consume and return the next causal key in the current dispatch
-     * context (what the next at() would have used). Cross-shard posts
-     * take their key from the sending engine via this.
-     */
-    CrossKey nextKey();
-
-    /**
      * Derive a deterministic token from the current dispatch context
-     * (consumes one sibling slot). Used as a shard-count-invariant id
+     * (consumes one sibling slot). Used as a seed-determined id
      * source, e.g. for FlowTracker flow ids.
      */
     u64 deriveToken() { return mixKey(cur_hash_ | 1, next_child_++); }
@@ -177,30 +141,14 @@ class Engine
     /** runUntil(now + d). */
     void runFor(Duration d);
 
-    /**
-     * Dispatch every event strictly before @p end without bumping the
-     * clock past the last event (the shard worker loop: events at
-     * exactly @p end belong to the next window).
-     * @return events dispatched.
-     */
-    u64 runWindow(TimePoint end);
-
-    /**
-     * Time of the earliest pending (non-cancelled) event, or kNever.
-     * Drops cancelled queue heads as a side effect; call only while
-     * the engine is quiescent (window barriers, tests).
-     */
-    TimePoint nextEventTime();
-
     /** Number of events executed since construction. */
     u64 eventsRun() const { return events_run_; }
 
     /**
      * Commutative fold of mixKey(when, hash) over every dispatched
      * event. Two runs dispatching the same causal set of events at the
-     * same times produce the same checksum regardless of sharding —
-     * the determinism regression tests compare this across shard
-     * counts (order within a shard is implied by the keyed queue).
+     * same times produce the same checksum — the determinism tests and
+     * the benchmark's seed pins compare it across runs.
      */
     u64 dispatchChecksum() const { return checksum_; }
 
@@ -215,15 +163,11 @@ class Engine
     std::size_t cancelledBacklog() const { return cancelled_count_; }
 
     /**
-     * The engine currently dispatching on this thread, or null outside
-     * dispatch. Cross-shard posts use it to find their sending context
-     * without plumbing an engine reference through every call chain.
+     * The engine currently dispatching, or null outside dispatch.
+     * Flow ids and probes use it to find the dispatch context without
+     * plumbing an engine reference through every call chain.
      */
     static Engine *current() { return current_; }
-
-    /** The shard set this engine belongs to, or null (unsharded). */
-    ShardSet *shards() const { return shards_; }
-    void setShards(ShardSet *s) { shards_ = s; }
 
     // ---- Observability ----------------------------------------------
     /**
@@ -369,13 +313,15 @@ class Engine
     /** Account the idle poll on top of trains_ and re-key its train. */
     void creditPoll();
 
-    /** Schedule-time context shared by at() and poll(). */
-    CrossKey scheduleKey();
+    /**
+     * Schedule-time work shared by at() and poll(): take the next
+     * causal key in the current dispatch context, capture the ambient
+     * flow and profiler scope, and park @p fn in a slot.
+     * @return the queue key for time @p t.
+     */
+    Key schedule(TimePoint t, Callback &&fn);
     u32 claimSlot(Callback &&fn, u64 hash, u64 flow, u32 pscope);
     EventId idOf(u32 idx, u32 credited) const;
-
-    /** Borrow a root-context key from the shard set's primary. */
-    CrossKey rootKeyFromSet();
 
     /**
      * Pop cancelled heads of both queues in global key order,
@@ -402,14 +348,23 @@ class Engine
     std::vector<u32> free_slots_;
     std::size_t live_ = 0;            //!< scheduled, not dispatched
     std::size_t cancelled_count_ = 0; //!< subset of live_
-    ShardSet *shards_ = nullptr;
     trace::Telemetry *const telemetry_;
     check::Checker *checker_ = nullptr;
     trace::Counter *const c_dispatched_;
     trace::Counter *const c_cancelled_;
 
-    static thread_local Engine *current_;
+    static Engine *current_;
 };
+
+/**
+ * Schedule @p fn on @p target @p delay from now: Engine::after under
+ * its old name. Kept for frozen perfbench; remove with ROADMAP item 7.
+ */
+inline EventId
+crossPost(Engine &target, Duration delay, Callback &&fn)
+{
+    return target.after(delay, std::move(fn));
+}
 
 } // namespace mirage::sim
 

@@ -84,8 +84,7 @@ struct Tuning
 
 /**
  * The process-wide tuning table. It is written only before a run
- * (setup, tests, bench sweeps) and read by every shard during one, so
- * sharded runs see one fixed table. Moving it into the engine or the
+ * (setup, tests, bench sweeps) and read during one. Moving it into the engine or the
  * cloud config waits for the next benchmark change (perfbench includes
  * this header).
  */

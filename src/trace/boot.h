@@ -119,8 +119,7 @@ class BootTracker
     void firstRequest(const std::string &domain, TimePoint ts);
 
     // ---- Ambient propagation ----------------------------------------
-    /** The boot whose bring-up code is currently executing
-     *  (thread-local: one per shard worker). */
+    /** The boot whose bring-up code is currently executing. */
     BootId current() const { return current_tls_; }
     void setCurrent(BootId id) { current_tls_ = id; }
 
@@ -133,7 +132,7 @@ class BootTracker
     const std::deque<Record> &records() const { return records_; }
 
     /** Copy of the per-phase `boot.<phase>_ns` histograms, keyed by
-     *  phase (the hub renders while other shards bring domains up). */
+     *  phase. */
     std::map<std::string, HdrHistogram> phaseHistogramsSnapshot() const;
     /** `boot.total_ns` and `boot.first_request_ns` (empty until the
      *  first boot or first request lands). */
@@ -161,8 +160,7 @@ class BootTracker
     Telemetry &t_;
     BootId next_id_ = 1;
     std::atomic<u64> started_{0};
-    // Guards records_/open_by_domain_/next_id_; toolstack boots land on
-    // every shard.
+    // Guards records_/open_by_domain_/next_id_.
     mutable std::mutex mu_;
     std::deque<Record> records_;
     static constexpr std::size_t recordCapacity = 256;

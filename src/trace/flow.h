@@ -122,15 +122,15 @@ class FlowTracker
                   u32 tid = 0);
 
     // ---- Ambient propagation (used by sim::Engine) ------------------
-    // The ambient flow is thread-local: each simulation shard worker
-    // carries its own dispatch context, restored by FlowScope.
+    // The ambient flow follows the dispatch context, restored by
+    // FlowScope.
     FlowId current() const { return current_tls_; }
     void setCurrent(FlowId id) { current_tls_ = id; }
 
     /**
      * Install a deterministic id source (e.g. the engine's causal
-     * token derivation) so flow ids are a pure function of the seed at
-     * any shard count. Falls back to a sequential counter when unset
+     * token derivation) so flow ids are a pure function of the seed.
+     * Falls back to a sequential counter when unset
      * or when the source yields 0.
      */
     void setIdSource(std::function<FlowId()> source)
@@ -187,9 +187,8 @@ class FlowTracker
     std::function<FlowId()> id_source_;
     FlowId next_id_ = 1;
     std::atomic<std::size_t> live_count_{0};
-    // Guards live_/recent_/series_/next_id_; shard workers begin and
-    // finalize flows concurrently. live_count_ stays lock-free so the
-    // stall watchdog's hooks can read it from any shard.
+    // Guards live_/recent_/series_/next_id_. live_count_ stays
+    // lock-free so the stall watchdog's hooks can read it.
     mutable std::mutex mu_;
     std::map<std::string, Series, std::less<>> series_;
     std::unordered_map<FlowId, Flow> live_;

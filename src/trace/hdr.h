@@ -11,8 +11,8 @@
  * estimator is that the bucket boundaries are *value-determined*, not
  * population-determined, which makes merge exact:
  *
- *   merge(shard_a, shard_b).quantile(q) ==
- *       record(shard_a ∪ shard_b).quantile(q)
+ *   merge(part_a, part_b).quantile(q) ==
+ *       record(part_a ∪ part_b).quantile(q)
  *
  * for every q — a fleet-wide p99 computed dom0-side from per-appliance
  * histograms equals the p99 of the pooled population. That is what lets
@@ -49,11 +49,8 @@ class HdrHistogram
 
     HdrHistogram() = default;
 
-    // Buckets are relaxed atomics so per-shard workers can record into
-    // shared histograms without locks; totals are exact once the
-    // shards quiesce. A copy is a merge into an empty histogram: it
-    // snapshots the source (readers that want a consistent view copy at
-    // a barrier).
+    // Buckets are relaxed atomics. A copy is a merge into an empty
+    // histogram: it snapshots the source.
     HdrHistogram(const HdrHistogram &o) { merge(o); }
 
     void

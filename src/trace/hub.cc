@@ -4,7 +4,6 @@
 
 #include "base/logging.h"
 #include "trace/telemetry.h"
-#include "trace/wallprof.h"
 
 namespace mirage::trace {
 
@@ -13,7 +12,6 @@ TelemetryHub::onFlowDone(const FlowTracker::Flow &f)
 {
     const std::string &name =
         f.domain.empty() ? std::string("(untagged)") : f.domain;
-    std::lock_guard<std::mutex> lk(mu_);
     DomainAgg &agg = domains_[name];
     agg.requests++;
     if (f.failed)
@@ -40,26 +38,18 @@ sumOf(const std::map<std::string, TelemetryHub::DomainAgg> &domains)
 TelemetryHub::DomainAgg
 TelemetryHub::fleet() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return sumOf(domains_);
 }
 
 std::string
 TelemetryHub::fleetJson() const
 {
-    // Snapshot under the lock, render without it: the render path reads
-    // the profiler and SLO tracker, which take their own locks.
-    std::map<std::string, DomainAgg> domains;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        domains = domains_;
-    }
-    DomainAgg total = sumOf(domains);
+    DomainAgg total = sumOf(domains_);
     JsonWriter w;
     w.beginObject().newline().key("domains").beginArray();
     u64 run_sum = 0, steal_sum = 0, blocked_sum = 0;
     u64 run_max = 0, steal_max = 0;
-    for (const auto &[name, agg] : domains) {
+    for (const auto &[name, agg] : domains_) {
         w.newline().beginObject().fields("name", name, "requests",
                                          agg.requests, "errors", agg.errors);
         agg.latency.json(w.key("latency"), true);
@@ -81,7 +71,7 @@ TelemetryHub::fleetJson() const
         w.endObject();
     }
     w.endArray().newline().key("fleet").beginObject();
-    w.fields("domains", domains.size(), "requests", total.requests,
+    w.fields("domains", domains_.size(), "requests", total.requests,
              "errors", total.errors);
     total.latency.json(w.key("latency"), true);
     w.key("cpu").beginObject().fields(
@@ -103,14 +93,6 @@ TelemetryHub::fleetJson() const
         h.json(w.key(phase), true);
     w.endObject().key("recent").raw(boots.json()).endObject();
     w.newline().key("slo").raw(t_.slo.json());
-    // Only render the shard section once the profiler has seen a
-    // sharded run; a 1-shard cloud bypasses the ShardSet entirely and
-    // an all-zero section would just read as a broken profiler. Never
-    // render it mid-run: /fleet is also served to in-sim HTTP clients,
-    // and wall-clock bytes in the body would change packetisation and
-    // so virtual timing — breaking bit-identical replay.
-    if (t_.wall && t_.wall->windows() > 0 && !t_.wall->inRun())
-        w.newline().key("shards").raw(t_.wall->statsJson());
     w.newline().endObject().newline();
     return w.take();
 }
@@ -118,7 +100,6 @@ TelemetryHub::fleetJson() const
 std::string
 TelemetryHub::toPrometheus() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::string out;
     appendPromType(out, "fleet_requests_total", "counter");
     for (const auto &[name, agg] : domains_)
@@ -132,10 +113,6 @@ TelemetryHub::toPrometheus() const
     for (const auto &[name, agg] : domains_)
         appendPromHistogram(out, "fleet_request_latency_ns",
                             promLabel("domain", name), agg.latency);
-    // Same in-run gate as fleetJson: /metrics is fetched by in-sim
-    // clients, and wall-dependent bytes must never reach them.
-    if (t_.wall && t_.wall->windows() > 0 && !t_.wall->inRun())
-        out += t_.wall->toPrometheus();
     return out;
 }
 

@@ -24,16 +24,13 @@
  * (`fleet_requests_total{domain="web3"}`) so a real scraper could
  * slice the fleet the same way.
  *
- * The sources are the hub's siblings in the bundle, plus the bundle's
- * borrowed wall profiler when the cloud shards.
+ * The sources are the hub's siblings in the bundle.
  */
 
 #ifndef MIRAGE_TRACE_HUB_H
 #define MIRAGE_TRACE_HUB_H
 
 #include <map>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 
 #include "base/types.h"
@@ -83,10 +80,8 @@ class TelemetryHub
      * The `GET /fleet` document: `domains` (per-domain requests,
      * errors, latency quantiles, CPU and GC from DomainStats), `fleet`
      * (sums, maxes and the histogram-merged latency), `boot`
-     * (per-phase cold-boot quantiles + recent boot records), `slo`
-     * (burn-rate state per target), and — when the bundle borrows a
-     * wall profiler that has observed windows — `shards` (per-worker
-     * wall phase accounting, parallel efficiency, imbalance, lag).
+     * (per-phase cold-boot quantiles + recent boot records) and `slo`
+     * (burn-rate state per target).
      */
     std::string fleetJson() const;
 
@@ -99,9 +94,6 @@ class TelemetryHub
 
   private:
     Telemetry &t_;
-    // Guards domains_; flows finalize on every shard while /fleet
-    // renders from the monitor's shard.
-    mutable std::mutex mu_;
     std::map<std::string, DomainAgg> domains_;
 };
 

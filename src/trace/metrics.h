@@ -41,9 +41,7 @@ namespace mirage::trace {
 /**
  * A u64 cell with relaxed-atomic access — the one counter type. Named
  * registry counters and the per-domain DomainStats fields are both
- * Counters: the owning shard writes while rollups (/top, /fleet,
- * /metrics) read from another thread, and totals are exact once the
- * shards quiesce (window barriers, run end).
+ * Counters; rollups (/top, /fleet, /metrics) read them.
  *
  * A per-owner Counter may feed a registry total: each inc() adds to
  * both, so the owner's count and the registry sum cannot drift.
@@ -87,8 +85,7 @@ bump(Counter *c, u64 n = 1)
  * log-bucketed with 32 linear sub-buckets per octave, exact merge, and
  * p999 tail resolution. Kept under the `Histogram` name because this is
  * the one histogram type the codebase uses — the previous 4-sub-bucket
- * local type lost tail resolution above p99 and could not be merged
- * across shards.
+ * local type lost tail resolution above p99 and could not be merged.
  */
 using Histogram = HdrHistogram;
 

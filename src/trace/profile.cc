@@ -84,8 +84,10 @@ Profiler::charge(const char *leaf, u64 ns, i64 now_ns)
     nodes_[node].self_ns += ns;
     nodes_[node].samples++;
     total_ns_.fetch_add(ns, std::memory_order_relaxed);
-    // Subtree totals accumulate up the ancestry; depth is the static
-    // scope nesting (single digits), not anything time-dependent.
+    // Subtree totals accumulate up the ancestry. Depth is the static
+    // scope nesting, not anything time-dependent: a drain that
+    // re-enters from a completion restores the root scope first
+    // (Blkback, sim::Poller), so request chains do not deepen it.
     for (u32 at = node; at != 0; at = nodes_[at].parent)
         nodes_[at].total_ns += ns;
     nodes_[0].total_ns += ns;

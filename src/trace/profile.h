@@ -63,8 +63,7 @@ struct Telemetry;
  * One ring's occupancy mark in a DomainStats record. Its owner (a
  * backend) resolves it once with DomainStats::ring() and notes through
  * it, so a drain builds no string and walks no map. The fields are
- * guarded by the record's rings_mu_: the owning shard notes while /top
- * renders from another thread.
+ * guarded by the record's rings_mu_.
  */
 struct RingMark
 {
@@ -103,8 +102,7 @@ struct DomainStats
     Counter notifies_received;
 
     // ---- Ring occupancy high-water marks (keyed by ring name) -------
-    // Guarded by rings_mu_: the owning shard updates marks while /top
-    // renders from another thread.
+    // Guarded by rings_mu_.
     mutable std::mutex rings_mu_;
     std::map<std::string, RingMark> rings;
 
@@ -147,8 +145,8 @@ class Profiler
     bool enabled() const { return enabled_; }
 
     // ---- Ambient scope stack ----------------------------------------
-    // Thread-local, like FlowTracker's ambient flow: each shard worker
-    // carries its own attribution context across dispatch.
+    // Restored by the engine around each dispatch, like FlowTracker's
+    // ambient flow.
     ScopeId current() const { return current_tls_; }
     void setCurrent(ScopeId s) { current_tls_ = s; }
 
@@ -262,8 +260,8 @@ class Profiler
     Telemetry &t_;
     bool enabled_ = false;
     Counter &c_alerts_;
-    // Guards the scope tree, domain map and alert log; charges arrive
-    // from every shard worker. totalNs()/alerts() stay lock-free.
+    // Guards the scope tree, domain map and alert log.
+    // totalNs()/alerts() stay lock-free.
     mutable std::mutex mu_;
     std::vector<Node> nodes_{Node{}}; //!< [0] is the root
     std::atomic<u64> total_ns_{0};

@@ -117,8 +117,7 @@ class SloTracker
     static i64 sliceWidthNs(const State &s);
 
     Telemetry &t_;
-    // Guards states_; flows finalize on every shard. Alerts are raised
-    // outside the lock (the profiler's alert path dumps the flight
+    // Guards states_. Alerts are raised outside the lock (the profiler's alert path dumps the flight
     // recorder).
     mutable std::mutex mu_;
     std::map<std::string, State> states_;

@@ -26,8 +26,6 @@
 
 namespace mirage::trace {
 
-class WallProfiler;
-
 struct Telemetry
 {
     Telemetry();
@@ -40,9 +38,6 @@ struct Telemetry
     BootTracker boots{*this};
     SloTracker slo{*this};
     TelemetryHub hub{*this};
-    /** The sharded engine's wall profiler, which the hub renders;
-     *  borrowed, null when nothing shards. */
-    const WallProfiler *wall = nullptr;
 
     /** Write the flight recorder, once; no-op unless MIRAGE_FLIGHT
      *  armed it. */

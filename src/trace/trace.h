@@ -181,8 +181,7 @@ class TraceRecorder
     std::vector<Event> eventsLocked() const;
 
     bool enabled_ = false;
-    // Serialises the event store and track interning; shard workers
-    // record concurrently into one recorder.
+    // Serialises the event store and track interning.
     mutable std::mutex mu_;
     std::vector<Event> events_;
     std::size_t flight_cap_ = 0; //!< 0 = unbounded

@@ -3,12 +3,15 @@
  * Fleet observability tests: HdrHistogram merge exactness (fleet
  * quantiles == pooled-population quantiles), SLO multi-window burn-rate
  * alerting (fire / latch / re-arm / re-fire), boot-phase attribution
- * through the toolstack, the TelemetryHub per-domain aggregation, and
- * the `GET /fleet` endpoint served in-sim.
+ * through the toolstack, the TelemetryHub per-domain aggregation, the
+ * `GET /fleet` endpoint served in-sim, and replay: an HTTP fleet and a
+ * toolstack boot storm rerun to the same events, dispatch checksum,
+ * clock and flows, pinned to recorded values.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -386,6 +389,208 @@ TEST(FleetEndpointTest, FleetDocumentServedInSim)
     // Fleet series rides along on /metrics with domain labels.
     EXPECT_NE(prom_body.find("fleet_request_latency_ns_bucket{domain="),
               std::string::npos);
+}
+
+// ---- Replay: a run is a pure function of its seed --------------------
+
+struct FlowSnap
+{
+    u64 id;
+    std::string kind;
+    std::string detail;
+    std::string domain;
+    i64 start_ns;
+    i64 end_ns;
+    std::size_t stages;
+    bool done;
+
+    bool operator==(const FlowSnap &) const = default;
+};
+
+struct FleetRun
+{
+    int completed = 0;
+    u64 events = 0;
+    u64 checksum = 0;
+    i64 now_ns = 0;
+    std::vector<FlowSnap> flows; //!< sorted by id
+
+    bool operator==(const FleetRun &) const = default;
+};
+
+/** A small HTTP fleet: 3 servers, 3 clients, 4 keep-alive requests
+ *  each. */
+FleetRun
+runHttpFleet()
+{
+    core::Cloud cloud;
+    std::vector<core::Guest *> servers, clients;
+    std::vector<std::unique_ptr<http::HttpServer>> webs;
+    for (int i = 0; i < 3; i++) {
+        servers.push_back(&cloud.startUnikernel(
+            "server" + std::to_string(i), net::Ipv4Addr(10, 0, 0, u8(10 + i))));
+        clients.push_back(&cloud.startUnikernel(
+            "client" + std::to_string(i), net::Ipv4Addr(10, 0, 0, u8(20 + i))));
+    }
+    for (int i = 0; i < 3; i++) {
+        webs.push_back(std::make_unique<http::HttpServer>(
+            servers[i]->stack, 80,
+            [](const http::HttpRequest &req, auto respond) {
+                respond(http::HttpResponse::text(
+                    200, "echo:" + req.path + std::string(512, 'y')));
+            }));
+    }
+
+    FleetRun r;
+    for (int i = 0; i < 3; i++) {
+        auto holder =
+            std::make_shared<std::shared_ptr<http::HttpSession>>();
+        *holder = http::HttpSession::open(
+            clients[i]->stack, net::Ipv4Addr(10, 0, 0, u8(10 + i)), 80,
+            [&r, holder, i](Status st) {
+                ASSERT_TRUE(st.ok());
+                for (int q = 0; q < 4; q++) {
+                    http::HttpRequest req;
+                    req.method = "GET";
+                    req.path = "/c" + std::to_string(i) + "/q" +
+                               std::to_string(q);
+                    (*holder)->request(
+                        req, [&r](Result<http::HttpResponse> resp) {
+                            if (resp.ok())
+                                r.completed++;
+                        });
+                }
+            });
+    }
+    cloud.run();
+
+    r.events = cloud.eventsRun();
+    r.checksum = cloud.engine().dispatchChecksum();
+    r.now_ns = cloud.engine().now().ns();
+    for (const FlowTracker::Flow &f : cloud.flows().recent())
+        r.flows.push_back(FlowSnap{f.id, f.kind, f.detail, f.domain,
+                                   f.start_ns, f.end_ns, f.stages.size(),
+                                   f.done});
+    std::sort(r.flows.begin(), r.flows.end(),
+              [](const FlowSnap &a, const FlowSnap &b) { return a.id < b.id; });
+    return r;
+}
+
+TEST(ReplayTest, HttpFleetReplaysToPinnedValues)
+{
+    FleetRun one = runHttpFleet();
+    FleetRun two = runHttpFleet();
+    EXPECT_TRUE(one == two) << "two runs of one seed diverged";
+
+    // Pinned: event causal order, counts, final clock and the flow
+    // snapshot down to ids and stage counts.
+    EXPECT_EQ(one.completed, 12);
+    EXPECT_EQ(one.events, 3158u);
+    EXPECT_EQ(one.checksum, 0x221e80bd9d36ed1aull);
+    EXPECT_EQ(one.now_ns, 1'000'000'000);
+    const std::vector<FlowSnap> pinned = {
+        {53565558, "http", "GET /c0/q1", "server0", 86769, 143714, 4, true},
+        {199629286, "http", "GET /c2/q3", "server2", 92539, 155413, 4, true},
+        {400465504, "http", "GET /c0/q2", "server0", 89739, 149738, 4, true},
+        {1212542432, "http", "GET /c0/q3", "server0", 92634, 155508, 4, true},
+        {1364741968, "http", "GET /c2/q1", "server2", 86674, 143619, 4, true},
+        {1549922102, "http", "GET /c1/q2", "server1", 89739, 149738, 4, true},
+        {2050137897, "http", "GET /c1/q0", "server1", 71009, 137504, 4, true},
+        {2556822967, "http", "GET /c1/q3", "server1", 92634, 155508, 4, true},
+        {3256901649, "http", "GET /c0/q0", "server0", 71009, 137504, 4, true},
+        {3396251494, "http", "GET /c1/q1", "server1", 86769, 143714, 4, true},
+        {3862346070, "http", "GET /c2/q2", "server2", 89644, 149643, 4, true},
+        {4097763923, "http", "GET /c2/q0", "server2", 71009, 137409, 4, true},
+    };
+    ASSERT_EQ(one.flows.size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); i++)
+        EXPECT_TRUE(one.flows[i] == pinned[i])
+            << "flow " << i << " (id " << one.flows[i].id << ")";
+}
+
+struct BootStormRun
+{
+    std::vector<i64> first_response_ns; //!< per domain, -1 = no answer
+    u64 checksum = 0;
+    u64 events = 0;
+
+    bool operator==(const BootStormRun &) const = default;
+};
+
+/** Cold-boot @p domains appliances through the toolstack at t=0 and
+ *  probe each once from a client the instant it is ready. */
+BootStormRun
+runBootStorm(int domains)
+{
+    core::Cloud cloud;
+    core::Guest &client =
+        cloud.startUnikernel("client", net::Ipv4Addr(10, 0, 0, 200));
+
+    BootStormRun r;
+    r.first_response_ns.assign(std::size_t(domains), -1);
+    std::vector<std::unique_ptr<http::HttpServer>> servers(
+        static_cast<std::size_t>(domains));
+    for (int i = 0; i < domains; i++) {
+        net::Ipv4Addr ip(10, 0, 0, u8(1 + i));
+        cloud.bootUnikernel(
+            "boot" + std::to_string(i), ip, 16,
+            [&, i, ip](core::Guest &g, xen::BootBreakdown) {
+                servers[std::size_t(i)] = std::make_unique<http::HttpServer>(
+                    g.stack, 80,
+                    [](const http::HttpRequest &req, auto respond) {
+                        respond(http::HttpResponse::text(200, req.path));
+                    });
+                cloud.engine().after(Duration::micros(2), [&, i, ip] {
+                    auto holder = std::make_shared<
+                        std::shared_ptr<http::HttpSession>>();
+                    *holder = http::HttpSession::open(
+                        client.stack, ip, 80, [&, i, holder](Status st) {
+                            ASSERT_TRUE(st.ok());
+                            http::HttpRequest get;
+                            get.method = "GET";
+                            get.path = "/probe";
+                            std::weak_ptr<http::HttpSession> weak = *holder;
+                            (*holder)->request(
+                                get, [&, i, weak](
+                                         Result<http::HttpResponse> resp) {
+                                    if (resp.ok())
+                                        r.first_response_ns[std::size_t(i)] =
+                                            cloud.engine().now().ns();
+                                    if (auto s = weak.lock())
+                                        s->close();
+                                });
+                        });
+                });
+            });
+    }
+    cloud.run();
+    r.checksum = cloud.engine().dispatchChecksum();
+    r.events = cloud.eventsRun();
+    return r;
+}
+
+TEST(ReplayTest, ToolstackBootStormReplaysToPinnedValues)
+{
+    const int kDomains = 64;
+    BootStormRun one = runBootStorm(kDomains);
+    BootStormRun two = runBootStorm(kDomains);
+    EXPECT_TRUE(one == two) << "two runs of one seed diverged";
+
+    EXPECT_EQ(one.events, 90111u);
+    EXPECT_EQ(one.checksum, 0xd6497c8c03a8d813ull);
+    ASSERT_EQ(one.first_response_ns.size(), std::size_t(kDomains));
+    i64 sum = 0;
+    for (i64 ns : one.first_response_ns) {
+        ASSERT_GE(ns, 0) << "an appliance never answered";
+        sum += ns;
+    }
+    EXPECT_EQ(*std::min_element(one.first_response_ns.begin(),
+                                one.first_response_ns.end()),
+              40238847);
+    EXPECT_EQ(*std::max_element(one.first_response_ns.begin(),
+                                one.first_response_ns.end()),
+              40910632);
+    EXPECT_EQ(sum, 2595712534);
 }
 
 } // namespace

@@ -3,17 +3,16 @@
  * Byte-identity goldens for every observability document the system
  * serves or writes, plus the escaping contract for hostile names.
  *
- * One fixed 1-shard scenario (a monitor appliance, a client and two
+ * One fixed scenario (a monitor appliance, a client and two
  * appliances cold-booted through the toolstack, traced and profiled)
  * renders `/fleet`, `/top`, `/flows` and `/metrics` both in-sim (the
  * bodies a simulated client receives, so equal bytes also mean equal
  * packetisation and equal virtual time) and after the run, along with
  * the folded profile, the Chrome trace and the registry dump. A second
- * 1-shard scenario (an HTTP handler that writes and reads a block
+ * scenario (an HTTP handler that writes and reads a block
  * through blkif/blkback, one DNS query, one domainpoll) pins the
  * storage, DNS and domainpoll tracks, their flow stages and `/flows`.
- * A standalone WallProfiler driven with synthetic host stamps renders
- * its three exports. Each body must equal `tests/golden/<name>` byte
+ * Each body must equal `tests/golden/<name>` byte
  * for byte.
  *
  * Every rendered body is also written to `golden_actual/<name>` under
@@ -40,7 +39,6 @@
 #include "protocols/http/client.h"
 #include "protocols/http/server.h"
 #include "protocols/http/telemetry.h"
-#include "trace/wallprof.h"
 
 namespace mirage {
 namespace {
@@ -238,37 +236,6 @@ renderStorageDns()
             {"storage_metrics.txt", t.metrics.toPrometheus()}};
 }
 
-/** The wall profiler's exports over a synthetic two-worker run. */
-Bodies
-renderWall()
-{
-    trace::WallProfiler wp;
-    wp.configure(2);
-    wp.enableTimeline();
-    trace::WallProfiler::DispatchCtx c0, c1;
-    wp.beginRun(1'000);
-    wp.dispatchBegin(c0, 0, 1'100);
-    wp.mailboxAppend(1'200, 1'250);
-    wp.dispatchEnd(c0, 1'500, 0, 1'000, 7);
-    wp.dispatchBegin(c1, 1, 1'100);
-    wp.dispatchEnd(c1, 1'300, 0, 1'000, 3);
-    wp.recordWindow();
-    wp.coordinatorWait(1'500, 1'600);
-    wp.barrierDrain(1'600, 1'650, 1'000, 2'000);
-    wp.deliveryLag(1'000, 1'200, 1'650);
-    wp.barrierCalc(1'650, 1'700);
-    wp.workerWake(1, 1'700);
-    wp.dispatchBegin(c0, 0, 1'700);
-    wp.dispatchEnd(c0, 2'000, 1'000, 2'000, 5);
-    wp.dispatchBegin(c1, 1, 1'700);
-    wp.dispatchEnd(c1, 2'100, 1'000, 2'000, 5);
-    wp.recordWindow();
-    wp.endRun(2'200);
-    return {{"wall_stats.json", wp.statsJson()},
-            {"wall_trace.json", wp.toChromeJson()},
-            {"wall_metrics.txt", wp.toPrometheus()}};
-}
-
 std::string
 readFile(const std::filesystem::path &p)
 {
@@ -442,16 +409,10 @@ TEST(GoldenTest, StorageAndDnsDocumentsAreByteIdentical)
     expectGolden(bodies);
 }
 
-TEST(GoldenTest, WallProfilerExportsAreByteIdentical)
-{
-    expectGolden(renderWall());
-}
-
 TEST(GoldenTest, JsonDocumentsAreWellFormed)
 {
     Bodies all = renderCloud("web1");
     all.merge(renderStorageDns());
-    all.merge(renderWall());
     for (const auto &[name, body] : all) {
         if (name.ends_with(".json")) {
             EXPECT_TRUE(JsonCheck(body).valid()) << name;

@@ -531,7 +531,7 @@ TEST_F(BootTest, EntryRunsOnceReady)
 {
     Toolstack ts(hv, Toolstack::Mode::Parallel);
     bool entered = false;
-    ts.boot({"uk", GuestKind::Unikernel, 64, 1, nullptr,
+    ts.boot({"uk", GuestKind::Unikernel, 64, 1,
              [&](Domain &d) {
                  entered = true;
                  EXPECT_EQ(d.state(), DomainState::Running);

@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <sstream>
 #include <string>
 
 #include "core/cloud.h"
+#include "drivers/blkif.h"
 #include "protocols/http/client.h"
 #include "protocols/http/server.h"
 #include "runtime/gc_heap.h"
@@ -135,6 +139,53 @@ TEST(ProfilerFoldedTest, FoldedLinesAndWriteFolded)
     std::remove(path.c_str());
     buf[n] = 0;
     EXPECT_EQ(std::string(buf), folded);
+}
+
+/** Deepest folded stack after @p n blkif reads kept two in flight, so
+ *  each completion's re-entry into blkback's drain finds the next
+ *  request already on the ring. */
+std::size_t
+blkifChainDepth(int n)
+{
+    core::Cloud cloud;
+    cloud.profiler().enable();
+    xen::VirtualDisk &disk = cloud.addDisk("vol", 1u << 12);
+    core::Guest &g =
+        cloud.startUnikernel("store", net::Ipv4Addr(10, 0, 0, 1), 32);
+    drivers::Blkif blkif(g.boot, cloud.blkbackFor(disk));
+    int issued = 0, done = 0;
+    std::function<void()> next = [&] {
+        if (issued == n)
+            return;
+        Cstruct page = blkif.allocPage().value();
+        u64 sector = u64(issued % 64) * 8;
+        issued++;
+        blkif.read(sector, 8, page)->onComplete([&, page](rt::Promise &) {
+            done++;
+            next();
+        });
+    };
+    next();
+    next();
+    cloud.run();
+    EXPECT_EQ(done, n);
+    std::size_t depth = 0;
+    std::istringstream lines(cloud.profiler().folded());
+    for (std::string line; std::getline(lines, line);) {
+        std::string path = line.substr(0, line.rfind(' '));
+        depth = std::max<std::size_t>(
+            depth, 1 + std::count(path.begin(), path.end(), ';'));
+    }
+    return depth;
+}
+
+TEST(ProfilerFoldedTest, BlkifRequestChainDoesNotDeepenTheStack)
+{
+    std::size_t short_chain = blkifChainDepth(8);
+    std::size_t long_chain = blkifChainDepth(64);
+    EXPECT_EQ(long_chain, short_chain)
+        << "each request in a chain nested one more scope";
+    EXPECT_LE(long_chain, 8u);
 }
 
 TEST(ProfilerEngineTest, DispatchRestoresScheduledScope)

@@ -23,7 +23,6 @@
 #include "sim/cpu.h"
 #include "sim/engine.h"
 #include "sim/poller.h"
-#include "sim/shard.h"
 #include "trace/telemetry.h"
 
 namespace mirage::sim {
@@ -433,29 +432,6 @@ TEST(PollTrainTest, CreditedRunMatchesEagerReferenceAtEveryBoundary)
     EXPECT_GT(after, 0u) << "no publish ordered after its instant's poll";
     EXPECT_LT(rig.polls_run.size() * 4, ref.polls_run.size())
         << "idle polls were run, not credited";
-}
-
-TEST(PollTrainTest, CreditedShardsMatchEagerShardsInEveryWindow)
-{
-    Engine ref_primary, primary;
-    ShardSet ref_set(ref_primary, 2), set(primary, 2);
-    std::vector<std::unique_ptr<PollRig>> ref_rigs, rigs;
-    for (unsigned s = 0; s < 2; s++) {
-        ref_rigs.push_back(std::make_unique<PollRig>(ref_set.shard(s), true));
-        rigs.push_back(std::make_unique<PollRig>(set.shard(s), false));
-        scriptPollScenario(ref_set.shard(s), *ref_rigs.back());
-        scriptPollScenario(set.shard(s), *rigs.back());
-    }
-    for (i64 t = 0; t <= 1000; t += 5) {
-        ref_set.runUntil(us(t));
-        set.runUntil(us(t));
-        for (unsigned s = 0; s < 2; s++)
-            ASSERT_EQ(snapshot(set.shard(s), *rigs[s], nullptr),
-                      snapshot(ref_set.shard(s), *ref_rigs[s], nullptr))
-                << "shard " << s << " diverged by t=" << t << " us";
-    }
-    EXPECT_EQ(set.eventsRun(), ref_set.eventsRun());
-    EXPECT_TRUE(set.empty());
 }
 
 TEST(PollTrainTest, CancelledTrainFreesItsSlotUnderTheCaughtUpGeneration)

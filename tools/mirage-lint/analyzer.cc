@@ -10,7 +10,6 @@ namespace {
 const std::vector<std::string> kChecks = {
     "continuation-self-capture", "lease-escape", "wall-clock-in-sim",
     "ring-index-unmasked",       "flow-scope-hop",
-    "cross-shard-direct-schedule", "model-mutex-order",
 };
 
 bool
@@ -850,190 +849,6 @@ Analyzer::checkFlowScope(const LexedFile &f, const Function &fn,
     }
 }
 
-// ---- Check 6: cross-shard-direct-schedule --------------------------------
-
-void
-Analyzer::checkCrossShard(const LexedFile &f,
-                          std::vector<Finding> &out) const
-{
-    const auto &t = f.toks;
-    static const std::set<std::string> schedulers = {"at", "after",
-                                                     "atKeyed"};
-    for (std::size_t i = 0; i + 5 < t.size(); i++) {
-        // X->engine().at(... / X->engine().after(...: scheduling
-        // straight onto a peer domain's engine. A pointer-derefed
-        // receiver is another domain by convention (a domain's own
-        // engine is reached through a held reference: engine_,
-        // dom.engine()); such hops must route through the mailbox
-        // (sim::crossPost / crossPostAt) or the merged dispatch order
-        // is no longer a pure function of the seed.
-        if (!isIdent(t[i], "engine") || !isPunct(t[i + 1], "(") ||
-            !isPunct(t[i + 2], ")") || !isPunct(t[i + 3], "."))
-            continue;
-        if (t[i + 4].kind != TokKind::Ident ||
-            !schedulers.count(t[i + 4].text) ||
-            !isPunct(t[i + 5], "("))
-            continue;
-        std::string root;
-        bool arrow = false;
-        receiverChain(t, i, root, arrow);
-        if (!arrow || root.empty())
-            continue;
-        out.push_back(Finding{
-            "cross-shard-direct-schedule", f.path, t[i + 4].line, root,
-            "'" + root + "->engine()." + t[i + 4].text +
-                "(...)' schedules directly onto another domain's "
-                "engine: cross-shard work must go through "
-                "sim::crossPost/crossPostAt so the mailbox preserves "
-                "the deterministic (when, seq) merge"});
-    }
-}
-
-// ---- Check 7: model-mutex-order ------------------------------------------
-
-namespace {
-
-/** Model code, where a container's order can reach a schedule: the
- *  hypervisor, core, drivers and net layers (and this check's
- *  fixtures). */
-bool
-isModelCode(const std::string &path)
-{
-    for (const char *dir : {"src/hypervisor/", "src/core/", "src/drivers/",
-                            "src/net/", "fixtures/model_mutex_order"})
-        if (path.find(dir) != std::string::npos)
-            return true;
-    return false;
-}
-
-/** Index of the } closing the block that toks[i] sits in, or @p limit. */
-std::size_t
-blockEnd(const std::vector<Token> &toks, std::size_t i, std::size_t limit)
-{
-    int depth = 0;
-    for (std::size_t j = i; j < limit; j++) {
-        if (isPunct(toks[j], "{"))
-            depth++;
-        else if (isPunct(toks[j], "}") && depth-- == 0)
-            return j;
-    }
-    return limit;
-}
-
-/** True when an identifier in toks[b, e) is @p name (or, with
- *  @p part, contains it, case-insensitively). */
-bool
-mentions(const std::vector<Token> &toks, std::size_t b, std::size_t e,
-         const std::string &name, bool part = false)
-{
-    for (std::size_t j = b; j < e && j < toks.size(); j++) {
-        if (toks[j].kind != TokKind::Ident)
-            continue;
-        if (part ? lowerNoUnderscore(toks[j].text).find(name) !=
-                       std::string::npos
-                 : toks[j].text == name)
-            return true;
-    }
-    return false;
-}
-
-/** True when @p fn walks @p name: `for (... : name)` or a for header
- *  that starts an iterator at `name.begin()`. */
-bool
-iterates(const std::vector<Token> &toks, std::size_t b, std::size_t e,
-         const std::string &name)
-{
-    for (std::size_t i = b; i + 1 < e; i++) {
-        if (!isIdent(toks[i], "for") || !isPunct(toks[i + 1], "("))
-            continue;
-        std::size_t close = matchForward(toks, i + 1);
-        if (close >= e)
-            continue;
-        if (isIdent(toks[close - 1], name.c_str()) &&
-            isPunct(toks[close - 2], ":"))
-            return true;
-        for (std::size_t j = i + 2; j + 2 < close; j++)
-            if (isIdent(toks[j], name.c_str()) &&
-                isPunct(toks[j + 1], ".") &&
-                (isIdent(toks[j + 2], "begin") ||
-                 isIdent(toks[j + 2], "cbegin")))
-                return true;
-    }
-    return false;
-}
-
-} // namespace
-
-void
-Analyzer::checkMutexOrder(const LexedFile &f,
-                          const std::vector<Function> &fns,
-                          std::vector<Finding> &out) const
-{
-    if (!isModelCode(f.path))
-        return;
-    static const std::set<std::string> locks = {
-        "lock_guard", "unique_lock", "scoped_lock"};
-    static const std::set<std::string> appends = {
-        "push_back", "emplace_back", "push_front", "emplace_front"};
-    const auto &t = f.toks;
-    for (std::size_t k = 0; k < fns.size(); k++) {
-        const Function &fn = fns[k];
-        for (std::size_t i = fn.body_begin; i < fn.body_end; i++) {
-            if (t[i].kind != TokKind::Ident || !locks.count(t[i].text))
-                continue;
-            // The lock holds to the end of its block: an append in
-            // there lands in whatever order the threads took the lock.
-            std::size_t end = blockEnd(t, i, fn.body_end);
-            for (std::size_t j = i; j + 3 < end; j++) {
-                if (t[j].kind != TokKind::Ident ||
-                    !(isPunct(t[j + 1], ".") || isPunct(t[j + 1], "->")) ||
-                    t[j + 2].kind != TokKind::Ident ||
-                    !appends.count(t[j + 2].text) ||
-                    !isPunct(t[j + 3], "("))
-                    continue;
-                // Only the object's own containers (name_ or this->name).
-                if (j > 0 && (isPunct(t[j - 1], ".") ||
-                              (isPunct(t[j - 1], "->") &&
-                               !(j >= 2 && isIdent(t[j - 2], "this")))))
-                    continue;
-                const std::string &name = t[j].text;
-                // An element carrying a causal key is ordered by it,
-                // whatever thread appended it.
-                if (mentions(t, j + 4, matchForward(t, j + 3), "key", true))
-                    continue;
-                // So is a container sorted anywhere in the file.
-                bool sorted = false;
-                for (std::size_t s = 0; s + 1 < t.size() && !sorted; s++)
-                    if ((isIdent(t[s], "sort") ||
-                         isIdent(t[s], "stable_sort")) &&
-                        isPunct(t[s + 1], "("))
-                        sorted = mentions(t, s + 2,
-                                          matchForward(t, s + 1), name);
-                if (sorted)
-                    continue;
-                for (std::size_t o = 0; o < fns.size(); o++) {
-                    if (o == k ||
-                        !iterates(t, fns[o].body_begin, fns[o].body_end,
-                                  name))
-                        continue;
-                    out.push_back(Finding{
-                        "model-mutex-order", f.path, t[j].line, name,
-                        "'" + name + "' is appended under a lock in " +
-                            fn.qualified + " and iterated in " +
-                            fns[o].qualified +
-                            " with no sort or causal key: the order "
-                            "shard threads take the lock reaches "
-                            "whatever that walk schedules; insert in "
-                            "key order, or allow() with the reason the "
-                            "order is harmless"});
-                    break;
-                }
-            }
-            i = end;
-        }
-    }
-}
-
 // ---- Driver --------------------------------------------------------------
 
 std::vector<Finding>
@@ -1050,34 +865,6 @@ Analyzer::check(const LexedFile &f, bool wallclock_allowed)
     if (!wallclock_allowed)
         checkWallClock(f, out);
     checkRingIndex(f, out);
-    checkCrossShard(f, out);
-    checkMutexOrder(f, fns, out);
-
-    // File-scoped suppressions: "mirage-lint: allow-file(check)"
-    // anywhere in the file silences that one check for the whole
-    // file. For files whose entire purpose violates a check — the
-    // wall profiler (src/trace/wallprof.*) is host-clock measurement
-    // top to bottom — per-line allow() comments would just wallpaper
-    // every other line; the file-scoped form documents the audit once.
-    // Other checks (and other files) are untouched.
-    std::vector<std::pair<int, std::string>> file_allows;
-    commentDirectives(f, "mirage-lint: allow-file", file_allows);
-    if (!file_allows.empty()) {
-        std::vector<Finding> kept;
-        for (const Finding &fi : out) {
-            bool suppressed = false;
-            for (const auto &[line, name] : file_allows) {
-                (void)line;
-                if (name == fi.check || name == "all") {
-                    suppressed = true;
-                    break;
-                }
-            }
-            if (!suppressed)
-                kept.push_back(fi);
-        }
-        out = std::move(kept);
-    }
 
     // Apply line-scoped suppression comments.
     std::vector<std::pair<int, std::string>> allows;

@@ -23,30 +23,14 @@
  *  wall-clock-in-sim  host time, host randomness or host threads in
  *      simulation code: everything in src/ must draw time from the
  *      virtual clock and randomness from the seeded mirage::Rng, or
- *      replay determinism (and the sharded-engine merge that depends
- *      on it) is silently lost. The sanctioned exceptions carry
- *      suppressions in-source: per-line "mirage-lint: allow(...)"
- *      for the ShardSet's worker/barrier plumbing, and the
- *      file-scoped "mirage-lint: allow-file(...)" for
- *      src/trace/wallprof.* — the wall profiler is host-clock
- *      measurement top to bottom and is the one component allowed to
- *      read real time inside src/ (it observes the workers; nothing
- *      it measures feeds back into virtual scheduling).
+ *      replay determinism is silently lost. Sanctioned exceptions
+ *      carry a per-line "mirage-lint: allow(...)" suppression
+ *      in-source.
  *
  *  ring-index-unmasked  a shared-ring producer/consumer counter used
  *      directly as an array index or byte offset. Counters are free
  *      running (they wrap at 2^32); only the masked slot() accessor
  *      may turn one into a slot address.
- *
- *  cross-shard-direct-schedule  an event scheduled straight onto
- *      another domain's engine (peer->engine().at/after/atKeyed)
- *      instead of through the sharded mailbox
- *      (sim::crossPost/crossPostAt). Direct posts bypass the
- *      conservative window merge: the event's causal key is consumed
- *      on the wrong shard and replay stops being a pure function of
- *      the seed once the domains land on different shards. A domain's
- *      own engine, reached through a held reference (engine_,
- *      dom.engine()), stays fair game.
  *
  *  flow-scope-hop  a function that enqueues onto a cross-domain ring
  *      (startRequest/startResponse) with no flow handling in sight —
@@ -54,15 +38,6 @@
  *      bookkeeping. Such hops break causal request attribution (the
  *      PR 5 polled-consumer bug class); flow-less rings document the
  *      invariant with an allow() comment.
- *
- *  model-mutex-order  in src/{hypervisor,core,drivers,net}, a member
- *      container appended to (push_back/emplace_back/...) under a
- *      lock and iterated by another function of the same file, with
- *      no sort of it and no causal key in the appended element. Shard
- *      threads take the lock in host order, so the walk's order — and
- *      whatever it schedules — stops being a pure function of the seed
- *      (the Bridge::attach flood-order bug). Containers whose order
- *      reaches no schedule carry an allow() comment with the reason.
  */
 
 #ifndef MIRAGE_LINT_ANALYZER_H
@@ -134,11 +109,6 @@ class Analyzer
                         std::vector<Finding> &out) const;
     void checkRingIndex(const LexedFile &f,
                         std::vector<Finding> &out) const;
-    void checkCrossShard(const LexedFile &f,
-                         std::vector<Finding> &out) const;
-    void checkMutexOrder(const LexedFile &f,
-                         const std::vector<Function> &fns,
-                         std::vector<Finding> &out) const;
 
     bool isShared(const std::string &name) const;
 
